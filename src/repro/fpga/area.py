@@ -71,14 +71,13 @@ def estimate_area(
     module: Module, efficiency: float = DEFAULT_EFFICIENCY
 ) -> AreaReport:
     """Estimate one module's area (its whole hierarchy)."""
-    luts = module.total_luts()
-    ffs = module.total_ffs()
+    luts, ffs, brams = module.resource_totals()
     packed: SliceCount = pack(luts, ffs, efficiency)
     return AreaReport(
         module=module.name,
         luts=luts,
         ffs=ffs,
-        brams=module.total_brams(),
+        brams=brams,
         slices=packed.slices,
     )
 
@@ -88,12 +87,31 @@ def estimate_design(
     device: Device = XC2VP20,
     efficiency: float = DEFAULT_EFFICIENCY,
 ) -> UtilizationReport:
-    """Estimate a top-level design against a device."""
+    """Estimate a top-level design against a device.
+
+    The hierarchy is walked once: the total adds the child modules'
+    reports to the top module's own primitives."""
     per_module = []
+    luts = ffs = brams = 0
     for instance in top.instances:
-        if isinstance(instance.component, Module):
-            per_module.append(estimate_area(instance.component, efficiency))
-    total = estimate_area(top, efficiency)
+        component = instance.component
+        if isinstance(component, Module):
+            report = estimate_area(component, efficiency)
+            per_module.append(report)
+            luts += report.luts
+            ffs += report.ffs
+            brams += report.brams
+        else:
+            luts += component.luts()
+            ffs += component.ffs()
+            brams += component.brams()
+    total = AreaReport(
+        module=top.name,
+        luts=luts,
+        ffs=ffs,
+        brams=brams,
+        slices=pack(luts, ffs, efficiency).slices,
+    )
     return UtilizationReport(device=device, total=total, per_module=per_module)
 
 

@@ -26,7 +26,7 @@ from .errors import (
     HicTypeError,
     SourceLocation,
 )
-from .lexer import Lexer, Token, TokenKind, tokenize
+from .lexer import Token, TokenKind, tokenize
 from .parser import Parser, parse, parse_with_types
 from .pragmas import ConsumerRef, Dependency, resolve_dependencies
 from .semantic import (
@@ -62,7 +62,6 @@ __all__ = [
     "parse_with_types",
     "tokenize",
     "resolve_dependencies",
-    "Lexer",
     "Parser",
     "Token",
     "TokenKind",

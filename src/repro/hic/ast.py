@@ -31,9 +31,11 @@ class Node:
 
 def walk(node: Node) -> Iterator[Node]:
     """Depth-first pre-order traversal of an AST subtree."""
-    yield node
-    for child in node.children():
-        yield from walk(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed([*node.children()]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,10 @@ construct in the original hic text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     """A position in a hic source text.
 
     Attributes:

@@ -6,16 +6,21 @@ networking applications: threads, a logical global shared memory of
 structured statements (if, case, for, while), and four pragmas
 (``#interface``, ``#constant``, ``#producer``, ``#consumer``).
 
-The lexer is a straightforward longest-match scanner.  Pragmas are tokenized
-as ordinary punctuation (``#`` HASH followed by an identifier and a braced
+The lexer is one compiled regular expression matched at a moving offset,
+with line numbers taken from newline positions.  Its alternatives are
+tried in order: trivia (whitespace and comments) first, operators longest
+first so maximal munch works, and last the error cases.  Tokens are ASCII:
+outside comments and string/character literals any other character is an
+error.  Pragmas are tokenized as
+ordinary punctuation (``#`` HASH followed by an identifier and a braced
 argument list) so that the parser can treat them uniformly with statements.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import NamedTuple
 
 from .errors import HicSyntaxError, SourceLocation
 
@@ -61,32 +66,8 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators, longest first so maximal munch works.
-_PUNCT3 = ("<<=", ">>=")
-_PUNCT2 = (
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "<<",
-    ">>",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "&=",
-    "|=",
-    "^=",
-    "->",
-)
-_PUNCT1 = "+-*/%<>=!&|^~(){}[],;:.?"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its source location."""
 
     kind: TokenKind
@@ -116,159 +97,84 @@ class Token:
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", "'": "'", '"': '"'}
 
+#: Trivia, every token, every error start and the end of the text.  A
+#: group named after a :class:`TokenKind` yields a token of that kind;
+#: trivia matches no group.
+_TOKEN = re.compile(
+    r"""
+      [ \t\r\n]+ | //[^\n]* | /\*.*?\*/
+    | (?P<word>    [A-Za-z_][A-Za-z0-9_]* )
+    | (?P<INT>     0[xXbBoO][A-Za-z0-9]* | [0-9]+ )
+    | (?P<CHAR>    ' (?: \\[ntr0\\'"] | [^\\'] ) ' )
+    | (?P<STRING>  " (?: \\. | [^"\\] )* " )
+    | (?P<HASH>    \# )
+    | (?P<unterminated> /\* | ['"] )
+    | (?P<PUNCT>   <<= | >>= | [=!<>+\-*/%&|^]= | && | \|\| | << | >> | ->
+                 | [-+*/%<>=!&|^~(){}\[\],;:.?] )
+    | (?P<unexpected> . )
+    | (?P<EOF>     \Z )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
-class Lexer:
-    """Scans hic source text into a token stream.
+_KINDS = {kind.name: kind for kind in TokenKind}
 
-    Usage::
+#: Builds a record without the Python-level ``__new__`` that
+#: ``NamedTuple`` generates: with two records per token, that call took a
+#: fifth of the lexer's time.
+_record = tuple.__new__
 
-        tokens = list(Lexer(source).tokens())
-    """
 
-    def __init__(self, source: str, filename: str = "<hic>"):
-        self._source = source
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    # -- low-level cursor helpers -------------------------------------------------
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._line, self._col, self._filename)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._source):
-            return ""
-        return self._source[index]
-
-    def _advance(self, count: int = 1) -> str:
-        text = self._source[self._pos : self._pos + count]
-        for ch in text:
-            if ch == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-        self._pos += count
-        return text
-
-    # -- skipping -----------------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        """Consume whitespace and ``//`` / ``/* */`` comments."""
-        while True:
-            ch = self._peek()
-            if ch and ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if not self._peek():
-                        raise HicSyntaxError("unterminated block comment", start)
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    # -- scanning -----------------------------------------------------------------
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield every token in the source, ending with a single EOF token."""
-        while True:
-            self._skip_trivia()
-            location = self._location()
-            ch = self._peek()
-            if not ch:
-                yield Token(TokenKind.EOF, "", location)
-                return
-            if ch.isalpha() or ch == "_":
-                yield self._scan_word(location)
-            elif ch.isdigit():
-                yield self._scan_number(location)
-            elif ch == "'":
-                yield self._scan_char(location)
-            elif ch == '"':
-                yield self._scan_string(location)
-            elif ch == "#":
-                self._advance()
-                yield Token(TokenKind.HASH, "#", location)
-            else:
-                yield self._scan_punct(location)
-
-    def _scan_word(self, location: SourceLocation) -> Token:
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._source[start : self._pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, location)
-
-    def _scan_number(self, location: SourceLocation) -> Token:
-        start = self._pos
-        if self._peek() == "0" and self._peek(1) in "xXbBoO":
-            self._advance(2)
-            while self._peek().isalnum():
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-        text = self._source[start : self._pos]
-        try:
-            int(text, 0)
-        except ValueError:
-            raise HicSyntaxError(f"malformed integer literal {text!r}", location)
-        return Token(TokenKind.INT, text, location)
-
-    def _scan_char(self, location: SourceLocation) -> Token:
-        start = self._pos
-        self._advance()  # opening quote
-        if self._peek() == "\\":
-            self._advance()
-            if self._peek() not in _ESCAPES:
-                raise HicSyntaxError(
-                    f"unknown escape sequence '\\{self._peek()}'", location
-                )
-            self._advance()
-        elif self._peek() and self._peek() != "'":
-            self._advance()
-        else:
-            raise HicSyntaxError("empty character literal", location)
-        if self._peek() != "'":
-            raise HicSyntaxError("unterminated character literal", location)
-        self._advance()
-        return Token(TokenKind.CHAR, self._source[start : self._pos], location)
-
-    def _scan_string(self, location: SourceLocation) -> Token:
-        start = self._pos
-        self._advance()  # opening quote
-        while self._peek() and self._peek() != '"':
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        if self._peek() != '"':
-            raise HicSyntaxError("unterminated string literal", location)
-        self._advance()
-        return Token(TokenKind.STRING, self._source[start : self._pos], location)
-
-    def _scan_punct(self, location: SourceLocation) -> Token:
-        for group in (_PUNCT3, _PUNCT2):
-            for op in group:
-                if self._source.startswith(op, self._pos):
-                    self._advance(len(op))
-                    return Token(TokenKind.PUNCT, op, location)
-        ch = self._peek()
-        if ch in _PUNCT1:
-            self._advance()
-            return Token(TokenKind.PUNCT, ch, location)
-        raise HicSyntaxError(f"unexpected character {ch!r}", location)
+def _error_message(source: str, start: int) -> str:
+    """Why no token can start at ``start``."""
+    ch = source[start]
+    if source.startswith("/*", start):
+        return "unterminated block comment"
+    if ch == '"':
+        return "unterminated string literal"
+    if ch == "'":
+        body = source[start + 1 : start + 3]
+        if body[:1] == "\\" and body[1:] not in _ESCAPES:
+            return f"unknown escape sequence '\\{body[1:]}'"
+        if body[:1] in ("", "'"):
+            return "empty character literal"
+        return "unterminated character literal"
+    return f"unexpected character {ch!r}"
 
 
 def tokenize(source: str, filename: str = "<hic>") -> list[Token]:
-    """Convenience wrapper returning the full token list (including EOF)."""
-    return list(Lexer(source, filename).tokens())
+    """Scan ``source`` into its tokens, ending with a single EOF token."""
+    tokens: list[Token] = []
+    end = len(source)
+    # Lines are counted at newline positions: ``newline`` is the next one
+    # not yet counted (-1 stands for the start of the text, ``end`` for
+    # none left) and ``line_start`` the offset after the last one counted.
+    line, line_start, newline = 0, 0, -1
+    for match in _TOKEN.finditer(source):
+        group = match.lastgroup
+        if group is None:  # trivia
+            continue
+        start = match.start()
+        while newline < start:
+            line += 1
+            line_start = newline + 1
+            newline = source.find("\n", line_start)
+            if newline < 0:
+                newline = end
+        text = match.group()
+        location = _record(SourceLocation, (line, start - line_start + 1, filename))
+        if group == "word":
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+        elif group in _KINDS:
+            kind = _KINDS[group]
+            if kind is TokenKind.INT:
+                try:
+                    int(text, 0)
+                except ValueError:
+                    raise HicSyntaxError(
+                        f"malformed integer literal {text!r}", location
+                    ) from None
+        else:
+            raise HicSyntaxError(_error_message(source, start), location)
+        tokens.append(_record(Token, (kind, text, location)))
+    return tokens

@@ -23,6 +23,9 @@ Grammar (EBNF, terminals quoted)::
 Dependency pragmas bind to the next assignment statement, per Figure 1 of
 the paper.  User type declarations must precede their first use (the parser
 needs the set of type names to disambiguate declarations from assignments).
+Binary operators are parsed by precedence climbing over ``_PRECEDENCE``.
+Nesting deeper than the interpreter's recursion limit allows is a located
+"nesting too deep" syntax error.
 """
 
 from __future__ import annotations
@@ -48,7 +51,13 @@ _PRECEDENCE: list[tuple[str, ...]] = [
     ("*", "/", "%"),
 ]
 
-_ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=")
+#: Binary operator -> its level in ``_PRECEDENCE``.
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_PRECEDENCE) for op in ops}
+
+_ASSIGN_OPS = frozenset("= += -= *= /= %= &= |= ^= <<= >>=".split())
+
+#: Token kinds whose text ``_check``/``_accept`` match.
+_CHECKED_KINDS = (TokenKind.PUNCT, TokenKind.KEYWORD)
 
 
 class Parser:
@@ -56,14 +65,18 @@ class Parser:
 
     def __init__(self, source: str, filename: str = "<hic>"):
         self._tokens = tokenize(source, filename)
+        #: per token, its text if it is punctuation or a keyword, else None
+        self._texts = [
+            token.text if token.kind in _CHECKED_KINDS else None
+            for token in self._tokens
+        ]
         self._pos = 0
         self.types = TypeTable()
 
     # -- token-stream helpers -----------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _peek(self) -> Token:
+        return self._tokens[self._pos]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -72,20 +85,20 @@ class Parser:
         return token
 
     def _check(self, text: str) -> bool:
-        token = self._peek()
-        return token.kind in (TokenKind.PUNCT, TokenKind.KEYWORD) and token.text == text
+        return self._texts[self._pos] == text
 
     def _accept(self, text: str) -> Optional[Token]:
-        if self._check(text):
-            return self._advance()
-        return None
+        if self._texts[self._pos] != text:
+            return None
+        self._pos += 1
+        return self._tokens[self._pos - 1]
 
     def _expect(self, text: str) -> Token:
-        if not self._check(text):
-            raise HicSyntaxError(
-                f"expected {text!r}, found {self._peek()}", self._peek().location
-            )
-        return self._advance()
+        token = self._accept(text)
+        if token is None:
+            found = self._peek()
+            raise HicSyntaxError(f"expected {text!r}, found {found}", found.location)
+        return token
 
     def _expect_ident(self) -> Token:
         token = self._peek()
@@ -123,19 +136,23 @@ class Parser:
 
     def parse_program(self) -> ast.Program:
         program = ast.Program(location=self._peek().location)
-        while self._peek().kind is not TokenKind.EOF:
-            if self._check("type"):
-                self._parse_type_decl()
-            elif self._check("thread"):
-                program.threads.append(self._parse_thread())
-            elif self._peek().kind is TokenKind.HASH:
-                self._parse_top_pragma(program)
-            else:
-                raise HicSyntaxError(
-                    f"expected 'thread', 'type', or pragma at top level, "
-                    f"found {self._peek()}",
-                    self._peek().location,
-                )
+        try:
+            while self._peek().kind is not TokenKind.EOF:
+                if self._check("type"):
+                    self._parse_type_decl()
+                elif self._check("thread"):
+                    program.threads.append(self._parse_thread())
+                elif self._peek().kind is TokenKind.HASH:
+                    self._parse_top_pragma(program)
+                else:
+                    raise HicSyntaxError(
+                        f"expected 'thread', 'type', or pragma at top level, "
+                        f"found {self._peek()}",
+                        self._peek().location,
+                    )
+        except RecursionError:
+            # Blocks, parentheses and unary operators nest by recursion.
+            raise HicSyntaxError("nesting too deep", self._peek().location) from None
         return program
 
     def _parse_type_decl(self) -> None:
@@ -160,7 +177,7 @@ class Parser:
             raise HicSyntaxError(str(exc), name.location)
 
     def _parse_top_pragma(self, program: ast.Program) -> None:
-        hash_token = self._expect("#") if self._check("#") else self._advance()
+        hash_token = self._advance()
         keyword = self._expect_ident()
         if keyword.text == "interface":
             self._expect("{")
@@ -428,7 +445,7 @@ class Parser:
     def _parse_assign_or_expr(self) -> ast.Stmt:
         expr = self._parse_expr()
         op_token = self._peek()
-        if op_token.text in _ASSIGN_OPS and op_token.kind is TokenKind.PUNCT:
+        if self._texts[self._pos] in _ASSIGN_OPS:
             if not isinstance(expr, (ast.Name, ast.FieldAccess, ast.Index)):
                 raise HicSyntaxError(
                     "assignment target must be a variable, field, or element",
@@ -444,38 +461,40 @@ class Parser:
     # -- expressions --------------------------------------------------------------------
 
     def _parse_expr(self) -> ast.Expr:
-        return self._parse_conditional()
-
-    def _parse_conditional(self) -> ast.Expr:
+        """A conditional expression: ``cond ? a : b`` or a binary one."""
         cond = self._parse_binary(0)
         if self._accept("?"):
             then_value = self._parse_expr()
             self._expect(":")
-            else_value = self._parse_conditional()
+            else_value = self._parse_expr()
             return ast.Conditional(cond, then_value, else_value, cond.location)
         return cond
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_PRECEDENCE):
-            return self._parse_unary()
-        left = self._parse_binary(level + 1)
-        ops = _PRECEDENCE[level]
-        while self._peek().kind is TokenKind.PUNCT and self._peek().text in ops:
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: unary operands joined by left-associative
+        operators of level ``min_level`` or tighter."""
+        left = self._parse_unary()
+        level = _BINARY_LEVEL.get(self._texts[self._pos])
+        while level is not None and level >= min_level:
             op = self._advance().text
             right = self._parse_binary(level + 1)
             left = ast.Binary(op, left, right, left.location)
+            level = _BINARY_LEVEL.get(self._texts[self._pos])
         return left
 
     def _parse_unary(self) -> ast.Expr:
-        token = self._peek()
-        if token.kind is TokenKind.PUNCT and token.text in ("-", "!", "~"):
-            self._advance()
-            operand = self._parse_unary()
-            return ast.Unary(token.text, operand, token.location)
+        if self._texts[self._pos] in ("-", "!", "~"):
+            token = self._advance()
+            return ast.Unary(token.text, self._parse_unary(), token.location)
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expr:
         token = self._peek()
+        if token.kind is TokenKind.IDENT:
+            self._advance()
+            if self._check("("):
+                return self._parse_postfix(self._parse_call(token))
+            return self._parse_postfix(ast.Name(token.text, token.location))
         if token.kind is TokenKind.INT:
             self._advance()
             return ast.IntLiteral(token.int_value, token.location)
@@ -489,11 +508,6 @@ class Parser:
             expr = self._parse_expr()
             self._expect(")")
             return self._parse_postfix(expr)
-        if token.kind is TokenKind.IDENT:
-            self._advance()
-            if self._check("("):
-                return self._parse_postfix(self._parse_call(token))
-            return self._parse_postfix(ast.Name(token.text, token.location))
         raise HicSyntaxError(f"expected expression, found {token}", token.location)
 
     def _parse_call(self, callee: Token) -> ast.Call:

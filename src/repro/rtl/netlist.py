@@ -139,14 +139,31 @@ class Module:
                     seen.setdefault(grandchild.name, grandchild)
         return list(seen.values())
 
+    def resource_totals(self) -> tuple[int, int, int]:
+        """``(LUTs, FFs, BRAMs)`` over this module and its children, in
+        one pass."""
+        luts = ffs = brams = 0
+        for instance in self.instances:
+            component = instance.component
+            if isinstance(component, MacroPrimitive):
+                luts += component.luts()
+                ffs += component.ffs()
+                brams += component.brams()
+            else:
+                sub_luts, sub_ffs, sub_brams = component.resource_totals()
+                luts += sub_luts
+                ffs += sub_ffs
+                brams += sub_brams
+        return luts, ffs, brams
+
     def total_luts(self) -> int:
-        return sum(prim.luts() for __, prim in self.primitive_instances())
+        return self.resource_totals()[0]
 
     def total_ffs(self) -> int:
-        return sum(prim.ffs() for __, prim in self.primitive_instances())
+        return self.resource_totals()[1]
 
     def total_brams(self) -> int:
-        return sum(prim.brams() for __, prim in self.primitive_instances())
+        return self.resource_totals()[2]
 
     def worst_path(self) -> tuple[str, int]:
         """The deepest documented path across the hierarchy."""
@@ -165,10 +182,8 @@ class Module:
         """A printable module tree with per-module LUT/FF counts — the
         reproduction of the paper's Figure 2/3 block structure."""
         pad = "  " * indent
-        lines = [
-            f"{pad}{self.name}  (LUT={self.total_luts()}, FF={self.total_ffs()},"
-            f" BRAM={self.total_brams()})"
-        ]
+        luts, ffs, brams = self.resource_totals()
+        lines = [f"{pad}{self.name}  (LUT={luts}, FF={ffs}, BRAM={brams})"]
         for instance in self.instances:
             if isinstance(instance.component, Module):
                 lines.append(instance.component.hierarchy(indent + 1))

@@ -125,3 +125,41 @@ class TestFullPrograms:
     def test_pragma_sequence(self):
         toks = texts("#consumer{mt1,[t2,y1]}")
         assert toks == ["#", "consumer", "{", "mt1", ",", "[", "t2", ",", "y1", "]", "}"]
+
+
+class TestAsciiOnly:
+    """Tokens are ASCII: Verilog-2001 identifiers are, and ``isalpha``/
+    ``isdigit`` would otherwise admit any Unicode letter or digit."""
+
+    @pytest.mark.parametrize(
+        "source, column",
+        [
+            ("int café;", 8),
+            ("x = ٣ + 1;", 5),  # ARABIC-INDIC DIGIT THREE
+            ("x\u00a0= 1;", 2),  # NO-BREAK SPACE
+            ("été", 1),
+            ("a = 1²;", 6),  # SUPERSCRIPT TWO
+        ],
+    )
+    def test_non_ascii_outside_literals_is_unexpected(self, source, column):
+        with pytest.raises(HicSyntaxError) as err:
+            tokenize(source)
+        assert err.value.message == f"unexpected character {source[column - 1]!r}"
+        assert (err.value.location.line, err.value.location.column) == (1, column)
+
+    def test_non_ascii_program_is_rejected(self):
+        from repro.hic import analyze
+
+        with pytest.raises(HicSyntaxError) as err:
+            analyze("thread t () {\n  int café;\n  café = café + 1;\n}")
+        assert (err.value.location.line, err.value.location.column) == (2, 10)
+
+    def test_non_ascii_inside_comments_and_literals_is_kept(self):
+        tokens = tokenize("// café\n/* ٣ */ 'é' \"naïve\"")
+        assert [(t.kind, t.text) for t in tokens] == [
+            (TokenKind.CHAR, "'é'"),
+            (TokenKind.STRING, '"naïve"'),
+            (TokenKind.EOF, ""),
+        ]
+        assert tokens[0].char_value == 0xE9
+        assert [t.location.column for t in tokens] == [9, 13, 20]

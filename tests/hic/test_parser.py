@@ -312,3 +312,51 @@ class TestSyntaxErrors:
         with pytest.raises(HicSyntaxError) as err:
             parse("thread t () {\n  int x;\n  x = ;\n}")
         assert err.value.location.line == 3
+
+
+#: Programs nesting one construct ``n`` deep.
+NESTED = {
+    "parens": lambda n: "thread t () { int x; x = " + "(" * n + "x" + ")" * n + "; }",
+    "unary": lambda n: "thread t () { int x; x = " + "-" * n + "x; }",
+    "blocks": lambda n: "thread t () { " + "{ " * n + "} " * n + "}",
+    "ifs": lambda n: "thread t () { int x; " + "if (x) { " * n + "} " * n + "}",
+}
+
+
+class TestNesting:
+    """Blocks, parentheses and unary operators nest by recursion; past
+    what the interpreter's stack allows, parsing stops with a located
+    syntax error rather than a ``RecursionError``."""
+
+    @pytest.mark.parametrize("shape", ["parens", "unary", "blocks"])
+    def test_depth_1000_is_a_located_syntax_error(self, shape):
+        with pytest.raises(HicSyntaxError) as err:
+            parse(NESTED[shape](1000))
+        assert err.value.message == "nesting too deep"
+        assert err.value.location.line == 1
+        assert err.value.location.column > 20
+
+    def test_parse_with_types_reports_it_too(self):
+        with pytest.raises(HicSyntaxError, match="nesting too deep"):
+            parse_with_types(NESTED["parens"](1000))
+
+    @pytest.mark.parametrize(
+        "shape, depth", [("parens", 60), ("unary", 800), ("blocks", 400), ("ifs", 250)]
+    )
+    def test_moderate_depth_parses(self, shape, depth):
+        assert single_thread(NESTED[shape](depth)).name == "t"
+
+
+class TestWalk:
+    def test_pre_order(self):
+        thread = single_thread("thread t () { int x, y; x = (y + 1) * f(y); }")
+        nodes = ast.walk(thread.statements()[0])
+        assert [type(node).__name__ for node in nodes] == [
+            "Assign", "Name", "Binary", "Binary", "Name", "IntLiteral", "Call", "Name",
+        ]
+
+    def test_tree_deeper_than_the_recursion_limit(self):
+        expr = ast.Name("x")
+        for __ in range(5000):
+            expr = ast.Unary("-", expr)
+        assert sum(1 for __ in ast.walk(expr)) == 5001

@@ -1,8 +1,10 @@
 """Property tests: front-end robustness.
 
 The lexer and parser must be total: any input either parses or raises a
-located ``HicError`` — never an unhandled exception.  Valid programs
-generated from the grammar must round-trip through analysis.
+located ``HicError`` — never an unhandled exception.  Token texts are
+self-delimiting: re-lexing them joined by single spaces gives the same
+tokens.  Valid programs generated from the grammar must round-trip
+through analysis.
 """
 
 import string
@@ -35,6 +37,33 @@ def test_parser_total_over_token_soup(text):
         parse(text)
     except HicError as error:
         assert error.location.line >= 1
+
+
+#: Token-shaped pieces and trivia; adjacent pieces may fuse into other
+#: tokens ("<" then "<=" is "<<=") or into malformed text.
+_PIECES = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True),
+    st.from_regex(
+        r"0|[1-9][0-9]{0,4}|0[xX][0-9a-fA-F]{1,4}|0[bB][01]{1,8}", fullmatch=True
+    ),
+    st.sampled_from(["'a'", "'\\n'", "'\\''", '"s t"', '"a\\"b"', '"x\ny"']),
+    st.sampled_from(
+        "<<= >>= == != <= >= && || << >> += -= *= /= %= &= |= ^= -> "
+        "+ - * / % < > = ! & | ^ ~ ( ) { } [ ] , ; : . ? #".split()
+    ),
+    st.sampled_from([" ", "\n", "\t", "\r\n", "// c\n", "/* c\n */"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_PIECES, max_size=40).map("".join))
+def test_relexing_space_joined_token_texts_round_trips(text):
+    try:
+        tokens = tokenize(text)
+    except HicSyntaxError:
+        return
+    relexed = tokenize(" ".join(token.text for token in tokens[:-1]))
+    assert [(t.kind, t.text) for t in relexed] == [(t.kind, t.text) for t in tokens]
 
 
 _IDENT = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True).filter(
