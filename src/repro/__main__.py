@@ -21,16 +21,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core.advisor import Organization
-from .core.errors import SimulationTimeout
-from .flow import (
-    DEFAULT_KERNEL,
-    SIMULATION_KERNELS,
-    build_simulation,
-    compile_design,
-)
-from .hic.errors import HicError
-from .obs.tracer import TRACE_LEVELS
+from . import cli
+from .flow import build_simulation, compile_design
 from .sim import ConsumerLatencyProbe, VcdWriter, determinism_report
 
 
@@ -38,29 +30,22 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=(
-            "Compile a hic design to synchronized FPGA implementation "
+            "Compile a hic design to synchronized FPGA implementation\n"
             "estimates (reproduction of Kulkarni & Brebner, DATE 2006)."
         ),
+        epilog=cli.commands_epilog(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("source", help="hic source file")
-    parser.add_argument(
-        "--organization",
-        choices=[org.value for org in Organization],
-        default=Organization.ARBITRATED.value,
-        help="memory organization to generate (default: arbitrated)",
-    )
-    parser.add_argument(
-        "--deplist-entries",
-        type=int,
-        default=4,
-        help="dependency-list capacity of the arbitrated wrapper",
-    )
     parser.add_argument(
         "--simulate",
         type=int,
         metavar="CYCLES",
         default=0,
-        help="run the cycle-accurate simulator for CYCLES cycles",
+        help=(
+            "run the cycle-accurate simulator for CYCLES cycles (1000 "
+            "when a telemetry output is asked for without it)"
+        ),
     )
     parser.add_argument(
         "--verilog",
@@ -78,119 +63,15 @@ def _parser() -> argparse.ArgumentParser:
         help="write a VCD trace of the simulation to FILE",
     )
     parser.add_argument(
-        "--trace-json",
-        metavar="FILE",
-        help=(
-            "write a Chrome trace-event JSON (Perfetto-loadable) of the "
-            "simulation to FILE (implies --simulate 1000 if not given)"
-        ),
-    )
-    parser.add_argument(
-        "--metrics",
-        metavar="FILE",
-        help="write Prometheus text-format metrics of the simulation to FILE",
-    )
-    parser.add_argument(
-        "--summary-json",
-        metavar="FILE",
-        help="write a JSON telemetry summary of the simulation to FILE",
-    )
-    parser.add_argument(
         "--summary-csv",
         metavar="FILE",
         help="write a CSV metrics dump of the simulation to FILE",
-    )
-    parser.add_argument(
-        "--kernel",
-        # Derived from the flow's registry so argparse fails fast with
-        # the real list if a backend is ever added or renamed.
-        choices=list(SIMULATION_KERNELS),
-        default=DEFAULT_KERNEL,
-        help=(
-            f"simulation backend (default: {DEFAULT_KERNEL}): 'wheel' "
-            "skips provably idle cycles, 'compiled' runs a generated "
-            "per-design tick function; both are cycle-equivalent to "
-            "'reference', which ticks every component every cycle "
-            "(see docs/simulation_kernels.md)"
-        ),
-    )
-    parser.add_argument(
-        "--trace-level",
-        # The tracer's TRACE_LEVELS is the single source of truth: an
-        # unknown level dies in argparse with the valid choices listed,
-        # not deep in run setup.
-        choices=list(TRACE_LEVELS),
-        default="deps",
-        help=(
-            "event granularity: 'deps' records dependency-lifecycle events "
-            "only; 'full' also records every submit/grant (default: deps)"
-        ),
-    )
-    parser.add_argument(
-        "--traffic-rate",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help=(
-            "drive each ingress interface with seeded Bernoulli traffic "
-            "(probability P of a new message per cycle) during --simulate"
-        ),
-    )
-    parser.add_argument(
-        "--traffic-seed",
-        type=int,
-        default=1,
-        help="seed for --traffic-rate generators (default: 1)",
-    )
-    parser.add_argument(
-        "--banks",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "compile for a sharded N-bank memory fabric (0 = the paper's "
-            "single-address-space flow)"
-        ),
     )
     parser.add_argument(
         "--shard-policy",
         choices=["interleaved", "range"],
         default="interleaved",
         help="fabric address sharding policy (default: interleaved)",
-    )
-    parser.add_argument(
-        "--link-latency",
-        type=int,
-        default=1,
-        metavar="CYCLES",
-        help="crossbar link latency between ingress and a bank (default: 1)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        metavar="N",
-        help="requests a bank accepts from the crossbar per cycle (default: 1)",
-    )
-    parser.add_argument(
-        "--dep-home",
-        choices=["address", "spread"],
-        default="address",
-        help=(
-            "fabric dependency-entry homing: 'address' co-locates guards "
-            "with their data; 'spread' distributes them across banks "
-            "(exercising the cross-bank router)"
-        ),
-    )
-    parser.add_argument(
-        "--max-wall-seconds",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "wall-clock budget for --simulate: a livelocked run raises a "
-            "structured simulation-timeout error instead of hanging"
-        ),
     )
     parser.add_argument(
         "--no-deadlock-check",
@@ -215,65 +96,33 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the FSM optimization passes before binding",
     )
+    cli.add_options(
+        parser,
+        "--organization", "--deplist-entries", "--banks", "--link-latency",
+        "--batch-size", "--dep-home", "--kernel", "--traffic-rate",
+        "--traffic-seed", "--max-wall-seconds", "--trace-level",
+        "--trace-json", "--metrics", "--summary-json",
+    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "faults":
-        # Sub-tool: fault-injection campaigns against the controllers.
-        from .faults.campaign import faults_main
+    if argv and argv[0] in cli.COMMANDS:
+        return cli.dispatch(argv[0], argv[1:])
+    return cli.run_command(_compile, _parser().parse_args(argv))
 
-        return faults_main(argv[1:])
-    if argv and argv[0] == "profile":
-        # Sub-tool: cycle-attribution profiler (see docs/profiling.md).
-        from .obs.profile_cli import profile_main
 
-        return profile_main(argv[1:])
-    if argv and argv[0] == "predict":
-        # Sub-tool: analytical performance model and model-pruned DSE
-        # (see docs/performance_model.md).
-        from .model.cli import predict_main
-
-        return predict_main(argv[1:])
-    if argv and argv[0] == "run":
-        # Sub-tool: run a catalogued streaming scenario
-        # (see docs/scenarios.md).
-        from .scenarios.cli import run_main
-
-        return run_main(argv[1:])
-    if argv and argv[0] == "scenarios":
-        # Sub-tool: per-channel classification + area/progress report.
-        from .scenarios.cli import scenarios_main
-
-        return scenarios_main(argv[1:])
-    args = _parser().parse_args(argv)
-    try:
-        with open(args.source) as handle:
-            source = handle.read()
-    except OSError as error:
-        print(f"error: cannot read {args.source}: {error}", file=sys.stderr)
-        return 2
-
-    try:
-        design = compile_design(
-            source,
-            name=args.source.rsplit("/", 1)[-1].split(".")[0],
-            organization=Organization(args.organization),
-            deplist_entries=args.deplist_entries,
-            check_deadlock=not args.no_deadlock_check,
-            infer_pragmas=args.infer_pragmas,
-            allow_offchip=args.allow_offchip,
-            optimize=args.optimize,
-            num_banks=args.banks,
-            shard_policy=args.shard_policy,
-            link_latency=args.link_latency,
-            batch_size=args.batch_size,
-            dep_home=args.dep_home,
-        )
-    except (HicError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+def _compile(args: argparse.Namespace) -> int:
+    design = compile_design(
+        cli.read_source(args.source),
+        **cli.compile_options(args),
+        check_deadlock=not args.no_deadlock_check,
+        infer_pragmas=args.infer_pragmas,
+        allow_offchip=args.allow_offchip,
+        optimize=args.optimize,
+        shard_policy=args.shard_policy,
+    )
 
     print(f"design {design.name!r}: {len(design.fsms)} threads, "
           f"{design.memory_map.bram_count()} BRAM(s), "
@@ -323,95 +172,70 @@ def main(argv: list[str] | None = None) -> int:
     if any(telemetry_outputs) and args.simulate <= 0:
         # Telemetry without an explicit horizon: run a default 1000 cycles.
         args.simulate = 1000
+    if args.simulate <= 0:
+        return 0
 
-    if args.simulate > 0:
-        sim = build_simulation(design, kernel=args.kernel)
-        telemetry = None
-        if any(telemetry_outputs):
-            telemetry = sim.attach_telemetry(trace_level=args.trace_level)
-        if args.traffic_rate > 0:
-            from .net import BernoulliTraffic
+    sim = build_simulation(design, kernel=args.kernel)
+    telemetry = None
+    if any(telemetry_outputs):
+        telemetry = sim.attach_telemetry(trace_level=args.trace_level)
+    if args.traffic_rate > 0:
+        from .net import drive_ingress
 
-            for index, rx in enumerate(sim.rx.values()):
-                generator = BernoulliTraffic(
-                    rate=args.traffic_rate, seed=args.traffic_seed + index
-                )
-                sim.kernel.add_pre_cycle_hook(generator.attach(rx))
-        vcd = None
-        if args.vcd:
-            vcd = VcdWriter(timescale="8 ns")
-            for name, executor in sim.executors.items():
-                states = sorted(executor.fsm.states)
-                vcd.add_signal(
-                    f"{name}.state",
-                    max(1, (len(states) - 1).bit_length()),
-                    lambda ex=executor, st=states: st.index(ex.state_name),
-                )
-            sim.kernel.add_post_cycle_hook(vcd.hook)
-        try:
-            result = sim.run(
-                args.simulate, max_wall_seconds=args.max_wall_seconds
+        drive_ingress(sim, args.traffic_rate, args.traffic_seed)
+    vcd = None
+    if args.vcd:
+        vcd = VcdWriter(timescale="8 ns")
+        for name, executor in sim.executors.items():
+            states = sorted(executor.fsm.states)
+            vcd.add_signal(
+                f"{name}.state",
+                max(1, (len(states) - 1).bit_length()),
+                lambda ex=executor, st=states: st.index(ex.state_name),
             )
-        except SimulationTimeout as error:
-            print(f"error: {error.describe()}", file=sys.stderr)
-            return 1
-        print(result.describe())
-        if hasattr(sim.kernel, "cycles_compiled"):
+        sim.kernel.add_post_cycle_hook(vcd.hook)
+    result = sim.run(args.simulate, max_wall_seconds=args.max_wall_seconds)
+    print(result.describe())
+    if hasattr(sim.kernel, "cycles_compiled"):
+        print(
+            f"kernel: compiled, {sim.kernel.cycles_compiled} cycles "
+            f"compiled, {sim.kernel.cycles_interpreted} interpreted"
+        )
+    elif hasattr(sim.kernel, "cycles_skipped"):
+        print(
+            f"kernel: wheel, {sim.kernel.cycles_executed} cycles "
+            f"executed, {sim.kernel.cycles_skipped} skipped"
+        )
+    for name, controller in sim.controllers.items():
+        if hasattr(controller, "fabric_stats"):
+            stats = controller.fabric_stats()
             print(
-                f"kernel: compiled, {sim.kernel.cycles_compiled} cycles "
-                f"compiled, {sim.kernel.cycles_interpreted} interpreted"
+                f"{name}: crossbar forwarded="
+                f"{stats['crossbar']['forwarded']} "
+                f"delivered={stats['crossbar']['delivered']} "
+                f"router gated={stats['router']['gated_cycles']}"
             )
-        elif hasattr(sim.kernel, "cycles_skipped"):
-            print(
-                f"kernel: wheel, {sim.kernel.cycles_executed} cycles "
-                f"executed, {sim.kernel.cycles_skipped} skipped"
-            )
-        for name, controller in sim.controllers.items():
-            if hasattr(controller, "fabric_stats"):
-                stats = controller.fabric_stats()
+            for bank, per_bank in sorted(stats["banks"].items()):
                 print(
-                    f"{name}: crossbar forwarded="
-                    f"{stats['crossbar']['forwarded']} "
-                    f"delivered={stats['crossbar']['delivered']} "
-                    f"router gated={stats['router']['gated_cycles']}"
+                    f"  {bank}: routed={per_bank['routed']} "
+                    f"granted={per_bank['granted']}"
                 )
-                for bank, per_bank in sorted(stats["banks"].items()):
-                    print(
-                        f"  {bank}: routed={per_bank['routed']} "
-                        f"granted={per_bank['granted']}"
-                    )
-        for bram, controller in sim.controllers.items():
-            probe = ConsumerLatencyProbe(
-                controller, guarded_ports=("C", "B", "G")
-            )
-            report = determinism_report(probe)
-            if report != "no guarded accesses observed":
-                print(f"{bram} guarded-access latency:")
-                print(report)
-        if vcd is not None and args.vcd:
-            vcd.write(args.vcd)
-            print(f"wrote VCD trace to {args.vcd}")
-        if telemetry is not None:
-            from .obs.exporters import (
-                write_chrome_trace,
-                write_prometheus,
-                write_summary_csv,
-                write_summary_json,
-            )
+    for bram, controller in sim.controllers.items():
+        probe = ConsumerLatencyProbe(controller, guarded_ports=("C", "B", "G"))
+        report = determinism_report(probe)
+        if report != "no guarded accesses observed":
+            print(f"{bram} guarded-access latency:")
+            print(report)
+    if vcd is not None:
+        vcd.write(args.vcd)
+        print(f"wrote VCD trace to {args.vcd}")
+    if telemetry is not None:
+        cli.write_telemetry(telemetry, args)
+        if args.summary_csv:
+            from .obs.exporters import write_summary_csv
 
-            if args.trace_json:
-                write_chrome_trace(telemetry, args.trace_json)
-                print(f"wrote Chrome trace to {args.trace_json}")
-            if args.metrics:
-                write_prometheus(telemetry, args.metrics)
-                print(f"wrote Prometheus metrics to {args.metrics}")
-            if args.summary_json:
-                write_summary_json(telemetry, args.summary_json)
-                print(f"wrote telemetry summary to {args.summary_json}")
-            if args.summary_csv:
-                write_summary_csv(telemetry, args.summary_csv)
-                print(f"wrote metrics CSV to {args.summary_csv}")
-
+            write_summary_csv(telemetry, args.summary_csv)
+            print(f"wrote metrics CSV to {args.summary_csv}")
     return 0
 
 

@@ -64,6 +64,10 @@ class FabricConfig:
     def __post_init__(self) -> None:
         if self.num_banks <= 0:
             raise ValueError("a fabric needs at least one bank")
+        if self.link_latency < 0:
+            raise ValueError("link latency cannot be negative")
+        if self.batch_size <= 0:
+            raise ValueError("batch size must be positive")
         if self.dep_home not in DEP_HOME_POLICIES:
             raise ValueError(
                 f"unknown dep_home policy {self.dep_home!r} "

@@ -64,6 +64,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .. import cli
 from ..campaign import (
     OUTCOME_OK,
     OUTCOME_TASK_ERROR,
@@ -677,13 +678,6 @@ CONFIG_DEFAULTS = CampaignConfig()
 ENGINE_DEFAULTS = EngineConfig()
 
 
-def _simulation_kernels() -> list:
-    # deferred: the flow imports this module back
-    from ..flow import SIMULATION_KERNELS
-
-    return list(SIMULATION_KERNELS)
-
-
 def _faults_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro faults",
@@ -703,12 +697,11 @@ def _faults_parser() -> argparse.ArgumentParser:
         default=CONFIG_DEFAULTS.runs,
         help="fault runs per organization",
     )
-    parser.add_argument(
-        "--cycles",
-        type=int,
-        default=CONFIG_DEFAULTS.cycles,
-        help="simulated cycles per run",
-    )
+    cli.add_options(parser, "--cycles", "--kernel")
+    # None = the flow's default kernel, resolved at run time: the kernel
+    # stays out of the fingerprinted config (report bytes are
+    # kernel-independent).
+    parser.set_defaults(cycles=CONFIG_DEFAULTS.cycles, kernel=None)
     parser.add_argument(
         "--organization",
         choices=["arbitrated", "event_driven", "both"],
@@ -749,15 +742,6 @@ def _faults_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--source", metavar="FILE", help="hic design to fault (default: built-in pipeline)"
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=_simulation_kernels(),
-        default=None,
-        help=(
-            "simulation backend for every run (default: the flow's "
-            "default kernel); report bytes are kernel-independent"
-        ),
     )
     parser.add_argument(
         "--report", metavar="FILE", help="also write the report to FILE"
@@ -872,7 +856,10 @@ def faults_main(argv: Optional[list] = None) -> int:
     at a ``--stop-after`` checkpoint (resume to finish), 130
     interrupted by Ctrl-C (partial report still rendered).
     """
-    args = _faults_parser().parse_args(argv)
+    return cli.run_command(_faults, _faults_parser().parse_args(argv))
+
+
+def _faults(args: argparse.Namespace) -> int:
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     unknown = set(kinds) - set(FAULT_KINDS)
     if unknown:
@@ -883,14 +870,7 @@ def faults_main(argv: Optional[list] = None) -> int:
         if args.organization == "both"
         else (args.organization,)
     )
-    source = CAMPAIGN_SOURCE
-    if args.source:
-        try:
-            with open(args.source) as handle:
-                source = handle.read()
-        except OSError as error:
-            print(f"error: cannot read {args.source}: {error}", file=sys.stderr)
-            return 2
+    source = cli.read_source(args.source) if args.source else CAMPAIGN_SOURCE
     read_timeout = args.read_timeout
     if args.auto_timeout:
         read_timeout = model_read_timeout(source, organizations)
@@ -938,9 +918,6 @@ def faults_main(argv: Optional[list] = None) -> int:
         # interrupted campaign.
         print("interrupted before any campaign results", file=sys.stderr)
         return 130
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
     text = report.render()
     print(text)
     if report.engine is not None:

@@ -22,6 +22,7 @@ import argparse
 import sys
 from typing import Optional
 
+from .. import cli
 from ..core.advisor import Organization
 from ..core.errors import ControllerError
 from ..hic.errors import HicError
@@ -32,13 +33,13 @@ from .validate import ERROR_BOUND, validate
 
 
 def _predict_parser() -> argparse.ArgumentParser:
-    from ..flow import DEFAULT_KERNEL, SIMULATION_KERNELS
-
     parser = argparse.ArgumentParser(
         prog="python -m repro predict",
         description=(
             "Closed-form performance prediction from compile-time "
-            "parameters (no simulation); see docs/performance_model.md."
+            "parameters (no simulation); see docs/performance_model.md. "
+            "The fabric options are model inputs: --banks must be >= 1, "
+            "and --kernel is the backend --validate simulates on."
         ),
     )
     parser.add_argument(
@@ -50,27 +51,6 @@ def _predict_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--organization",
-        choices=[org.value for org in Organization],
-        default=Organization.ARBITRATED.value,
-        help="memory organization to predict (default: arbitrated)",
-    )
-    parser.add_argument(
-        "--banks",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fabric bank count (>= 1; default: 1)",
-    )
-    parser.add_argument(
-        "--link-latency", type=int, default=1, metavar="CYCLES",
-        help="crossbar link latency (default: 1)",
-    )
-    parser.add_argument(
-        "--batch-size", type=int, default=1, metavar="N",
-        help="requests a bank accepts per cycle (default: 1)",
-    )
-    parser.add_argument(
         "--offchip-latency", type=int, default=0, metavar="CYCLES",
         help="extra cycles per off-chip access (default: 0)",
     )
@@ -80,10 +60,6 @@ def _predict_parser() -> argparse.ArgumentParser:
             "Bernoulli traffic rate in [0, 1]; 1.0 = back-to-back "
             "(default: 1.0)"
         ),
-    )
-    parser.add_argument(
-        "--deplist-entries", type=int, default=4,
-        help="dependency-list capacity (area model input)",
     )
     parser.add_argument(
         "--summary-json", metavar="FILE",
@@ -123,10 +99,12 @@ def _predict_parser() -> argparse.ArgumentParser:
         "--bound", type=float, default=ERROR_BOUND,
         help=f"validation error bound (default: {ERROR_BOUND})",
     )
-    parser.add_argument(
-        "--kernel", choices=list(SIMULATION_KERNELS), default=DEFAULT_KERNEL,
-        help=f"simulation backend for --validate (default: {DEFAULT_KERNEL})",
+    cli.add_options(
+        parser,
+        "--organization", "--banks", "--link-latency", "--batch-size",
+        "--deplist-entries", "--kernel",
     )
+    parser.set_defaults(banks=1)
     return parser
 
 
@@ -163,20 +141,14 @@ def predict_main(argv: Optional[list] = None) -> int:
 def _compile(args):
     from ..flow import compile_design
 
-    try:
-        with open(args.source) as handle:
-            source = handle.read()
-    except OSError as error:
-        print(
-            f"error: cannot read {args.source}: {error}", file=sys.stderr
-        )
-        raise SystemExit(2)
+    # Link latency and batch size stay model inputs (see _params), where
+    # their range is checked with a structured error.
     return compile_design(
-        source,
-        name=args.source.rsplit("/", 1)[-1].split(".")[0],
+        cli.read_source(args.source),
+        name=cli.design_name(args.source),
         organization=Organization(args.organization),
         deplist_entries=args.deplist_entries,
-        num_banks=args.banks if args.banks > 0 else 0,
+        num_banks=max(args.banks, 0),
     )
 
 
@@ -279,10 +251,7 @@ def _run_predict(args) -> int:
 
 
 def _run_validate(args) -> int:
-    source = None
-    if args.source:
-        with open(args.source) as handle:
-            source = handle.read()
+    source = cli.read_source(args.source) if args.source else None
     report = validate(source, bound=args.bound, kernel=args.kernel)
     print(report.render())
     _write(args.summary_json, report.to_json(), "validation report")

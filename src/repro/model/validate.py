@@ -195,7 +195,7 @@ def simulate_config(
     cycle-attribution ledger.
     """
     from ..flow import DEFAULT_KERNEL, build_simulation, compile_design
-    from ..net import BernoulliTraffic
+    from ..net import drive_ingress
     from ..sim import ConsumerLatencyProbe
 
     if kernel is None:
@@ -214,9 +214,7 @@ def simulate_config(
 
     sim = build_simulation(design, kernel=kernel)
     profiler = sim.attach_profiler()
-    for index, rx in enumerate(sim.rx.values()):
-        generator = BernoulliTraffic(rate=rate, seed=traffic_seed + index)
-        sim.kernel.add_pre_cycle_hook(generator.attach(rx))
+    drive_ingress(sim, rate, traffic_seed)
     probes = [
         ConsumerLatencyProbe(controller, guarded_ports=("C", "B", "G"))
         for controller in sim.controllers.values()

@@ -26,6 +26,7 @@ from .traffic import (
     PacketFactory,
     PoissonTraffic,
     TrafficGenerator,
+    drive_ingress,
     replay,
 )
 
@@ -48,5 +49,6 @@ __all__ = [
     "PacketFactory",
     "PoissonTraffic",
     "TrafficGenerator",
+    "drive_ingress",
     "replay",
 ]

@@ -244,6 +244,15 @@ class BernoulliTraffic(TrafficGenerator):
         return arrivals
 
 
+def drive_ingress(sim, rate: float, seed: int = 1) -> None:
+    """Feed every ingress interface of ``sim`` its own seeded Bernoulli
+    stream: the ``index``-th interface of ``sim.rx`` draws from seed
+    ``seed + index``."""
+    for index, rx in enumerate(sim.rx.values()):
+        generator = BernoulliTraffic(rate=rate, seed=seed + index)
+        sim.kernel.add_pre_cycle_hook(generator.attach(rx))
+
+
 @dataclass
 class PoissonTraffic(TrafficGenerator):
     """Geometric inter-arrival gaps (the discrete-time Poisson analogue)."""

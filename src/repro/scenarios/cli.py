@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 
+from .. import cli
 from ..core.advisor import Organization
-from ..core.errors import ParameterError, SimulationTimeout
-from ..hic.errors import HicError
 from .catalog import SCENARIO_NAMES, get_scenario
 from .report import (
     CHANNEL_SYNTHESIS_MODES,
@@ -26,9 +24,6 @@ from .report import (
 
 
 def _run_parser() -> argparse.ArgumentParser:
-    from ..flow import DEFAULT_KERNEL, SIMULATION_KERNELS
-    from ..obs.tracer import TRACE_LEVELS
-
     parser = argparse.ArgumentParser(
         prog="python -m repro run",
         description=(
@@ -52,79 +47,30 @@ def _run_parser() -> argparse.ArgumentParser:
             "paper's machinery (default: fifo)"
         ),
     )
-    parser.add_argument(
-        "--organization",
-        choices=[org.value for org in Organization],
-        default=Organization.ARBITRATED.value,
-        help="memory organization for guarded channels (default: arbitrated)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=list(SIMULATION_KERNELS),
-        default=DEFAULT_KERNEL,
-        help=f"simulation backend (default: {DEFAULT_KERNEL})",
-    )
-    parser.add_argument(
-        "--cycles",
-        type=int,
-        default=500,
-        help="clock cycles to simulate (default: 500)",
-    )
-    parser.add_argument(
-        "--trace-level",
-        choices=list(TRACE_LEVELS),
-        default="deps",
-        help="telemetry event granularity (default: deps)",
-    )
-    parser.add_argument(
-        "--summary-json",
-        metavar="FILE",
-        help="write a JSON telemetry summary of the run to FILE",
-    )
-    parser.add_argument(
-        "--trace-json",
-        metavar="FILE",
-        help="write a Chrome trace-event JSON of the run to FILE",
-    )
-    parser.add_argument(
-        "--metrics",
-        metavar="FILE",
-        help="write Prometheus text-format metrics of the run to FILE",
+    cli.add_options(
+        parser,
+        "--organization", "--kernel", "--cycles", "--trace-level",
+        "--summary-json", "--trace-json", "--metrics",
     )
     return parser
 
 
 def run_main(argv: list[str]) -> int:
+    return cli.run_command(_run, _run_parser().parse_args(argv))
+
+
+def _run(args: argparse.Namespace) -> int:
     from .catalog import build_scenario_simulation
 
-    args = _run_parser().parse_args(argv)
-    if args.cycles <= 0:
-        error = ParameterError(
-            "cycle budget must be positive",
-            parameter="cycles",
-            value=args.cycles,
-        )
-        print(f"error: {error.describe()}", file=sys.stderr)
-        return 2
-
     scenario = get_scenario(args.scenario)
-    try:
-        design, sim = build_scenario_simulation(
-            scenario,
-            channel_synthesis=args.channel_synthesis,
-            kernel=args.kernel,
-            organization=Organization(args.organization),
-        )
-    except (HicError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
+    design, sim = build_scenario_simulation(
+        scenario,
+        channel_synthesis=args.channel_synthesis,
+        kernel=args.kernel,
+        organization=Organization(args.organization),
+    )
     telemetry = sim.attach_telemetry(trace_level=args.trace_level)
-    try:
-        result = sim.run(args.cycles)
-    except SimulationTimeout as error:
-        print(f"error: {error.describe()}", file=sys.stderr)
-        return 1
+    result = sim.run(args.cycles)
 
     fifo_channels = sorted(design.fifo_deps)
     guarded = [
@@ -149,27 +95,11 @@ def run_main(argv: list[str]) -> int:
         rounds = sim.executors[name].stats.rounds_completed
         print(f"  sink {name}: {rounds} rounds completed")
 
-    from ..obs.exporters import (
-        write_chrome_trace,
-        write_prometheus,
-        write_summary_json,
-    )
-
-    if args.summary_json:
-        write_summary_json(telemetry, args.summary_json)
-        print(f"wrote telemetry summary to {args.summary_json}")
-    if args.trace_json:
-        write_chrome_trace(telemetry, args.trace_json)
-        print(f"wrote Chrome trace to {args.trace_json}")
-    if args.metrics:
-        write_prometheus(telemetry, args.metrics)
-        print(f"wrote Prometheus metrics to {args.metrics}")
+    cli.write_telemetry(telemetry, args)
     return 0
 
 
 def _scenarios_parser() -> argparse.ArgumentParser:
-    from ..flow import DEFAULT_KERNEL, SIMULATION_KERNELS
-
     parser = argparse.ArgumentParser(
         prog="python -m repro scenarios",
         description=(
@@ -184,57 +114,30 @@ def _scenarios_parser() -> argparse.ArgumentParser:
         help="report one scenario only (default: all)",
     )
     parser.add_argument(
-        "--organization",
-        choices=[org.value for org in Organization],
-        default=Organization.ARBITRATED.value,
-        help="memory organization for guarded channels (default: arbitrated)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=list(SIMULATION_KERNELS),
-        default=DEFAULT_KERNEL,
-        help=f"simulation backend (default: {DEFAULT_KERNEL})",
-    )
-    parser.add_argument(
-        "--cycles",
-        type=int,
-        default=500,
-        help="simulated cycles per progress measurement (default: 500)",
-    )
-    parser.add_argument(
         "--json",
         metavar="FILE",
         help="write the versioned report document to FILE",
     )
+    cli.add_options(parser, "--organization", "--kernel", "--cycles")
     return parser
 
 
 def scenarios_main(argv: list[str]) -> int:
-    args = _scenarios_parser().parse_args(argv)
-    if args.cycles <= 0:
-        error = ParameterError(
-            "cycle budget must be positive",
-            parameter="cycles",
-            value=args.cycles,
-        )
-        print(f"error: {error.describe()}", file=sys.stderr)
-        return 2
+    return cli.run_command(_scenarios, _scenarios_parser().parse_args(argv))
 
+
+def _scenarios(args: argparse.Namespace) -> int:
     names = [args.scenario] if args.scenario else list(SCENARIO_NAMES)
     reports = []
-    try:
-        for name in names:
-            report = scenario_report(
-                name,
-                organization=Organization(args.organization),
-                cycles=args.cycles,
-                kernel=args.kernel,
-            )
-            reports.append(report)
-            print(render_report(report))
-    except (HicError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    for name in names:
+        report = scenario_report(
+            name,
+            organization=Organization(args.organization),
+            cycles=args.cycles,
+            kernel=args.kernel,
+        )
+        reports.append(report)
+        print(render_report(report))
 
     if args.json:
         document = {"schema": REPORT_SCHEMA, "reports": reports}

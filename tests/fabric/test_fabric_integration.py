@@ -13,6 +13,7 @@ The headline acceptance properties:
 import pytest
 
 from repro.core import Organization
+from repro.fabric import FabricConfig
 from repro.flow import build_simulation, compile_design
 
 
@@ -178,6 +179,25 @@ class TestCompileValidation:
     def test_unknown_dep_home_rejected(self, figure1_source):
         with pytest.raises(ValueError, match="dep_home"):
             compile_design(figure1_source, num_banks=2, dep_home="everywhere")
+
+    @pytest.mark.parametrize(
+        "config, match",
+        [
+            ({"link_latency": -1}, "link latency"),
+            ({"batch_size": 0}, "batch size"),
+        ],
+    )
+    def test_impossible_crossbar_rejected_at_compile_time(
+        self, figure1_source, config, match
+    ):
+        with pytest.raises(ValueError, match=match):
+            FabricConfig(num_banks=2, **config)
+        with pytest.raises(ValueError, match=match):
+            compile_design(figure1_source, num_banks=2, **config)
+
+    def test_zero_link_latency_is_legal(self, figure1_source):
+        design = compile_design(figure1_source, num_banks=2, link_latency=0)
+        assert design.fabric.config.link_latency == 0
 
     def test_fabric_reports_need_fabric_mode(self, figure1_source):
         design = compile_design(figure1_source)

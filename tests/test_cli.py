@@ -1,11 +1,62 @@
-"""Unit tests for the ``python -m repro`` command-line driver."""
+"""Unit tests for the ``python -m repro`` command-line driver.
 
+``tests/golden/cli_surface.json`` pins every command's options; after an
+intentional change to the command line, regenerate it with
+``PYTHONPATH=src python -m tests.test_cli``.
+"""
+
+import ast
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
 from tests.conftest import DEADLOCK_SOURCE, FIGURE1_SOURCE
+
+GOLDEN_SURFACE = Path(__file__).parent / "golden" / "cli_surface.json"
+
+#: every command's parser builder, keyed by the program name it prints
+PARSERS = {
+    "python -m repro": ("repro.__main__", "_parser"),
+    "python -m repro faults": ("repro.faults.campaign", "_faults_parser"),
+    "python -m repro profile": ("repro.obs.profile_cli", "_profile_parser"),
+    "python -m repro predict": ("repro.model.cli", "_predict_parser"),
+    "python -m repro run": ("repro.scenarios.cli", "_run_parser"),
+    "python -m repro scenarios": ("repro.scenarios.cli", "_scenarios_parser"),
+}
+
+
+def build_parser(prog):
+    module, builder = PARSERS[prog]
+    return getattr(importlib.import_module(module), builder)()
+
+
+def cli_surface() -> dict:
+    """Every option of every command as plain data: what argparse acts
+    on, without help text, metavar or type."""
+    surface = {}
+    for prog in PARSERS:
+        surface[prog] = {
+            (action.option_strings or [action.dest])[0]: {
+                "flags": action.option_strings,
+                "dest": action.dest,
+                "default": action.default,
+                "choices": (
+                    None if action.choices is None else list(action.choices)
+                ),
+                "nargs": action.nargs,
+                "required": action.required,
+                "const": action.const,
+                "action": type(action).__name__,
+            }
+            for action in build_parser(prog)._actions
+        }
+    return surface
 
 
 @pytest.fixture
@@ -339,3 +390,164 @@ class TestScenarioOption:
         # The acceptance claim: FIFO lowering saves synchronization area.
         assert report["area"]["delta_slices"] > 0
         assert all(c["class"] == "fifo" for c in report["channels"])
+
+
+@pytest.fixture
+def forwarding_file(tmp_path):
+    from repro.net import forwarding_source
+
+    path = tmp_path / "fwd2.hic"
+    path.write_text(forwarding_source(2))
+    return str(path)
+
+
+class TestSharedErrors:
+    """Every command reports the shared failures the same way."""
+
+    def test_predict_validate_missing_file(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["predict", "--validate", "/nonexistent/file.hic"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read /nonexistent/file.hic")
+
+    def test_faults_syntax_error_matches_bare_command(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.hic"
+        path.write_text("thread t () { int x; x = ; }")
+        assert main([str(path)]) == 1
+        bare = capsys.readouterr().err
+        assert bare.startswith("error: ")
+        assert main(["faults", "--runs", "1", "--source", str(path)]) == 1
+        assert capsys.readouterr().err == bare
+
+    @pytest.mark.parametrize(
+        "argv, parameter",
+        [
+            (["{fig1}", "--simulate", "20", "--max-wall-seconds", "-1"],
+             "max_wall_seconds"),
+            (["{fwd2}", "--simulate", "20", "--traffic-rate", "1.5"],
+             "traffic_rate"),
+            (["{fwd2}", "--simulate", "20", "--traffic-rate", "-0.2"],
+             "traffic_rate"),
+            (["{fig1}", "--banks", "-1"], "banks"),
+            (["profile", "{fig1}", "--max-wall-seconds", "-1"],
+             "max_wall_seconds"),
+            (["profile", "{fwd2}", "--traffic-rate", "1.5"], "traffic_rate"),
+            (["profile", "{fig1}", "--banks", "-1"], "banks"),
+            (["profile", "{fig1}", "--cycles", "-5"], "cycles"),
+            (["faults", "--runs", "1", "--cycles", "-1"], "cycles"),
+            (["scenarios", "--cycles", "0"], "cycles"),
+        ],
+        ids=[
+            "bare-wall", "bare-rate-high", "bare-rate-negative",
+            "bare-banks", "profile-wall", "profile-rate", "profile-banks",
+            "profile-cycles", "faults-cycles", "scenarios-cycles",
+        ],
+    )
+    def test_out_of_range_is_structured_parameter_error(
+        self, figure1_file, forwarding_file, argv, parameter, capsys
+    ):
+        argv = [a.format(fig1=figure1_file, fwd2=forwarding_file)
+                for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before anything compiles
+        assert captured.err.startswith("error: parameter-error: ")
+        assert f"(parameter={parameter}, value=" in captured.err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--batch-size", "0"],
+            ["--batch-size", "0", "--simulate", "20"],
+            ["--link-latency", "-1", "--simulate", "20"],
+        ],
+        ids=["batch-compile", "batch-simulate", "link-simulate"],
+    )
+    def test_impossible_crossbar_is_a_design_error(
+        self, figure1_file, extra, capsys
+    ):
+        assert main([figure1_file, "--banks", "2", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+
+class TestCommandTable:
+    def test_help_epilog_names_every_command(self, capsys):
+        from repro.cli import COMMANDS
+
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        for command in COMMANDS:
+            assert f"\n  {command} " in out
+
+    def test_bare_simulate_imports_no_subcommand_package(self):
+        # -X importtime lists every module the real ``python -m repro``
+        # process imports, on stderr.
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro",
+             str(root / "examples" / "figure1.hic"), "--simulate", "20"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert "simulated 20 cycles" in result.stdout
+        imported = {
+            line.rsplit("|", 1)[-1].strip()
+            for line in result.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "repro.flow" in imported  # the listing is real
+        for package in ("repro.faults", "repro.model", "repro.scenarios",
+                        "repro.campaign"):
+            assert package not in imported
+
+    def test_shared_options_declared_once(self):
+        # The three exceptions are different options under the same
+        # flag: faults' --organization adds "both", and predict and
+        # faults each write their own --summary-json document.
+        shared = {
+            "--organization", "--kernel", "--banks", "--link-latency",
+            "--batch-size", "--dep-home", "--deplist-entries",
+            "--traffic-rate", "--traffic-seed", "--max-wall-seconds",
+            "--trace-json", "--metrics", "--trace-level", "--summary-json",
+            "--cycles",
+        }
+        src = Path(__file__).resolve().parent.parent / "src"
+        found = []
+        for path in sorted((src / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "add_argument"
+                        and node.args
+                        and isinstance(node.args[0], ast.Constant)
+                        and node.args[0].value in shared):
+                    found.append(
+                        (node.args[0].value, path.relative_to(src).as_posix())
+                    )
+        expected = [(flag, "repro/cli.py") for flag in shared] + [
+            ("--organization", "repro/faults/campaign.py"),
+            ("--summary-json", "repro/faults/campaign.py"),
+            ("--summary-json", "repro/model/cli.py"),
+        ]
+        assert sorted(found) == sorted(expected)
+
+
+class TestSurface:
+    def test_surface_matches_golden(self):
+        golden = json.loads(GOLDEN_SURFACE.read_text())
+        assert cli_surface() == golden
+
+
+if __name__ == "__main__":
+    GOLDEN_SURFACE.parent.mkdir(exist_ok=True)
+    GOLDEN_SURFACE.write_text(
+        json.dumps(cli_surface(), indent=2, sort_keys=True) + "\n"
+    )
+    print(f"regenerated {GOLDEN_SURFACE}")

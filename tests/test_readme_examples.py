@@ -1,9 +1,28 @@
 """The README's code blocks must actually run."""
 
 import re
+import shlex
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+DOCS = [README, *sorted((README.parent / "docs").glob("*.md"))]
+
+
+def documented_commands():
+    """Every ``python -m repro …`` line of a fenced block in the README
+    and ``docs/``: ``(where, argv after "repro")``, continuation lines
+    joined and comments dropped."""
+    for path in DOCS:
+        blocks = re.findall(r"```[a-z]*\n(.*?)```", path.read_text(),
+                            flags=re.DOTALL)
+        for block in blocks:
+            for line in block.replace("\\\n", " ").splitlines():
+                if "python -m repro" not in line:
+                    continue
+                words = shlex.split(line, comments=True)
+                for index in range(len(words) - 2):
+                    if words[index:index + 3] == ["python", "-m", "repro"]:
+                        yield f"{path.name}: {line.strip()}", words[index + 3:]
 
 
 def python_blocks():
@@ -61,3 +80,19 @@ class TestReadme:
             if flag == "--predict-prune":
                 continue  # examples/design_space_exploration.py flag
             assert flag in parser_flags, f"README mentions unknown {flag}"
+
+        # Every documented command line parses with its own command's
+        # parser, not just against the union of all flags.
+        from repro.cli import COMMANDS
+        from tests.test_cli import build_parser
+
+        commands = list(documented_commands())
+        assert len(commands) >= 30
+        for where, argv in commands:
+            prog = "python -m repro"
+            if argv and argv[0] in COMMANDS:
+                prog, argv = f"{prog} {argv[0]}", argv[1:]
+            try:
+                build_parser(prog).parse_args(argv)
+            except SystemExit:
+                raise AssertionError(f"does not parse: {where}") from None
