@@ -144,7 +144,7 @@ class _AttachedHook:
 
     #: compiled-kernel fast-path contract: this hook reads nothing from
     #: the kernel and mutates only the rx queue, so a generated span may
-    #: keep running it without falling back to interpreted ticks
+    #: keep running it without falling back to the wheel kernel
     mutates_only_rx = True
 
     def _draw_through(self, cycle: int) -> None:

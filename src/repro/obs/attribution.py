@@ -83,10 +83,12 @@ class AttributionLedger:
     """
 
     def __init__(self) -> None:
-        #: append-only booking log; cells/timelines materialize lazily
-        #: so the per-cycle path pays one append, not the bookkeeping
+        #: append-only booking log; cells and timelines each fold it in
+        #: lazily, on their own cursor, so the per-cycle path pays one
+        #: append and a report pays only for the view it reads
         self._log: list[tuple[str, str, str, str, int, int]] = []
-        self._done = 0
+        self._cells_done = 0
+        self._timelines_done = 0
         self._cells: dict[tuple[str, str, str, str], int] = {}
         self._timelines: dict[str, list[Segment]] = {}
 
@@ -104,41 +106,43 @@ class AttributionLedger:
     @property
     def cells(self) -> dict[tuple[str, str, str, str], int]:
         """(thread, state, site, port) -> cycles."""
-        self._materialize()
+        log = self._log
+        if self._cells_done < len(log):
+            cells = self._cells
+            for thread, state, site, port, __, count in log[self._cells_done:]:
+                key = (thread, state, site, port)
+                cells[key] = cells.get(key, 0) + count
+            self._cells_done = len(log)
         return self._cells
 
     @property
     def timelines(self) -> dict[str, list[Segment]]:
-        """Per-thread run-length timeline, in booking order."""
-        self._materialize()
-        return self._timelines
-
-    def _materialize(self) -> None:
-        """Fold log entries booked since the last view into the cells
-        and timelines (incremental, deterministic in booking order)."""
+        """Per-thread run-length timeline, in booking order (contiguous
+        same-classification bookings merge into one segment)."""
         log = self._log
-        if self._done == len(log):
-            return
-        cells = self._cells
-        timelines = self._timelines
-        for thread, state, site, port, cycle, count in log[self._done:]:
-            key = (thread, state, site, port)
-            cells[key] = cells.get(key, 0) + count
-            timeline = timelines.get(thread)
-            if timeline is None:
-                timeline = timelines[thread] = []
-            if timeline:
-                last = timeline[-1]
-                if (
-                    last.end == cycle
-                    and last.state == state
-                    and last.site == site
-                    and last.port == port
-                ):
-                    last.length += count
-                    continue
-            timeline.append(Segment(thread, state, site, port, cycle, count))
-        self._done = len(log)
+        if self._timelines_done < len(log):
+            timelines = self._timelines
+            for thread, state, site, port, cycle, count in log[
+                self._timelines_done:
+            ]:
+                timeline = timelines.get(thread)
+                if timeline is None:
+                    timeline = timelines[thread] = []
+                else:
+                    last = timeline[-1]
+                    if (
+                        last.start + last.length == cycle  # last.end
+                        and last.state == state
+                        and last.site == site
+                        and last.port == port
+                    ):
+                        last.length += count
+                        continue
+                timeline.append(
+                    Segment(thread, state, site, port, cycle, count)
+                )
+            self._timelines_done = len(log)
+        return self._timelines
 
     # -- aggregate views --------------------------------------------------------------
 

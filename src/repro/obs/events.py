@@ -3,9 +3,12 @@
 Every event is a slotted dataclass stamped with the simulation cycle it
 occurred in (slotted, not frozen: a frozen dataclass pays
 ``object.__setattr__`` per field on construction, which the traced hot
-path cannot afford; treat events as immutable by convention).  Events are appended in kernel order by a deterministic
-simulation, so two runs with the same seed produce identical event lists
-— the property the byte-identical exporters rely on.
+path cannot afford; treat events as immutable by convention).  The
+tracer's callbacks go one step further: they record plain tuples in
+field order and build these objects only when ``Telemetry.events`` is
+read.  Events are appended in kernel order by a deterministic
+simulation, so two runs with the same seed produce identical event
+lists — the property the byte-identical exporters rely on.
 
 The event kinds follow the dependency lifecycle the paper's §3 describes:
 a producer write arms the guard (``DEP_ARMED``), blocked consumers wait,

@@ -23,9 +23,12 @@ simulation serialize byte-identically.
 from __future__ import annotations
 
 import csv
+import gc
 import json
+from contextlib import contextmanager
 from typing import Optional
 
+from .attribution import NO_SITE, WAIT_STATES
 from .events import EventKind
 from .metrics import MetricsRegistry
 from .tracer import Telemetry
@@ -48,17 +51,12 @@ _INSTANT_KINDS = {
 }
 
 
-def _event_args(event) -> dict:
-    args = {}
-    for name in ("client", "port", "address", "dep_id", "value", "detail"):
-        value = getattr(event, name)
-        if value is not None:
-            args[name] = value
-    return args
-
-
 def chrome_trace(telemetry: Telemetry) -> dict:
-    """Render the telemetry record as a trace-event JSON document."""
+    """Render the telemetry record as a trace-event JSON document.
+
+    Every object is built with its keys in sorted order, so
+    :func:`dumps_chrome_trace` serializes it without re-sorting and
+    still writes exactly what ``sort_keys=True`` would."""
     threads = telemetry.thread_names()
     controllers = telemetry.controller_names()
     thread_tid = {name: tid for tid, name in enumerate(threads, start=1)}
@@ -66,121 +64,142 @@ def chrome_trace(telemetry: Telemetry) -> dict:
 
     events: list[dict] = [
         {
+            "args": {"name": "threads"},
             "name": "process_name",
             "ph": "M",
             "pid": THREADS_PID,
             "tid": 0,
             "ts": 0,
-            "args": {"name": "threads"},
         },
         {
+            "args": {"name": "memory controllers"},
             "name": "process_name",
             "ph": "M",
             "pid": CONTROLLERS_PID,
             "tid": 0,
             "ts": 0,
-            "args": {"name": "memory controllers"},
         },
     ]
-    for name, tid in thread_tid.items():
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": THREADS_PID,
-                "tid": tid,
-                "ts": 0,
-                "args": {"name": name},
-            }
-        )
-    for name, tid in controller_tid.items():
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": CONTROLLERS_PID,
-                "tid": tid,
-                "ts": 0,
-                "args": {"name": name},
-            }
-        )
+    for pid, tids in (
+        (THREADS_PID, thread_tid),
+        (CONTROLLERS_PID, controller_tid),
+    ):
+        for name, tid in tids.items():
+            events.append(
+                {
+                    "args": {"name": name},
+                    "name": "thread_name",
+                    "ph": "M",
+                    "pid": pid,
+                    "tid": tid,
+                    "ts": 0,
+                }
+            )
 
     # Dependency-lifecycle spans on the controller tracks.
+    append = events.append
     for span in telemetry.spans.spans:
-        end = span.complete_cycle if span.complete else span.last_activity
-        events.append(
+        write = span.write_cycle
+        reads = span.reads
+        complete = span.complete_cycle is not None
+        end = span.complete_cycle if complete else span.last_activity
+        append(
             {
-                "name": f"{span.dep_id}#{span.instance}",
+                "args": {
+                    "complete": complete,
+                    "expected_reads": span.expected_reads,
+                    "post_write_latencies": [
+                        read.grant_cycle - write for read in reads
+                    ],
+                    "producer": span.producer,
+                    "reads": len(reads),
+                },
                 "cat": "dependency",
+                "dur": max(0, end - write),
+                "name": f"{span.dep_id}#{span.instance}",
                 "ph": "X",
                 "pid": CONTROLLERS_PID,
                 "tid": controller_tid.get(span.bram, 0),
-                "ts": span.write_cycle,
-                "dur": max(0, end - span.write_cycle),
-                "args": {
-                    "producer": span.producer,
-                    "reads": len(span.reads),
-                    "expected_reads": span.expected_reads,
-                    "complete": span.complete,
-                    "post_write_latencies": span.post_write_latencies(),
-                },
+                "ts": write,
             }
         )
         # Each consumer read: a slice on the reading thread's track,
         # spanning its blocked wait (issue -> grant).
-        for read in span.reads:
-            events.append(
+        name = f"read {span.dep_id}"
+        for read in reads:
+            wait = read.grant_cycle - read.issue_cycle
+            append(
                 {
-                    "name": f"read {span.dep_id}",
+                    "args": {
+                        "bram": span.bram,
+                        "dep_id": span.dep_id,
+                        "post_write_latency": read.grant_cycle - write,
+                        "wait_cycles": wait,
+                    },
                     "cat": "consumer-read",
+                    "dur": max(0, wait),
+                    "name": name,
                     "ph": "X",
                     "pid": THREADS_PID,
                     "tid": thread_tid.get(read.client, 0),
                     "ts": read.issue_cycle,
-                    "dur": max(0, read.grant_cycle - read.issue_cycle),
-                    "args": {
-                        "bram": span.bram,
-                        "dep_id": span.dep_id,
-                        "wait_cycles": read.wait_cycles,
-                        "post_write_latency": read.grant_cycle
-                        - span.write_cycle,
-                    },
                 }
             )
 
-    # Instant events for the remaining structured record.
-    for event in telemetry.events:
-        category = _INSTANT_KINDS.get(event.kind)
+    # Instant events for the remaining structured record: a controller
+    # name wins over a thread name; anything else lands on track 0.
+    tracks = {name: (THREADS_PID, tid) for name, tid in thread_tid.items()}
+    tracks.update(
+        (name, (CONTROLLERS_PID, tid)) for name, tid in controller_tid.items()
+    )
+    untracked = (CONTROLLERS_PID, 0)
+    for (
+        cycle, kind, source, client, port, address, dep_id, value, detail
+    ) in telemetry.event_records():
+        category = _INSTANT_KINDS.get(kind)
         if category is None:
             continue
-        if event.source in controller_tid:
-            pid, tid = CONTROLLERS_PID, controller_tid[event.source]
-        elif event.source in thread_tid:
-            pid, tid = THREADS_PID, thread_tid[event.source]
-        else:
-            pid, tid = CONTROLLERS_PID, 0
-        events.append(
+        pid, tid = tracks.get(source, untracked)
+        args = {}
+        if address is not None:
+            args["address"] = address
+        if client is not None:
+            args["client"] = client
+        if dep_id is not None:
+            args["dep_id"] = dep_id
+        if detail is not None:
+            args["detail"] = detail
+        if port is not None:
+            args["port"] = port
+        if value is not None:
+            args["value"] = value
+        append(
             {
-                "name": event.kind,
+                "args": args,
                 "cat": category,
+                "name": kind,
                 "ph": "i",
-                "s": "t",
                 "pid": pid,
+                "s": "t",
                 "tid": tid,
-                "ts": event.cycle,
-                "args": _event_args(event),
+                "ts": cycle,
             }
         )
 
     return {
-        "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": {
-            "exporter": "repro.obs",
             "cycles": telemetry.cycles_observed,
+            "exporter": "repro.obs",
             "time_unit": "1 cycle = 1 us",
         },
+        "traceEvents": events,
     }
+
+
+#: Phases and instant scopes :func:`validate_chrome_trace` accepts.
+_PHASES = frozenset(("X", "i", "M", "C", "b", "e", "B", "E"))
+_SCOPES = frozenset(("t", "p", "g"))
 
 
 def validate_chrome_trace(document: dict) -> None:
@@ -199,31 +218,71 @@ def validate_chrome_trace(document: dict) -> None:
     for index, event in enumerate(events):
         if not isinstance(event, dict):
             raise ValueError(f"traceEvents[{index}] is not an object")
-        where = f"traceEvents[{index}]"
-        if not isinstance(event.get("name"), str) or not event["name"]:
-            raise ValueError(f"{where}: missing name")
-        phase = event.get("ph")
-        if phase not in ("X", "i", "M", "C", "b", "e", "B", "E"):
-            raise ValueError(f"{where}: unknown phase {phase!r}")
-        for key in ("pid", "tid"):
-            if not isinstance(event.get(key), int):
-                raise ValueError(f"{where}: {key} must be an integer")
-        ts = event.get("ts")
+        get = event.get
+        name = get("name")
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"traceEvents[{index}]: missing name")
+        phase = get("ph")
+        if phase not in _PHASES:
+            raise ValueError(
+                f"traceEvents[{index}]: unknown phase {phase!r}"
+            )
+        if not isinstance(get("pid"), int):
+            raise ValueError(f"traceEvents[{index}]: pid must be an integer")
+        if not isinstance(get("tid"), int):
+            raise ValueError(f"traceEvents[{index}]: tid must be an integer")
+        ts = get("ts")
         if not isinstance(ts, (int, float)) or ts < 0:
-            raise ValueError(f"{where}: ts must be a non-negative number")
+            raise ValueError(
+                f"traceEvents[{index}]: ts must be a non-negative number"
+            )
         if phase == "X":
-            dur = event.get("dur")
+            dur = get("dur")
             if not isinstance(dur, (int, float)) or dur < 0:
-                raise ValueError(f"{where}: X event needs non-negative dur")
-        if phase == "i" and event.get("s") not in ("t", "p", "g"):
-            raise ValueError(f"{where}: instant scope must be t/p/g")
+                raise ValueError(
+                    f"traceEvents[{index}]: X event needs non-negative dur"
+                )
+        elif phase == "i" and get("s") not in _SCOPES:
+            raise ValueError(
+                f"traceEvents[{index}]: instant scope must be t/p/g"
+            )
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, restoring its prior state.
+
+    A trace document is tens of thousands of fresh dicts and lists that
+    form a tree and die together once serialized: the collector can
+    never free any of them, yet each pass it makes while the document
+    grows re-scans them and promotes them toward full collections.
+    Reference counting frees the document as usual.  The price: cyclic
+    garbage left by earlier work waits for a collection after the dump
+    rather than during it, so it briefly coexists with the document."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def dumps_chrome_trace(telemetry: Telemetry) -> str:
-    """Serialize with a fixed key order — byte-identical across runs."""
-    document = chrome_trace(telemetry)
-    validate_chrome_trace(document)
-    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+    """Serialize with a fixed key order — byte-identical across runs.
+
+    :func:`chrome_trace` already builds every object in sorted key
+    order, so the encoder skips ``sort_keys``'s per-object re-sort; the
+    document is a fresh tree, so it skips the circular-reference check
+    too."""
+    with _collector_paused():
+        document = chrome_trace(telemetry)
+        validate_chrome_trace(document)
+        return (
+            json.dumps(document, separators=(",", ":"), check_circular=False)
+            + "\n"
+        )
 
 
 def write_chrome_trace(telemetry: Telemetry, path: str) -> None:
@@ -242,8 +301,6 @@ def profile_chrome_trace(profiler) -> dict:
     per run-length segment on per-thread tracks, plus a per-state "C"
     counter track sampled at every segment boundary.  Deterministic:
     segments and boundaries derive purely from the ledger."""
-    from .attribution import NO_SITE, WAIT_STATES
-
     threads = sorted(profiler.ledger.timelines)
     thread_tid = {name: tid for tid, name in enumerate(threads, start=1)}
     events: list[dict] = [
@@ -289,11 +346,7 @@ def profile_chrome_trace(profiler) -> dict:
                     "args": args,
                 }
             )
-    for boundary in sorted(boundaries):
-        counts = {state: 0 for state in WAIT_STATES}
-        for segment in segments:
-            if segment.start <= boundary < segment.end:
-                counts[segment.state] += 1
+    for boundary, counts in _state_counts(segments, boundaries):
         events.append(
             {
                 "name": "threads per wait state",
@@ -313,6 +366,25 @@ def profile_chrome_trace(profiler) -> dict:
             "time_unit": "1 cycle = 1 us",
         },
     }
+
+
+def _state_counts(segments, boundaries):
+    """Yield ``(boundary, {state: segments covering it})`` for each
+    boundary in ascending order, where a segment covers the cycles
+    ``start <= cycle < end`` — in one sweep over the sorted segment
+    starts and ends, keeping a running count per state."""
+    starts = sorted((segment.start, segment.state) for segment in segments)
+    ends = sorted((segment.end, segment.state) for segment in segments)
+    live = {state: 0 for state in WAIT_STATES}
+    opened = closed = 0
+    for boundary in sorted(boundaries):
+        while opened < len(starts) and starts[opened][0] <= boundary:
+            live[starts[opened][1]] += 1
+            opened += 1
+        while closed < len(ends) and ends[closed][0] <= boundary:
+            live[ends[closed][1]] -= 1
+            closed += 1
+        yield boundary, dict(live)
 
 
 def dumps_profile_chrome_trace(profiler) -> str:
@@ -368,7 +440,7 @@ def summary_dict(telemetry: Telemetry) -> dict:
     return {
         "schema": "repro.obs.summary/1",
         "cycles": telemetry.cycles_observed,
-        "events": len(telemetry.events),
+        "events": len(telemetry.event_records()),
         "spans": {
             "total": len(telemetry.spans.spans),
             "complete": len(telemetry.spans.complete_spans()),

@@ -132,20 +132,37 @@ class Histogram(_Metric):
         if not self.buckets:
             raise ValueError("histogram needs at least one bucket bound")
 
-    def observe(self, value: Number, **labels) -> None:
-        key = self._key(labels)
+    def _state(self, key: tuple) -> _HistogramState:
         state = self._values.get(key)
         if state is None:
             state = _HistogramState(counts=[0] * (len(self.buckets) + 1))
             self._values[key] = state
-        index = bisect.bisect_left(self.buckets, value)
-        state.counts[index] += 1
+        return state
+
+    def observe(self, value: Number, **labels) -> None:
+        state = self._state(self._key(labels))
+        state.counts[bisect.bisect_left(self.buckets, value)] += 1
         state.total += 1
         state.sum += value
 
     def observe_many(self, values: Iterable[Number], **labels) -> None:
+        """``observe`` each value under one label set, resolving the
+        label key once rather than per value.  The sum accumulates in
+        value order, exactly as the per-value loop does.  A wrong label
+        set raises even for empty ``values``; empty ``values`` with the
+        right labels records nothing (no empty series appears)."""
+        key = self._key(labels)
+        buckets = self.buckets
+        bisect_left = bisect.bisect_left
+        state = None
         for value in values:
-            self.observe(value, **labels)
+            if state is None:
+                state = self._state(key)
+                counts = state.counts
+            counts[bisect_left(buckets, value)] += 1
+            state.sum += value
+        if state is not None:
+            state.total = sum(counts)  # every observation lands in a bucket
 
     def count(self, **labels) -> int:
         state = self._values.get(self._key(labels))

@@ -15,9 +15,10 @@ wait state (see :mod:`repro.obs.attribution`):
 * for a wheel-kernel idle skip (``on_idle_cycles``) the same
   classification is booked ``count`` times in one call: during a skip
   every executor is parked and every blocked set is frozen, so the
-  per-cycle classification is constant — batch booking equals the
-  reference kernel's one-by-one accrual, cell for cell and segment for
-  segment.
+  per-cycle classification is constant — the skip's first cycle is
+  attributed like an executed cycle in which nothing moved, and the
+  open runs extend over the rest.  Batch booking equals the reference
+  kernel's one-by-one accrual, cell for cell and segment for segment.
 
 Conservation is structural: exactly one state is booked per thread per
 simulated cycle, so each thread's attributed total equals its
@@ -69,12 +70,20 @@ class CycleProfiler:
     """Exclusive per-thread cycle accounting over one simulation.
 
     The per-cycle path stays inside the telemetry overhead budget by
-    buffering one *open run* per thread — ``[classification, start]`` —
-    which extends *implicitly*: every attributed cycle advances the
-    shared :attr:`_end` cursor, so an unchanged classification costs one
-    identity check and nothing else.  The ledger is touched only when a
-    thread's classification changes; reading :attr:`ledger` flushes the
-    buffers first, so every report sees exact totals."""
+    buffering one *open run* per thread — its classification and start
+    cycle — which extends *implicitly*: every attributed cycle advances
+    the shared :attr:`_end` cursor, so an unchanged classification
+    costs one identity check and nothing else.  The ledger is touched
+    only when a thread's classification changes; reading :attr:`ledger`
+    flushes the buffers first, so every report sees exact totals.
+
+    The controller-side work is change-driven too: the telemetry's
+    change scan (each controller's ``blocked_by_client`` view object and
+    ``classify_epoch``, see :meth:`on_cycle`) says whether anything a
+    stalled thread's classification reads has moved, and the merged
+    client -> blocked request map of a multi-controller kernel is
+    rebuilt only when a view object was replaced, not when only an
+    epoch moved."""
 
     def __init__(self) -> None:
         self._ledger = AttributionLedger()
@@ -82,19 +91,17 @@ class CycleProfiler:
         self._controllers: list = []
         self._single = None
         #: per-thread hot-loop record: [name, stats, last_advances,
-        #: open_run, classify_memo] where open_run is
-        #: [classification, start] (the run implicitly extends to
-        #: ``_end``) and classify_memo is (request, epoch,
-        #: classification) — exact because stalled executors re-assert
-        #: the same request object and every guard-state mutation bumps
-        #: the controller's classify_epoch
+        #: run_class, run_start, memo_request, memo_epoch, memo_class].
+        #: The open run is (run_class, run_start), extending implicitly
+        #: to ``_end``; run_class is None when no run is open.  The memo
+        #: is exact because stalled executors re-assert the same request
+        #: object and every guard-state mutation bumps the controller's
+        #: classify_epoch.
         self._threads: list = []
-        #: per-controller change signature: [controller, last
-        #: blocked_by_client object, last classify_epoch].  Controllers
-        #: keep the *same* view object across cycles with unchanged
-        #: blocked membership, so identity + epoch equality over all
-        #: controllers proves no stalled thread's classification moved.
-        self._sigs: list = []
+        #: multi-controller kernels: the merged client -> (controller,
+        #: request) map, valid until some view object is replaced
+        #: (None = rebuild on next use)
+        self._merged = None
         #: one past the last cycle attributed so far — the shared end of
         #: every open run (both kernels attribute cycles in order, so
         #: all open runs end together)
@@ -120,10 +127,10 @@ class CycleProfiler:
         book = self._ledger.book
         end = self._end
         for record in self._threads:
-            run = record[3]
-            if run is not None:
-                state, site, port = run[0]
-                book(record[0], state, site, port, run[1], end - run[1])
+            classification = record[3]
+            if classification is not None:
+                state, site, port = classification
+                book(record[0], state, site, port, record[4], end - record[4])
                 record[3] = None
 
     # -- wiring ---------------------------------------------------------------------
@@ -139,8 +146,8 @@ class CycleProfiler:
             for name in sorted(kernel.controllers)
         ]
         # Single-controller kernels (the common case) read the
-        # controller's own client-indexed blocked view with no per-cycle
-        # merge at all.
+        # controller's own client-indexed blocked view with no merge at
+        # all.
         self._single = (
             self._controllers[0][1] if len(self._controllers) == 1 else None
         )
@@ -148,12 +155,11 @@ class CycleProfiler:
         # all per-thread mutable state) into one record per thread so
         # the per-cycle loop runs without dict lookups.
         self._threads = [
-            [name, executor.stats, executor.stats.advances, None, None]
+            [name, executor.stats, executor.stats.advances, None, 0,
+             None, None, None]
             for name, executor in self._executors
         ]
-        self._sigs = [
-            [controller, None, -1] for __, controller in self._controllers
-        ]
+        self._merged = None
         self._begin = self._end = kernel.cycle
         return self
 
@@ -170,40 +176,33 @@ class CycleProfiler:
                     blocked[client] = (controller, request)
         return blocked
 
-    def on_cycle(self, cycle: int, kernel) -> None:
-        # Steady scan: if every controller kept the same blocked view
-        # *object* (identity) and classify epoch since last cycle, then
-        # no stalled thread's classification can have changed — each
-        # such thread's open run extends implicitly for free.
+    def on_cycle(
+        self, cycle: int, views_moved: bool, epochs_moved: bool
+    ) -> None:
+        """Attribute one executed cycle.
+
+        The flags come from the telemetry's change scan over every
+        controller since the previous cycle: whether any
+        ``blocked_by_client`` view *object* was replaced, and whether
+        any ``classify_epoch`` moved.  Controllers keep the same view
+        object while their blocked membership is unchanged, so with
+        neither flag set no stalled thread's classification can have
+        changed — each such thread's open run extends for free."""
+        if views_moved:
+            self._merged = None
+        steady = not (views_moved or epochs_moved)
         single = self._single
-        if single is not None:
-            sig = self._sigs[0]
-            view = single.blocked_by_client
-            epoch = single.classify_epoch
-            steady = sig[1] is view and sig[2] == epoch
-            if not steady:
-                sig[1] = view
-                sig[2] = epoch
-        else:
-            steady = True
-            for sig in self._sigs:
-                controller = sig[0]
-                view = controller.blocked_by_client
-                epoch = controller.classify_epoch
-                if sig[1] is not view or sig[2] != epoch:
-                    sig[1] = view
-                    sig[2] = epoch
-                    steady = False
         blocked = None
         for record in self._threads:
+            prev = record[3]
             advances = record[1].advances
             if advances != record[2]:
                 record[2] = advances
+                if prev is _EXEC_CLASS:
+                    continue
                 classification = _EXEC_CLASS
-                run = record[3]
             else:
-                run = record[3]
-                if steady and run is not None and run[0] is not _EXEC_CLASS:
+                if steady and prev is not None and prev is not _EXEC_CLASS:
                     # Already stalled or idle last cycle, and nothing in
                     # any controller moved: same classification holds.
                     # (A thread that *was* executing needs a fresh look —
@@ -213,13 +212,14 @@ class CycleProfiler:
                     # Resolved lazily: cycles where every thread
                     # advanced never touch the controllers at all.  A
                     # single controller's own client-indexed view is
-                    # used as-is; several get merged (first in
-                    # sorted-controller order wins).
-                    blocked = (
-                        single.blocked_by_client
-                        if single is not None
-                        else self._blocked_map()
-                    )
+                    # used as-is; several share the merged map, rebuilt
+                    # only after a view changed.
+                    if single is not None:
+                        blocked = single.blocked_by_client
+                    else:
+                        blocked = self._merged
+                        if blocked is None:
+                            blocked = self._merged = self._blocked_map()
                 entry = blocked.get(record[0])
                 if entry is None:
                     classification = _IDLE_CLASS
@@ -232,61 +232,40 @@ class CycleProfiler:
                     # request object cycle over cycle, so identity +
                     # classify_epoch is an exact memo key (a fresh
                     # equal-valued object just reclassifies).
-                    cached = record[4]
-                    if (
-                        cached is not None
-                        and cached[0] is request
-                        and cached[1] == controller.classify_epoch
-                    ):
-                        classification = cached[2]
+                    epoch = controller.classify_epoch
+                    if record[5] is request and record[6] == epoch:
+                        classification = record[7]
                     else:
                         classification = controller.classify_wait(request)
-                        record[4] = (
-                            request,
-                            controller.classify_epoch,
-                            classification,
-                        )
-            if run is not None:
+                        record[5] = request
+                        record[6] = epoch
+                        record[7] = classification
                 # Identity first (the memo hands back the same tuple
                 # between epoch bumps); fall back to equality so an
                 # epoch bump with an unchanged answer extends too.
-                prev = run[0]
                 if prev is classification:
                     continue
+            if prev is not None:
                 if prev == classification:
-                    run[0] = classification
+                    record[3] = classification
                     continue
                 state, site, port = prev
                 self._ledger.book(
-                    record[0], state, site, port, run[1], cycle - run[1]
+                    record[0], state, site, port, record[4],
+                    cycle - record[4],
                 )
-            record[3] = [classification, cycle]
+            record[3] = classification
+            record[4] = cycle
         self._end = cycle + 1
 
     def on_idle_cycles(self, first_cycle: int, count: int, kernel) -> None:
-        """Batch booking for a wheel-kernel skip: every executor is
-        parked (advances frozen) and blocked sets cannot move, so the
-        classification at ``first_cycle`` holds for all ``count``
-        cycles."""
-        blocked = self._blocked_map()
-        ledger_book = self._ledger.book
-        for record in self._threads:
-            entry = blocked.get(record[0])
-            if entry is not None:
-                classification = entry[0].classify_wait(entry[1])
-            else:
-                classification = _IDLE_CLASS
-            run = record[3]
-            if run is not None:
-                prev = run[0]
-                if prev is classification or prev == classification:
-                    continue
-                state, site, port = prev
-                ledger_book(
-                    record[0], state, site, port, run[1],
-                    first_cycle - run[1],
-                )
-            record[3] = [classification, first_cycle]
+        """Batch booking for a wheel-kernel skip of ``count`` cycles.
+
+        During a skip every executor is parked (no thread advances) and
+        no view or epoch moves, so each skipped cycle classifies exactly
+        like ``first_cycle``: attribute that one as a cycle in which
+        nothing moved, and every open run extends over the rest."""
+        self.on_cycle(first_cycle, False, False)
         self._end = first_cycle + count
 
     # -- reports --------------------------------------------------------------------

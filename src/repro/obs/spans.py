@@ -33,9 +33,10 @@ class ConsumerRead:
         return self.grant_cycle - self.issue_cycle
 
 
-@dataclass
+@dataclass(slots=True)
 class DependencySpan:
-    """One produce-consume cycle of one dependency."""
+    """One produce-consume cycle of one dependency (slotted: one is
+    built per granted producer write on the traced hot path)."""
 
     bram: str
     dep_id: str
@@ -103,20 +104,17 @@ class SpanAssembler:
         # incomplete rather than inventing a drain cycle.
         index = self._instances.get(key, 0)
         self._instances[key] = index + 1
-        span = DependencySpan(
-            bram=bram,
-            dep_id=dep_id,
-            instance=index,
-            producer=producer,
-            write_cycle=cycle,
-            expected_reads=self.expected.get(key),
-        )
         # A guard-arm notification for this write may have arrived during
         # arbitration, before the grant that opens the span (it can lead
         # the grant by a cycle in the lock baseline's protocol).
-        pending = self._pending_arm.pop(key, None)
-        if pending is not None and pending <= cycle:
-            span.armed_cycle = pending
+        armed = self._pending_arm.pop(key, None)
+        if armed is not None and armed > cycle:
+            armed = None
+        # Positional: keyword construction costs measurably per write.
+        span = DependencySpan(
+            bram, dep_id, index, producer, cycle, armed, [],
+            self.expected.get(key),
+        )
         self.spans.append(span)
         self._active[key] = span
         return span
@@ -127,7 +125,7 @@ class SpanAssembler:
         if (
             span is not None
             and span.armed_cycle is None
-            and not span.complete
+            and span.complete_cycle is None
             and cycle >= span.write_cycle
         ):
             span.armed_cycle = cycle
@@ -184,12 +182,20 @@ class SpanAssembler:
         """(bram, dep_id) -> summary of read waits across all spans."""
         out: dict[tuple[str, str], dict] = {}
         for key, spans in sorted(self.by_dependency().items()):
-            waits = [w for span in spans for w in span.read_waits()]
-            post = [p for span in spans for p in span.post_write_latencies()]
+            waits: list[int] = []
+            post: list[int] = []
+            complete = 0
+            for span in spans:
+                if span.complete_cycle is not None:
+                    complete += 1
+                write = span.write_cycle
+                for read in span.reads:
+                    waits.append(read.grant_cycle - read.issue_cycle)
+                    post.append(read.grant_cycle - write)
             out[key] = {
                 "spans": len(spans),
-                "complete": sum(1 for s in spans if s.complete),
-                "reads": sum(len(s.reads) for s in spans),
+                "complete": complete,
+                "reads": len(waits),
                 "wait_min": min(waits) if waits else None,
                 "wait_max": max(waits) if waits else None,
                 "wait_mean": (sum(waits) / len(waits)) if waits else None,

@@ -6,17 +6,18 @@ instrumentation points in the instrumented modules are guarded by an
 ``if self.observer is not None`` check, so a simulation without telemetry
 pays exactly one attribute test per seam — the disabled path is a no-op.
 
-The hot path keeps only plain-dict accumulators and event appends; the
-:class:`~repro.obs.metrics.MetricsRegistry` is materialized from those
-accumulators by :meth:`Telemetry.finalize` (idempotent — exporters call
-it for you).  Everything recorded is a pure function of the simulation,
-so a fixed seed yields byte-identical exports (see
-:mod:`repro.obs.exporters`).
+The hot path keeps only plain-dict accumulators and event-tuple
+appends, and its per-cycle work is one change scan over the
+controllers; the :class:`~repro.obs.metrics.MetricsRegistry` is
+materialized from those accumulators by :meth:`Telemetry.finalize`
+(idempotent — exporters call it for you).  Everything recorded is a
+pure function of the simulation, so a fixed seed yields byte-identical
+exports (see :mod:`repro.obs.exporters`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import defaultdict
 
 from ..core.controller import LatencySample, MemRequest
 from .events import EventKind, TraceEvent
@@ -64,7 +65,11 @@ class Telemetry:
 
             self.profiler = CycleProfiler()
         self.wait_buckets = tuple(wait_buckets)
-        self.events: list[TraceEvent] = []
+        #: the event record: one tuple per event, in TraceEvent field
+        #: order (see :meth:`event_records`)
+        self._records: list[tuple] = []
+        #: TraceEvent objects built from ``_records`` on demand
+        self._events: list[TraceEvent] = []
         self.spans = SpanAssembler()
         self.registry = MetricsRegistry()
         self.kernel = None
@@ -72,11 +77,15 @@ class Telemetry:
         self._executors: dict = {}
         self._tx: dict = {}
         # hot-path accumulators (materialized into the registry lazily)
-        self._granted: dict[tuple[str, str], int] = {}
-        #: bram -> peak simultaneously blocked requests (sampled per cycle)
-        self._blocked_peak: dict[str, int] = {}
-        self._waits: dict[tuple[str, str, str], list[int]] = {}
-        self._grant_waits: dict[tuple[str, str], list[int]] = {}
+        #: (bram, dep_id, client) -> guarded grant waits, in grant order
+        self._waits: defaultdict[tuple[str, str, str], list[int]] = (
+            defaultdict(list)
+        )
+        #: (bram, port) -> grant waits, in grant order (its length is the
+        #: port's grant count)
+        self._grant_waits: defaultdict[tuple[str, str], list[int]] = (
+            defaultdict(list)
+        )
         self._overrides: dict[str, int] = {}
         self._chain_events: dict[tuple[str, str], int] = {}
         self._watchdog: dict[tuple[str, str], int] = {}
@@ -85,7 +94,10 @@ class Telemetry:
         self._routed: dict[tuple[str, str, str], int] = {}
         self._recoveries = 0
         self._stats_watch: list = []
-        self._controller_items: list = []
+        #: one change signature per (bank-expanded) controller:
+        #: [controller, last blocked_by_client view, last classify_epoch,
+        #: peak simultaneously blocked requests, bram]
+        self._sigs: list = []
         self.cycles_observed = 0
 
     # -- wiring ---------------------------------------------------------------------
@@ -130,12 +142,16 @@ class Telemetry:
             [name, executor.stats, executor.stats.rounds_completed]
             for name, executor in self._executors.items()
         ]
-        self._controller_items = list(self._controllers.items())
+        self._sigs = [
+            [controller, None, -1, 0, bram]
+            for bram, controller in self._controllers.items()
+        ]
         if self.profiler is not None:
-            # The profiler scans *top-level* controllers only (a fabric
-            # classifies on behalf of its banks), so it binds to the
-            # kernel, not to this object's bank-expanded registry.  The
-            # pre-bound method saves two attribute loads per cycle.
+            # The profiler classifies against *top-level* controllers
+            # only (a fabric classifies on behalf of its banks), so it
+            # binds to the kernel, not to this object's bank-expanded
+            # registry.  The pre-bound method saves two attribute loads
+            # per cycle.
             self.profiler.bind(kernel)
             self._profiler_on_cycle = self.profiler.on_cycle
         self._discover_dependencies()
@@ -172,66 +188,77 @@ class Telemetry:
                 for dep_id, count in counts.items():
                     self.spans.expected[(bram, dep_id)] = count
 
+    # -- the event record -------------------------------------------------------------
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """Every recorded event, in kernel order.
+
+        Built from :meth:`event_records` on first access and extended as
+        the record grows: the callbacks append plain tuples, which cost
+        a fraction of an object to build and which the cyclic garbage
+        collector stops scanning after one pass."""
+        records = self._records
+        events = self._events
+        if len(events) < len(records):
+            events.extend(
+                TraceEvent(*record) for record in records[len(events):]
+            )
+        return events
+
+    def event_records(self) -> list[tuple]:
+        """The raw event record (read-only by convention): one tuple per
+        event, ``(cycle, kind, source, client, port, address, dep_id,
+        value, detail)`` — :class:`TraceEvent`'s fields, in order."""
+        return self._records
+
+    def _record(
+        self, cycle, kind, source, client=None, port=None, address=None,
+        dep_id=None, value=None, detail=None,
+    ) -> None:
+        """Append one event (the rarely-hit callbacks; the hot ones
+        append their tuples inline)."""
+        self._records.append(
+            (cycle, kind, source, client, port, address, dep_id, value, detail)
+        )
+
     # -- controller observer callbacks -------------------------------------------------
 
     def on_submit(self, bram: str, request: MemRequest) -> None:
         # Only wired up at "full" level (see attach): one SUBMIT event
         # per distinct request.
-        self.events.append(
-            TraceEvent(
-                cycle=self._controllers[bram].cycle,
-                kind=EventKind.SUBMIT,
-                source=bram,
-                client=request.client,
-                port=request.port,
-                address=request.address,
-                dep_id=request.dep_id,
+        self._records.append(
+            (
+                self._controllers[bram].cycle, EventKind.SUBMIT, bram,
+                request.client, request.port, request.address,
+                request.dep_id, None, None,
             )
         )
 
     def on_grant(self, bram: str, request: MemRequest, sample: LatencySample) -> None:
-        key = (bram, request.port)
-        self._granted[key] = self._granted.get(key, 0) + 1
         # Inline `sample.wait_cycles`: a property call per grant is
         # measurable on the traced hot path.
-        wait = sample.grant_cycle - sample.issue_cycle
-        waits = self._grant_waits.get(key)
-        if waits is None:
-            waits = self._grant_waits[key] = []
-        waits.append(wait)
-        if request.dep_id is not None:
-            dep_key = (bram, request.dep_id, request.client)
-            dep_waits = self._waits.get(dep_key)
-            if dep_waits is None:
-                dep_waits = self._waits[dep_key] = []
-            dep_waits.append(wait)
+        issue_cycle = sample.issue_cycle
+        grant_cycle = sample.grant_cycle
+        wait = grant_cycle - issue_cycle
+        self._grant_waits[bram, request.port].append(wait)
+        dep_id = request.dep_id
+        if dep_id is not None:
+            client = request.client
+            self._waits[bram, dep_id, client].append(wait)
             if request.write:
-                self.spans.open(
-                    bram, request.dep_id, request.client, sample.grant_cycle
-                )
+                self.spans.open(bram, dep_id, client, grant_cycle)
             else:
-                self.spans.read(
-                    bram,
-                    request.dep_id,
-                    request.client,
-                    sample.issue_cycle,
-                    sample.grant_cycle,
-                )
+                self.spans.read(bram, dep_id, client, issue_cycle, grant_cycle)
         # Grant TraceEvents only at "full" level: at "deps" level the
         # dependency lifecycle is already captured by the span assembler
         # and the guard events, and skipping the per-grant event object
         # keeps the traced hot path inside the overhead budget.
         if self._full:
-            self.events.append(
-                TraceEvent(
-                    cycle=sample.grant_cycle,
-                    kind=EventKind.GRANT,
-                    source=bram,
-                    client=request.client,
-                    port=request.port,
-                    address=request.address,
-                    dep_id=request.dep_id,
-                    value=wait,
+            self._records.append(
+                (
+                    grant_cycle, EventKind.GRANT, bram, request.client,
+                    request.port, request.address, dep_id, wait, None,
                 )
             )
 
@@ -240,15 +267,10 @@ class Telemetry:
         cycle: int, outstanding: int,
     ) -> None:
         self.spans.armed(bram, dep_id, cycle)
-        self.events.append(
-            TraceEvent(
-                cycle=cycle,
-                kind=EventKind.DEP_ARMED,
-                source=bram,
-                client=client,
-                address=address,
-                dep_id=dep_id,
-                value=outstanding,
+        self._records.append(
+            (
+                cycle, EventKind.DEP_ARMED, bram, client, None, address,
+                dep_id, outstanding, None,
             )
         )
 
@@ -256,45 +278,31 @@ class Telemetry:
         self, bram: str, dep_id: str, client: str, address: int,
         cycle: int, outstanding: int,
     ) -> None:
-        self.events.append(
-            TraceEvent(
-                cycle=cycle,
-                kind=EventKind.DEP_DECREMENT,
-                source=bram,
-                client=client,
-                address=address,
-                dep_id=dep_id,
-                value=outstanding,
+        records = self._records
+        records.append(
+            (
+                cycle, EventKind.DEP_DECREMENT, bram, client, None, address,
+                dep_id, outstanding, None,
             )
         )
         if outstanding == 0:
             self.spans.drained(bram, dep_id, cycle)
-            self.events.append(
-                TraceEvent(
-                    cycle=cycle,
-                    kind=EventKind.DEP_COMPLETE,
-                    source=bram,
-                    dep_id=dep_id,
+            records.append(
+                (
+                    cycle, EventKind.DEP_COMPLETE, bram, None, None, None,
+                    dep_id, None, None,
                 )
             )
 
     def on_override(self, bram: str, cycle: int) -> None:
         self._overrides[bram] = self._overrides.get(bram, 0) + 1
-        self.events.append(
-            TraceEvent(cycle=cycle, kind=EventKind.OVERRIDE, source=bram)
-        )
+        self._record(cycle, EventKind.OVERRIDE, bram)
 
     def on_chain_event(self, bram: str, dep_id: str, thread: str, cycle: int) -> None:
         key = (bram, dep_id)
         self._chain_events[key] = self._chain_events.get(key, 0) + 1
-        self.events.append(
-            TraceEvent(
-                cycle=cycle,
-                kind=EventKind.CHAIN_EVENT,
-                source=bram,
-                client=thread,
-                dep_id=dep_id,
-            )
+        self._record(
+            cycle, EventKind.CHAIN_EVENT, bram, client=thread, dep_id=dep_id
         )
 
     # -- fabric observer callbacks -----------------------------------------------------
@@ -306,29 +314,21 @@ class Telemetry:
         """A router-gated cross-bank request was released into the crossbar."""
         key = (fabric, bank, "write" if write else "read")
         self._routed[key] = self._routed.get(key, 0) + 1
-        self.events.append(
-            TraceEvent(
-                cycle=cycle,
-                kind=EventKind.DEP_ROUTED,
-                source=fabric,
-                client=client,
-                dep_id=dep_id,
-                detail=f"-> {bank}",
-            )
+        self._record(
+            cycle,
+            EventKind.DEP_ROUTED,
+            fabric,
+            client=client,
+            dep_id=dep_id,
+            detail=f"-> {bank}",
         )
 
     def on_dep_notified(
         self, fabric: str, dep_id: str, bank: str, cycle: int, latency: int
     ) -> None:
         """A cross-bank arm notification reached its home bank."""
-        self.events.append(
-            TraceEvent(
-                cycle=cycle,
-                kind=EventKind.DEP_NOTIFIED,
-                source=bank,
-                dep_id=dep_id,
-                value=latency,
-            )
+        self._record(
+            cycle, EventKind.DEP_NOTIFIED, bank, dep_id=dep_id, value=latency
         )
 
     # -- watchdog observer callbacks ---------------------------------------------------
@@ -336,28 +336,19 @@ class Telemetry:
     def on_watchdog_event(self, event) -> None:
         key = (event.kind, event.action)
         self._watchdog[key] = self._watchdog.get(key, 0) + 1
-        self.events.append(
-            TraceEvent(
-                cycle=event.cycle,
-                kind=EventKind.WATCHDOG,
-                source=event.bram or "system",
-                client=event.client,
-                dep_id=event.dep_id,
-                value=event.blocked_cycles,
-                detail=f"{event.kind} -> {event.action}",
-            )
+        self._record(
+            event.cycle,
+            EventKind.WATCHDOG,
+            event.bram or "system",
+            client=event.client,
+            dep_id=event.dep_id,
+            value=event.blocked_cycles,
+            detail=f"{event.kind} -> {event.action}",
         )
 
     def on_recovery(self, cycle: int, description: str) -> None:
         self._recoveries += 1
-        self.events.append(
-            TraceEvent(
-                cycle=cycle,
-                kind=EventKind.RECOVERY,
-                source="system",
-                detail=description,
-            )
-        )
+        self._record(cycle, EventKind.RECOVERY, "system", detail=description)
 
     # -- kernel observer callback ------------------------------------------------------
 
@@ -371,22 +362,31 @@ class Telemetry:
                 rounds = entry[1].rounds_completed
                 if rounds != entry[2]:
                     entry[2] = rounds
-                    self.events.append(
-                        TraceEvent(
-                            cycle=cycle,
-                            kind=EventKind.ROUND_COMPLETE,
-                            source=entry[0],
-                            value=rounds,
-                        )
+                    self._record(
+                        cycle, EventKind.ROUND_COMPLETE, entry[0], value=rounds
                     )
-        peaks = self._blocked_peak
-        for bram, controller in self._controller_items:
-            count = len(controller.blocked)
-            if count > peaks.get(bram, 0):
-                peaks[bram] = count
+        # One change scan drives both per-cycle consumers.  Arbitration
+        # keeps a controller's blocked_by_client view object while its
+        # blocked key set is unchanged, so the blocked count (the peak
+        # gauge) can only move when the view is replaced; the profiler
+        # also needs to know whether any classify_epoch moved.
+        views_moved = epochs_moved = False
+        for sig in self._sigs:
+            controller = sig[0]
+            view = controller.blocked_by_client
+            if view is not sig[1]:
+                sig[1] = view
+                views_moved = True
+                count = len(controller.blocked)
+                if count > sig[3]:
+                    sig[3] = count
+            epoch = controller.classify_epoch
+            if epoch != sig[2]:
+                sig[2] = epoch
+                epochs_moved = True
         profiler_on_cycle = self._profiler_on_cycle
         if profiler_on_cycle is not None:
-            profiler_on_cycle(cycle, kernel)
+            profiler_on_cycle(cycle, views_moved, epochs_moved)
 
     def on_idle_cycles(self, first_cycle: int, count: int, kernel) -> None:
         """Fast-kernel batch notification for a skipped idle stretch.
@@ -417,7 +417,10 @@ class Telemetry:
         # Submissions are derived, not counted on the hot path: every
         # distinct submission either grants eventually or leaves an
         # outstanding issue-cycle entry at the controller.
-        submitted_totals: dict[tuple[str, str], int] = dict(self._granted)
+        granted_totals = {
+            key: len(waits) for key, waits in self._grant_waits.items()
+        }
+        submitted_totals: dict[tuple[str, str], int] = dict(granted_totals)
         for bram in sorted(self._controllers):
             counts = self._controllers[bram].unfinished_request_counts()
             for port, count in counts.items():
@@ -437,7 +440,7 @@ class Telemetry:
             "Requests granted by arbitration",
             labels=("bram", "port"),
         )
-        for (bram, port), count in sorted(self._granted.items()):
+        for (bram, port), count in sorted(granted_totals.items()):
             granted.inc(count, bram=bram, port=port)
 
         # Blocked request-cycles are derived, not accumulated per cycle:
@@ -469,8 +472,9 @@ class Telemetry:
             "Peak simultaneously blocked requests at a controller",
             labels=("bram",),
         )
-        for bram, count in sorted(self._blocked_peak.items()):
-            occupancy.set(count, bram=bram)
+        for sig in sorted(self._sigs, key=lambda sig: sig[4]):
+            if sig[3]:
+                occupancy.set(sig[3], bram=sig[4])
 
         pending = registry.gauge(
             "sim_port_pending",
@@ -525,7 +529,7 @@ class Telemetry:
             labels=("bram", "dep_id", "state"),
         )
         for (bram, dep_id), spans in sorted(self.spans.by_dependency().items()):
-            done = sum(1 for s in spans if s.complete)
+            done = sum(1 for s in spans if s.complete_cycle is not None)
             if done:
                 spans_total.inc(done, bram=bram, dep_id=dep_id, state="complete")
             if len(spans) - done:
@@ -680,7 +684,7 @@ class Telemetry:
         spans = self.spans.spans
         return (
             f"telemetry: {self.cycles_observed} cycles, "
-            f"{len(self.events)} events, {len(spans)} spans "
+            f"{len(self._records)} events, {len(spans)} spans "
             f"({sum(1 for s in spans if s.complete)} complete)"
         )
 

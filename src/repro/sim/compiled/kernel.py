@@ -1,10 +1,11 @@
-"""The compiled simulation kernel: generated fast path + interpreted escape.
+"""The compiled simulation kernel: generated fast path + wheel escape.
 
-:class:`CompiledKernel` is a drop-in :class:`~repro.sim.kernel.SimulationKernel`
+:class:`CompiledKernel` is a drop-in :class:`~repro.sim.wheel.FastKernel`
 whose ``run`` executes the design's generated tick function
 (:mod:`.codegen`) for whole spans of cycles, falling back to the
-interpreted two-phase protocol — the base class, unchanged — whenever
-byte-equivalence cannot be guaranteed cheaply:
+event-wheel kernel — its base class, unchanged, which still skips
+provably idle stretches — whenever byte-equivalence cannot be
+guaranteed cheaply:
 
 * an observer (telemetry/profiler), post-cycle hook (watchdog, probes),
   controller tap/observer, or BRAM trace is attached — those seams see
@@ -16,13 +17,16 @@ byte-equivalence cannot be guaranteed cheaply:
   module to the live objects failed a drift assertion.
 
 The escape hatch is per-*call*: a campaign can attach a watchdog, run
-interpreted, detach it, and continue compiled — state is shared because
+on the wheel, detach it, and continue compiled — state is shared because
 the generated span flushes everything back into the real executor and
-controller objects on exit (including on exceptions).
+controller objects on exit (including on exceptions).  The wheel's park
+records freeze executor state that a generated span rewrites, so they
+are dropped before each span and rebuilt by the wheel as it re-parks.
 
 ``cycles_compiled`` / ``cycles_interpreted`` count where cycles actually
-ran, so tests can assert the fast path really was taken (differential
-coverage that silently falling back would otherwise fake).
+ran (cycles the wheel skipped count as interpreted), so tests can
+assert the fast path really was taken (differential coverage that
+silently falling back would otherwise fake).
 
 Set ``REPRO_COMPILED_STRICT=1`` to turn silent fallbacks on bind
 failures into hard errors (debugging aid for codegen work).
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import os
 
-from ..kernel import SimulationKernel
+from ..wheel import FastKernel
 from .cache import compile_program
 
 
@@ -52,8 +56,9 @@ def _controller_untapped(controller) -> bool:
     return True
 
 
-class CompiledKernel(SimulationKernel):
-    """Runs the generated per-design tick function when it is safe to."""
+class CompiledKernel(FastKernel):
+    """Runs the generated per-design tick function when it is safe to,
+    and the event-wheel kernel otherwise."""
 
     def __init__(self, executors, controllers, design=None):
         super().__init__(executors, controllers)
@@ -100,10 +105,15 @@ class CompiledKernel(SimulationKernel):
         self.cycles_interpreted += 1
         return super().step()
 
+    def _skip_to(self, target: int) -> None:
+        self.cycles_interpreted += target - self.cycle
+        super()._skip_to(target)
+
     def run(self, cycles, until=None, max_wall_seconds=None):
         if cycles > 0 and until is None and self._fast_path_ok():
             deadline = self._deadline(max_wall_seconds)
             start = self.cycle
+            self._parked.clear()
             try:
                 self._run_span(
                     start, start + cycles, deadline, max_wall_seconds

@@ -1,7 +1,7 @@
 """Differential coverage of the compiled kernel's *generated* path.
 
 The main matrix attaches telemetry, so the compiled kernel runs its
-interpreted escape hatch there.  These cells attach nothing but the
+wheel escape hatch there.  These cells attach nothing but the
 (``mutates_only_rx``) traffic injector, assert the same full-surface
 equivalence against the reference kernel, and — critically — assert
 that every cycle actually ran through the generated tick function.
@@ -75,33 +75,55 @@ def test_fast_path_survives_split_runs():
     assert_equivalent(reference_sim, compiled_sim)
 
 
+class _NullObserver:
+    """Observes nothing but disables the generated path; its idle-cycle
+    callback lets the wheel fallback skip as well as park."""
+
+    def on_cycle(self, cycle, sim_kernel):
+        pass
+
+    def on_idle_cycles(self, first_cycle, count, sim_kernel):
+        pass
+
+
 def test_escape_hatch_is_per_call():
-    """Attaching an observer mid-run flips to interpreted ticks;
+    """Attaching an observer mid-run flips to the wheel fallback;
     detaching it resumes the generated path — with state carried across
-    both seams byte-for-byte."""
-    reference_sim, compiled_sim = build_pair(
-        forwarding_source(2),
-        forwarding_functions(),
-        organization=Organization.ARBITRATED,
-        kernels=("reference", "compiled"),
-    )
-    for sim in (reference_sim, compiled_sim):
-        attach_traffic(sim, 0.9, SEED)
-    reference_sim.run(CYCLES)
+    every seam byte-for-byte.  The sequence compiled -> observed (the
+    wheel parks executors) -> compiled (the span rewrites the state the
+    park records froze) -> observed again ends equal to the reference
+    kernel, on dense traffic and on sparse traffic; at the sparse rate,
+    keeping the stale park records would make it diverge."""
+    for rate in (0.9, 0.05):
+        reference_sim, compiled_sim = build_pair(
+            forwarding_source(2),
+            forwarding_functions(),
+            organization=Organization.ARBITRATED,
+            kernels=("reference", "compiled"),
+        )
+        for sim in (reference_sim, compiled_sim):
+            attach_traffic(sim, rate, SEED)
+        reference_sim.run(CYCLES)
 
-    kernel = compiled_sim.kernel
-    compiled_sim.run(500)
-    assert kernel.cycles_compiled == 500
+        kernel = compiled_sim.kernel
+        compiled_sim.run(300)
+        assert kernel.cycles_compiled == 300
 
-    class _NullObserver:
-        def on_cycle(self, cycle, sim_kernel):
-            pass
+        kernel.observer = _NullObserver()
+        compiled_sim.run(500)
+        assert kernel.cycles_interpreted == 500
+        if rate < 0.5:
+            # the fallback is the wheel: it parked executors and skipped
+            assert kernel._parked
+            assert kernel.cycles_skipped > 0
 
-    kernel.observer = _NullObserver()
-    compiled_sim.run(500)
-    assert kernel.cycles_interpreted == 500
+        kernel.observer = None
+        compiled_sim.run(200)
+        assert kernel.cycles_compiled == 500
 
-    kernel.observer = None
-    compiled_sim.run(CYCLES - 1000)
-    assert kernel.cycles_compiled == CYCLES - 500
-    assert_equivalent(reference_sim, compiled_sim)
+        kernel.observer = _NullObserver()
+        compiled_sim.run(CYCLES - 1000)
+        assert kernel.cycles_interpreted == CYCLES - 500
+        assert kernel.cycles_compiled + kernel.cycles_interpreted == CYCLES
+        assert kernel.cycle == CYCLES
+        assert_equivalent(reference_sim, compiled_sim)

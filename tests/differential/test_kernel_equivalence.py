@@ -10,8 +10,9 @@ memory organizations, the paper's single-address-space flow plus 1- and
 4-bank fabrics, and no-fault vs seeded-fault campaigns.
 
 Telemetry is attached in every cell, so the compiled kernel exercises
-its interpreted escape hatch here — the equivalence claim covers the
-fallback path; ``test_compiled_fast_path.py`` covers the generated one.
+its escape hatch (the wheel kernel it inherits from) here — the
+equivalence claim covers the fallback path; ``test_compiled_fast_path.py``
+covers the generated one.
 """
 
 import pytest
@@ -91,7 +92,8 @@ def test_kernel_equivalence(organization, num_banks, with_faults):
         assert summary == summaries[0], "span summaries diverged"
     # All kernels simulated the same number of cycles; the wheel kernel
     # reached it with executed + skipped, and the compiled kernel — with
-    # its observer attached — through the interpreted escape hatch.
+    # its observer attached — through the wheel escape hatch (skipped
+    # cycles count as interpreted).
     for sim in sims:
         assert sim.kernel.cycle == CYCLES
     assert (

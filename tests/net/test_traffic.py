@@ -126,7 +126,7 @@ class TestAttachedHookDeliveryOrder:
         for cycle in range(450):
             reference(cycle, kernel=None)
         self._drain_span(mixed, 0, 150)
-        for cycle in range(150, 300):  # interpreted escape hatch
+        for cycle in range(150, 300):  # the escape hatch's per-cycle calls
             mixed(cycle, kernel=None)
         self._drain_span(mixed, 300, 450)
         assert mixed.rx_interface.messages == reference.rx_interface.messages

@@ -1,0 +1,168 @@
+"""Export goldens: every telemetry and profiler export, frozen by digest.
+
+``golden/exports.json`` holds the sha256 of each exporter's output for
+three seeded runs, on every simulation kernel:
+
+* ``figure1`` — the Figure-1 forwarder (``forwarding_source(2)``,
+  arbitrated, ``BernoulliTraffic(0.06, seed=1)``) traced at
+  ``trace_level="full"`` with the profiler, on one BRAM;
+* ``figure1-banks4`` — the same on a four-bank memory fabric;
+* ``fanout-fifo`` — the catalogued fan-out network with FIFO-lowered
+  channels, profiled at the default ``deps`` trace level.
+
+The exports are ``dumps_chrome_trace``, ``dumps_summary``,
+``prometheus_text``, the ``write_summary_csv`` file,
+``dumps_profile_chrome_trace`` and the ``breakdown_dict`` JSON.  Any
+change to the observability layer's internals must reproduce all of
+them byte for byte.
+
+To regenerate after an *intentional* export change::
+
+    PYTHONPATH=src python tests/obs/test_export_goldens.py
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from repro.core import Organization
+from repro.flow import SIMULATION_KERNELS, build_simulation, compile_design
+from repro.net import (
+    BernoulliTraffic,
+    demo_table,
+    forwarding_functions,
+    forwarding_source,
+)
+from repro.obs import (
+    breakdown_dict,
+    chrome_trace,
+    dumps_chrome_trace,
+    dumps_profile_chrome_trace,
+    dumps_summary,
+    prometheus_text,
+    write_summary_csv,
+)
+from repro.scenarios import catalog
+
+GOLDEN = Path(__file__).parent / "golden" / "exports.json"
+
+CYCLES = 800
+
+
+def _figure1(num_banks, kernel):
+    design = compile_design(
+        forwarding_source(2),
+        organization=Organization.ARBITRATED,
+        num_banks=num_banks,
+    )
+    sim = build_simulation(
+        design, functions=forwarding_functions(demo_table()), kernel=kernel
+    )
+    telemetry = sim.attach_telemetry(trace_level="full", profile=True)
+    generator = BernoulliTraffic(rate=0.06, seed=1)
+    sim.kernel.add_pre_cycle_hook(generator.attach(sim.rx["eth_in"]))
+    sim.run(CYCLES)
+    return telemetry
+
+
+def _fanout_fifo(kernel):
+    scenario = catalog.get_scenario("fanout")
+    design = compile_design(
+        scenario.source, name=scenario.name, channel_synthesis="fifo"
+    )
+    sim = build_simulation(design, scenario.functions(), kernel=kernel)
+    telemetry = sim.attach_telemetry(profile=True)
+    sim.run(CYCLES)
+    return telemetry
+
+
+RUNS = {
+    "figure1": lambda kernel: _figure1(0, kernel),
+    "figure1-banks4": lambda kernel: _figure1(4, kernel),
+    "fanout-fifo": _fanout_fifo,
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def export_digests(telemetry) -> dict[str, str]:
+    """sha256 of every export of one observed run."""
+    profiler = telemetry.profiler
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "summary.csv"
+        write_summary_csv(telemetry, str(csv_path))
+        summary_csv = csv_path.read_text()
+    breakdown = json.dumps(breakdown_dict(profiler), sort_keys=True, indent=2)
+    return {
+        "chrome_trace": _sha(dumps_chrome_trace(telemetry)),
+        "summary": _sha(dumps_summary(telemetry)),
+        "prometheus": _sha(prometheus_text(telemetry)),
+        "summary_csv": _sha(summary_csv),
+        "profile_trace": _sha(dumps_profile_chrome_trace(profiler)),
+        "breakdown": _sha(breakdown + "\n"),
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("kernel", SIMULATION_KERNELS)
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_exports_match_golden(run, kernel, golden):
+    telemetry = RUNS[run](kernel)
+    assert export_digests(telemetry) == golden[run]
+    assert telemetry.profiler.conservation_report()["ok"]
+
+
+def test_exports_are_idempotent(golden):
+    """Exporting twice (``finalize`` runs again each time) changes
+    nothing."""
+    telemetry = RUNS["figure1"]("wheel")
+    first = export_digests(telemetry)
+    assert export_digests(telemetry) == first == golden["figure1"]
+
+
+def _faulted_run():
+    """Watchdog firings and recoveries: instants with ``detail``."""
+    from repro.faults.models import ProducerStall
+
+    design = compile_design(forwarding_source(4))
+    sim = build_simulation(design, functions=forwarding_functions(demo_table()))
+    telemetry = sim.attach_telemetry(trace_level="full")
+    sim.attach_watchdog(policy="break-dependency", read_timeout=32)
+    sim.inject_faults([ProducerStall(at_cycle=10, client="classify")])
+    generator = BernoulliTraffic(rate=0.2, seed=3)
+    sim.kernel.add_pre_cycle_hook(generator.attach(sim.rx["eth_in"]))
+    sim.run(400)
+    return telemetry
+
+
+@pytest.mark.parametrize("run", sorted(RUNS) + ["faulted"])
+def test_chrome_trace_is_built_in_sorted_key_order(run):
+    """``dumps_chrome_trace`` relies on ``chrome_trace`` emitting every
+    object with sorted keys; serializing with ``sort_keys=True`` must
+    change nothing."""
+    telemetry = _faulted_run() if run == "faulted" else RUNS[run]("wheel")
+    kinds = {event.kind for event in telemetry.events}
+    if run == "faulted":
+        assert {"watchdog", "recovery"} <= kinds
+    document = chrome_trace(telemetry)
+    resorted = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    assert dumps_chrome_trace(telemetry) == resorted + "\n"
+
+
+def main() -> None:
+    digests = {run: export_digests(RUNS[run]("wheel")) for run in sorted(RUNS)}
+    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
+
+
+if __name__ == "__main__":
+    main()

@@ -2,14 +2,18 @@
 
 import csv
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Organization
+from repro.obs.attribution import NO_SITE, WAIT_STATES, Segment
 from repro.obs.exporters import (
     chrome_trace,
     dumps_chrome_trace,
     dumps_summary,
+    profile_chrome_trace,
     prometheus_text,
     summary_dict,
     validate_chrome_trace,
@@ -166,3 +170,51 @@ class TestBenchJson:
         assert json.loads(text) == {"a": 1, "b": 2}
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
+
+
+def _counter_track_oracle(timelines):
+    """The original quadratic counter track: every segment rescanned for
+    every boundary."""
+    segments = [seg for name in sorted(timelines) for seg in timelines[name]]
+    boundaries = {seg.start for seg in segments} | {seg.end for seg in segments}
+    track = []
+    for boundary in sorted(boundaries):
+        counts = {state: 0 for state in WAIT_STATES}
+        for segment in segments:
+            if segment.start <= boundary < segment.end:
+                counts[segment.state] += 1
+        track.append((boundary, counts))
+    return track
+
+
+_segments = st.lists(
+    st.builds(
+        Segment,
+        thread=st.sampled_from(["t0", "t1", "t2"]),
+        state=st.sampled_from(WAIT_STATES),
+        site=st.just(NO_SITE),
+        port=st.just(NO_SITE),
+        start=st.integers(min_value=0, max_value=60),
+        length=st.integers(min_value=0, max_value=25),
+    ),
+    max_size=30,
+)
+
+
+class TestProfileCounterTrack:
+    @settings(max_examples=200, deadline=None)
+    @given(segments=_segments)
+    def test_sweep_matches_rescan_oracle(self, segments):
+        timelines: dict = {}
+        for segment in segments:
+            timelines.setdefault(segment.thread, []).append(segment)
+        profiler = SimpleNamespace(
+            ledger=SimpleNamespace(timelines=timelines), cycles_observed=0
+        )
+        document = profile_chrome_trace(profiler)
+        track = [
+            (event["ts"], event["args"])
+            for event in document["traceEvents"]
+            if event["ph"] == "C"
+        ]
+        assert track == _counter_track_oracle(timelines)

@@ -1,6 +1,7 @@
 """Unit tests for the metrics registry (counters, gauges, histograms)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -61,6 +62,63 @@ class TestHistogram:
         h.observe_many([1, 2, 3], who="a")
         assert h.count(who="a") == 3
         assert h.count(who="b") == 0
+
+
+_values = st.lists(
+    st.one_of(
+        st.integers(min_value=-(2**60), max_value=2**60),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    max_size=40,
+)
+
+
+class TestObserveManyProperty:
+    """``observe_many`` resolves its label key once; it must still be
+    exactly the per-value ``observe`` loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        batches=st.lists(
+            st.tuples(st.sampled_from(["a", "b"]), _values), max_size=4
+        ),
+        buckets=st.lists(
+            st.integers(min_value=-50, max_value=200), min_size=1, max_size=6
+        ),
+    )
+    def test_equals_per_value_loop(self, batches, buckets):
+        bounds = tuple(float(b) for b in buckets)
+        batched = Histogram("h", "", ("who",), buckets=bounds)
+        looped = Histogram("h", "", ("who",), buckets=bounds)
+        for who, values in batches:
+            batched.observe_many(values, who=who)
+            for value in values:
+                looped.observe(value, who=who)
+        assert [
+            (key, state.counts, state.total, state.sum)
+            for key, state in batched.samples()
+        ] == [
+            (key, state.counts, state.total, state.sum)
+            for key, state in looped.samples()
+        ]
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=_values, wrong=st.sampled_from([{}, {"bram": "x"},
+                                                   {"who": "a", "port": "A"}]))
+    def test_wrong_label_set_raises(self, values, wrong):
+        h = Histogram("h", "", ("who",))
+        with pytest.raises(ValueError):
+            h.observe_many(values, **wrong)
+        assert h.samples() == []
+
+    def test_empty_values_leave_registry_unchanged(self):
+        reg = MetricsRegistry()
+        h = reg.histogram("wait", "waits", labels=("p",))
+        before = (reg.render_prometheus(), reg.to_dict())
+        h.observe_many([], p="C")
+        h.observe_many(iter(()), p="C")
+        assert (reg.render_prometheus(), reg.to_dict()) == before
+        assert h.samples() == []
 
 
 class TestRegistry:
