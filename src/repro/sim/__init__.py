@@ -1,8 +1,9 @@
 """Cycle-accurate simulation of synthesized designs.
 
 * :mod:`~repro.sim.kernel` — the two-phase clocked simulation kernel;
-* :mod:`~repro.sim.wheel` — the event-wheel fast kernel (cycle-equivalent,
-  idle stretches skipped via the components' ``next_wake`` contract);
+* :mod:`~repro.sim.wheel` — the ``wheel`` fast kernel (cycle-equivalent,
+  idle stretches skipped to the earliest wake the components report
+  through their ``next_wake`` contract);
 * :mod:`~repro.sim.executor` — FSM thread interpreters with exact 32-bit
   arithmetic and interface models;
 * :mod:`~repro.sim.vcd` — VCD trace writing for waveform inspection;
@@ -20,7 +21,7 @@ from .executor import (
     to_unsigned,
 )
 from .kernel import SimulationKernel, SimulationResult
-from .wheel import FastKernel, TimingWheel
+from .wheel import FastKernel
 from .probes import (
     ConsumerLatencyProbe,
     ConsumerLatencySummary,
@@ -41,7 +42,6 @@ __all__ = [
     "SimulationKernel",
     "SimulationResult",
     "FastKernel",
-    "TimingWheel",
     "ConsumerLatencyProbe",
     "ConsumerLatencySummary",
     "ThroughputProbe",

@@ -1,9 +1,9 @@
 """Compiled per-design simulation backend.
 
 Specializes each compiled design into one generated straight-line
-Python tick function (``exec``-compiled once per design, cached
-in-process by content hash), proven byte-for-byte cycle-equivalent to
-the reference kernel by ``tests/differential/``.  See
+Python tick function (compiled once per distinct generated source and
+cached in-process under its sha256), proven byte-for-byte
+cycle-equivalent to the reference kernel by ``tests/differential/``.  See
 ``docs/simulation_kernels.md`` for when to pick it.
 """
 
@@ -12,25 +12,21 @@ from .cache import (
     cache_size,
     clear_cache,
     compile_program,
-    design_fingerprint,
     generation_count,
 )
-from .codegen import CODEGEN_VERSION, UnsupportedDesign, generate_source
-from .exprgen import ExprCompiler, UnsupportedExpression, canonical
+from .codegen import UnsupportedDesign, generate_source
+from .exprgen import ExprCompiler, UnsupportedExpression
 from .kernel import CompiledKernel
 
 __all__ = [
-    "CODEGEN_VERSION",
     "CompiledKernel",
     "CompiledProgram",
     "ExprCompiler",
     "UnsupportedDesign",
     "UnsupportedExpression",
     "cache_size",
-    "canonical",
     "clear_cache",
     "compile_program",
-    "design_fingerprint",
     "generate_source",
     "generation_count",
 ]

@@ -1,25 +1,23 @@
-"""In-process codegen cache: content hash of (design IR, codegen knobs).
+"""In-process codegen cache, keyed by the generated source itself.
 
-``compile_program`` is the subsystem's front door: it fingerprints the
-design, serves a cached :class:`CompiledProgram` when one exists, and
-otherwise generates + ``exec``-compiles the specialized tick module.
-Repeated ``build_simulation`` calls on an identical design — the shape
-of every campaign sweep and DSE run — pay codegen exactly once per
-process; ``generation_count()`` exposes the miss counter so tests can
-assert the second build was a hit.
+``compile_program`` is the subsystem's front door: it generates the
+design's tick module, serves the cached :class:`CompiledProgram` when
+that exact source was compiled before, and otherwise ``compile()``s it.
+Generation is the cheap half of codegen and ``compile()`` the dear one,
+so repeated ``build_simulation`` calls on an identical design — the
+shape of every campaign sweep and DSE run — compile once per process;
+``generation_count()`` counts the programs compiled (the cache misses)
+so tests can assert the second build was a hit.
 
-The fingerprint hashes precisely the inputs :mod:`.codegen` consumes
-(plus :data:`~.codegen.CODEGEN_VERSION`): FSM structure with canonical
-expression forms, organization, controller name set, arbiter client
-lists, static dependency-list configuration, interfaces, and the
-message-variable placements.  Two designs with equal fingerprints
-compile to byte-identical tick modules, so sharing the program between
-them is sound — the generated ``bind`` re-asserts the runtime objects
-match the static assumptions anyway, and refuses to bind on drift.
+The key is the sha256 of the generated source, so two designs share a
+program exactly when they generate the same module, and a stale hit is
+impossible by construction.  The generated ``bind`` still re-asserts
+that the runtime objects match its static assumptions, and refuses to
+bind on drift.
 
-Designs the generator cannot handle are cached too (as unsupported,
-with the reason), so a campaign over an exotic design does not retry
-codegen on every run.
+A design the generator cannot handle raises
+:class:`~.codegen.UnsupportedDesign` from every call; the refusal is not
+cached, since generating is cheap.
 """
 
 from __future__ import annotations
@@ -27,128 +25,43 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from ...synth.fsm import (
-    ComputeOp,
-    MemReadOp,
-    MemWriteOp,
-    ReceiveOp,
-    TransmitOp,
-)
-from .codegen import CODEGEN_VERSION, UnsupportedDesign, generate_source
-from .exprgen import canonical
+from .codegen import generate_source
 
 
 @dataclass(frozen=True)
 class CompiledProgram:
     """One cached codegen result (shared by every kernel instance built
-    from an identically-fingerprinted design)."""
+    from a design that generates the same source)."""
 
     digest: str
     source: str
     code: object  # the compiled module code object, ready to exec
-    supported: bool
-    reason: str = ""
 
 
 _CACHE: dict[str, CompiledProgram] = {}
 _GENERATION_COUNT = 0
 
 
-def _serialize_op(op) -> str:
-    if isinstance(op, ComputeOp):
-        return f"compute {op.dest} {canonical(op.expr)}"
-    if isinstance(op, MemReadOp):
-        offset = "-" if op.offset_expr is None else canonical(op.offset_expr)
-        return (
-            f"read {op.bram} {op.base_address} {op.dest} {offset} "
-            f"{op.port} {op.dep_id}"
-        )
-    if isinstance(op, MemWriteOp):
-        offset = "-" if op.offset_expr is None else canonical(op.offset_expr)
-        return (
-            f"write {op.bram} {op.base_address} {canonical(op.value_expr)} "
-            f"{offset} {op.port} {op.dep_id}"
-        )
-    if isinstance(op, ReceiveOp):
-        return f"receive {op.target} {op.interface}"
-    if isinstance(op, TransmitOp):
-        return f"transmit {op.source} {op.interface}"
-    return f"op {type(op).__name__}"
-
-
-def design_fingerprint(design) -> str:
-    """Stable content hash of everything the code generator consumes."""
-    parts: list[str] = [
-        f"codegen {CODEGEN_VERSION}",
-        f"organization {design.organization.name}",
-        f"fabric {design.fabric is not None}",
-        f"brams {sorted(design.memory_map.bram_names)}",
-        f"offchip {sorted(design.memory_map.offchip_names)}",
-        f"fifo {sorted(design.memory_map.fifo_names)}",
-        f"interfaces {sorted(design.checked.interfaces)}",
-    ]
-    message_vars: set[tuple[str, str]] = set()
-    for thread in sorted(design.fsms):
-        fsm = design.fsms[thread]
-        parts.append(f"thread {thread} initial {fsm.initial}")
-        for state_name, state in fsm.states.items():
-            parts.append(f"state {state_name}")
-            for op in state.ops:
-                parts.append(_serialize_op(op))
-                if isinstance(op, ReceiveOp):
-                    message_vars.add((thread, op.target))
-                elif isinstance(op, TransmitOp):
-                    message_vars.add((thread, op.source))
-            for transition in state.transitions:
-                guard = (
-                    "-" if transition.guard is None
-                    else canonical(transition.guard)
-                )
-                parts.append(f"goto {transition.target} if {guard}")
-    for key in sorted(message_vars):
-        placement = design.memory_map.placements.get(key)
-        if placement is None:
-            parts.append(f"var {key} unplaced")
-        else:
-            parts.append(
-                f"var {key} {placement.residency.name} "
-                f"{placement.bram} {placement.base_address}"
-            )
-    for bram in sorted(design.deplists):
-        deplist = design.deplists[bram]
-        parts.append(f"deplist {bram}")
-        for entry in deplist.entries:
-            parts.append(
-                f"dep {entry.dep_id} {entry.dependency_number} "
-                f"{entry.base_address} {entry.producer_thread} "
-                f"{tuple(entry.consumer_threads)}"
-            )
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
-
-
 def compile_program(design) -> CompiledProgram:
-    """The cached codegen pipeline: fingerprint, generate, compile."""
+    """The cached codegen pipeline: generate, hash, compile on a miss.
+
+    Raises :class:`~.codegen.UnsupportedDesign` when the design has no
+    compiled equivalent.
+    """
     global _GENERATION_COUNT
-    digest = design_fingerprint(design)
+    source = generate_source(design)
+    digest = hashlib.sha256(source.encode()).hexdigest()
     program = _CACHE.get(digest)
-    if program is not None:
-        return program
-    _GENERATION_COUNT += 1
-    try:
-        source = generate_source(design, digest)
+    if program is None:
+        _GENERATION_COUNT += 1
         code = compile(source, f"<compiled-sim {digest[:16]}>", "exec")
-        program = CompiledProgram(digest, source, code, supported=True)
-    except UnsupportedDesign as exc:
-        program = CompiledProgram(
-            digest, "", None, supported=False, reason=str(exc)
-        )
-    _CACHE[digest] = program
+        program = _CACHE[digest] = CompiledProgram(digest, source, code)
     return program
 
 
 def generation_count() -> int:
-    """How many designs have gone through actual code generation (cache
-    misses) in this process — the codegen-cache test observable."""
+    """How many programs have been compiled (cache misses) in this
+    process — the codegen-cache test observable."""
     return _GENERATION_COUNT
 
 

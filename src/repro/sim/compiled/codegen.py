@@ -31,8 +31,8 @@ inlined (flat request tuples, list-indexed guard counters).
 
 Designs using constructs with no compiled equivalent (unevaluable
 expressions, non-BRAM message placements, out-of-range static
-addresses) raise :class:`UnsupportedDesign`; the kernel then falls back
-to the interpreter permanently, which is always correct.
+addresses) raise :class:`UnsupportedDesign`; the kernel then runs on
+its base class, the wheel, which is always correct.
 """
 
 from __future__ import annotations
@@ -48,11 +48,6 @@ from ...synth.fsm import (
     TransmitOp,
 )
 from .exprgen import ExprCompiler, UnsupportedExpression
-
-#: Bump whenever the generated code's shape or semantics change: the
-#: version participates in the design fingerprint, so stale in-process
-#: cache entries can never serve a new codegen scheme.
-CODEGEN_VERSION = 2
 
 #: Geometry the inline arbitrated path is specialized for (the flow
 #: always builds ``BlockRam(name)`` with these defaults; ``bind``
@@ -214,7 +209,7 @@ class _Codegen:
 
     # -- generation ------------------------------------------------------------------
 
-    def generate(self, digest: str) -> str:
+    def generate(self) -> str:
         self.bind_head.append(f"if sorted(executors) != {self.threads!r}:")
         self.bind_head.append(
             "    raise RuntimeError('executor set drifted from the design')"
@@ -235,7 +230,7 @@ class _Codegen:
         for i, thread in enumerate(self.threads):
             self._emit_thread(i, thread)
 
-        return self._assemble(digest)
+        return self._assemble()
 
     # -- controllers -----------------------------------------------------------------
 
@@ -961,11 +956,10 @@ class _Codegen:
 
     # -- assembly --------------------------------------------------------------------
 
-    def _assemble(self, digest: str) -> str:
+    def _assemble(self) -> str:
         lines: list[str] = []
         lines.append(
-            f'"""Generated tick function (design {digest[:16]}, codegen '
-            f'v{CODEGEN_VERSION}) -- machine-written, do not edit."""'
+            '"""Generated tick function -- machine-written, do not edit."""'
         )
         lines.append(_PRELUDE)
         lines.append("")
@@ -1062,14 +1056,14 @@ class _Codegen:
         return "\n".join(lines)
 
 
-def generate_source(design, digest: str = "") -> str:
+def generate_source(design) -> str:
     """Generate the specialized tick module for ``design``.
 
-    Raises :class:`UnsupportedDesign` (or
-    :class:`~.exprgen.UnsupportedExpression`, a subclass concern the
-    cache layer treats identically) when the design cannot be compiled.
+    Raises :class:`UnsupportedDesign` (an
+    :class:`~.exprgen.UnsupportedExpression` is re-raised as one) when
+    the design cannot be compiled.
     """
     try:
-        return _Codegen(design).generate(digest)
+        return _Codegen(design).generate()
     except UnsupportedExpression as exc:
         raise UnsupportedDesign(str(exc)) from exc

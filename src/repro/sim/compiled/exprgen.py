@@ -36,35 +36,6 @@ class UnsupportedExpression(Exception):
     raise at simulation time too, e.g. an unrewritten field access)."""
 
 
-def canonical(expr) -> str:
-    """Canonical S-expression serialization of ``expr`` — the stable
-    content-hash input for the codegen cache.  Two expressions with the
-    same canonical form compile to the same fragment."""
-    if isinstance(expr, ast.IntLiteral):
-        return f"(i {expr.value})"
-    if isinstance(expr, ast.CharLiteral):
-        return f"(c {expr.value})"
-    if isinstance(expr, ast.BoolLiteral):
-        return f"(b {int(expr.value)})"
-    if isinstance(expr, ast.Name):
-        return f"(n {expr.ident})"
-    if isinstance(expr, ast.Unary):
-        return f"(u{expr.op} {canonical(expr.operand)})"
-    if isinstance(expr, ast.Binary):
-        return f"({expr.op} {canonical(expr.left)} {canonical(expr.right)})"
-    if isinstance(expr, ast.Conditional):
-        return (
-            f"(?: {canonical(expr.cond)} {canonical(expr.then_value)}"
-            f" {canonical(expr.else_value)})"
-        )
-    if isinstance(expr, ast.Call):
-        args = " ".join(canonical(a) for a in expr.args)
-        return f"(call {expr.callee} {args})"
-    # Unevaluable node: still serialize stably so the fingerprint is
-    # well-defined; codegen will reject it separately.
-    return f"(raw {type(expr).__name__})"
-
-
 class ExprCompiler:
     """Compiles one thread's expressions against its env-dict alias.
 

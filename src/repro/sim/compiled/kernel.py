@@ -3,7 +3,7 @@
 :class:`CompiledKernel` is a drop-in :class:`~repro.sim.wheel.FastKernel`
 whose ``run`` executes the design's generated tick function
 (:mod:`.codegen`) for whole spans of cycles, falling back to the
-event-wheel kernel — its base class, unchanged, which still skips
+wheel kernel — its base class, unchanged, which still skips
 provably idle stretches — whenever byte-equivalence cannot be
 guaranteed cheaply:
 
@@ -13,8 +13,9 @@ guaranteed cheaply:
 * a pre-cycle hook is not marked ``mutates_only_rx`` (the traffic
   injector is; a fault injector is not);
 * ``run`` is called with an ``until`` predicate (evaluated per cycle);
-* the design uses a construct codegen rejects, or binding the generated
-  module to the live objects failed a drift assertion.
+* the design uses a construct codegen rejects (generation is retried,
+  and refused again, on every build), or binding the generated module
+  to the live objects failed a drift assertion.
 
 The escape hatch is per-*call*: a campaign can attach a watchdog, run
 on the wheel, detach it, and continue compiled — state is shared because
@@ -24,9 +25,10 @@ records freeze executor state that a generated span rewrites, so they
 are dropped before each span and rebuilt by the wheel as it re-parks.
 
 ``cycles_compiled`` / ``cycles_interpreted`` count where cycles actually
-ran (cycles the wheel skipped count as interpreted), so tests can
-assert the fast path really was taken (differential coverage that
-silently falling back would otherwise fake).
+ran, so tests can assert the fast path really was taken (differential
+coverage that silently falling back would otherwise fake).  The wheel
+counts the rest: ``cycles_interpreted`` is its executed plus skipped
+cycles.
 
 Set ``REPRO_COMPILED_STRICT=1`` to turn silent fallbacks on bind
 failures into hard errors (debugging aid for codegen work).
@@ -38,6 +40,7 @@ import os
 
 from ..wheel import FastKernel
 from .cache import compile_program
+from .codegen import UnsupportedDesign
 
 
 def _controller_untapped(controller) -> bool:
@@ -58,7 +61,7 @@ def _controller_untapped(controller) -> bool:
 
 class CompiledKernel(FastKernel):
     """Runs the generated per-design tick function when it is safe to,
-    and the event-wheel kernel otherwise."""
+    and the wheel kernel otherwise."""
 
     def __init__(self, executors, controllers, design=None):
         super().__init__(executors, controllers)
@@ -66,23 +69,28 @@ class CompiledKernel(FastKernel):
         self.program = None
         self.bind_error: str | None = None
         self._run_span = None
-        #: cycle counters by execution path (observability + tests)
+        #: cycles the generated fast path ran (observability + tests)
         self.cycles_compiled = 0
-        self.cycles_interpreted = 0
-        if design is not None:
+        if design is None:
+            return
+        try:
             self.program = compile_program(design)
-            if self.program.supported:
-                namespace: dict = {}
-                try:
-                    exec(self.program.code, namespace)
-                    self._run_span = namespace["bind"](self)
-                except Exception as exc:  # drift between codegen and runtime
-                    if os.environ.get("REPRO_COMPILED_STRICT"):
-                        raise
-                    self.bind_error = f"{type(exc).__name__}: {exc}"
-                    self._run_span = None
-            else:
-                self.bind_error = self.program.reason
+        except UnsupportedDesign as exc:
+            self.bind_error = str(exc)
+            return
+        namespace: dict = {}
+        try:
+            exec(self.program.code, namespace)
+            self._run_span = namespace["bind"](self)
+        except Exception as exc:  # drift between codegen and runtime
+            if os.environ.get("REPRO_COMPILED_STRICT"):
+                raise
+            self.bind_error = f"{type(exc).__name__}: {exc}"
+
+    @property
+    def cycles_interpreted(self) -> int:
+        """Cycles the wheel escape hatch ran, executed or skipped."""
+        return self.cycles_executed + self.cycles_skipped
 
     # -- fast-path eligibility --------------------------------------------------------
 
@@ -100,14 +108,6 @@ class CompiledKernel(FastKernel):
         )
 
     # -- kernel protocol ---------------------------------------------------------------
-
-    def step(self):
-        self.cycles_interpreted += 1
-        return super().step()
-
-    def _skip_to(self, target: int) -> None:
-        self.cycles_interpreted += target - self.cycle
-        super()._skip_to(target)
 
     def run(self, cycles, until=None, max_wall_seconds=None):
         if cycles > 0 and until is None and self._fast_path_ok():
@@ -128,4 +128,3 @@ class CompiledKernel(FastKernel):
     def reset(self) -> None:
         super().reset()
         self.cycles_compiled = 0
-        self.cycles_interpreted = 0

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ..analysis.usedef import expression_uses
 from ..core.controller import MemRequest, MemResult, MemoryController
 from ..hic import ast
 from ..hic.semantic import CheckedProgram
@@ -35,25 +36,6 @@ from ..synth.fsm import (
 )
 
 MASK32 = (1 << 32) - 1
-
-
-def _free_names(expr: ast.Expr, acc: set) -> set:
-    """Collect register names an expression reads (for park analysis)."""
-    if isinstance(expr, ast.Name):
-        acc.add(expr.ident)
-    elif isinstance(expr, ast.Unary):
-        _free_names(expr.operand, acc)
-    elif isinstance(expr, ast.Binary):
-        _free_names(expr.left, acc)
-        _free_names(expr.right, acc)
-    elif isinstance(expr, ast.Conditional):
-        _free_names(expr.cond, acc)
-        _free_names(expr.then_value, acc)
-        _free_names(expr.else_value, acc)
-    elif isinstance(expr, ast.Call):
-        for arg in expr.args:
-            _free_names(arg, acc)
-    return acc
 
 
 @dataclass
@@ -132,9 +114,7 @@ def _classify_state(state) -> ParkClass:
             for later in state.ops[index:]
             if isinstance(later, ComputeOp)
         }
-        reads: set = set()
-        for expr in exprs:
-            _free_names(expr, reads)
+        reads = set().union(*map(expression_uses, exprs))
         if reads & (later_dests | read_dests):
             return ParkClass(kind=None)
 
@@ -539,46 +519,17 @@ class ThreadExecutor:
             self._park_classes[self.state_name] = park
         return park
 
-    def build_park_requests(self, park: ParkClass) -> tuple:
-        """Rebuild the memory requests a parked "mem" state re-asserts.
+    def park_requests(self, park: ParkClass) -> tuple:
+        """The ``(bram, MemRequest)`` pairs a parked "mem" state
+        re-asserts: the requests the last real :meth:`phase1` submitted.
 
-        Evaluated against the (frozen) register environment, so each
-        rebuilt request equals the one the last real :meth:`phase1`
-        submitted — the park idempotence condition guarantees the
-        address/value expressions are stable while the state holds.
-        :class:`MemRequest` is frozen, so the same objects are safely
-        resubmitted every parked cycle.
+        The park idempotence condition keeps their address/data stable
+        while the state holds, and :class:`MemRequest` is frozen, so the
+        same objects are safely resubmitted every parked cycle.
         """
-        requests = []
-        for op in park.mem_ops:
-            if isinstance(op, MemReadOp):
-                requests.append(
-                    (
-                        op.bram,
-                        MemRequest(
-                            client=self.fsm.thread,
-                            port=self._port_for(op),
-                            address=self._address_of(op),
-                            write=False,
-                            dep_id=op.dep_id,
-                        ),
-                    )
-                )
-            else:
-                requests.append(
-                    (
-                        op.bram,
-                        MemRequest(
-                            client=self.fsm.thread,
-                            port=self._port_for(op),
-                            address=self._address_of(op),
-                            write=True,
-                            data=self.evaluate(op.value_expr),
-                            dep_id=op.dep_id,
-                        ),
-                    )
-                )
-        return tuple(requests)
+        return tuple(
+            (op.bram, self._req_cache[id(op)]) for op in park.mem_ops
+        )
 
     def parked_phase1(
         self, cycle: int, park: ParkClass, requests: tuple

@@ -1,4 +1,4 @@
-"""Event-wheel fast simulation kernel.
+"""The ``wheel`` kernel: cycle-exact simulation that skips idle cycles.
 
 The reference :class:`~repro.sim.kernel.SimulationKernel` ticks every
 component every cycle.  The paper's controllers are *reactive*: an
@@ -16,19 +16,20 @@ cycle-by-cycle execution, which is always correct):
 * **parking** — an executor whose FSM state is provably idempotent
   while held (see :class:`~repro.sim.executor.ParkClass`) stops
   re-interpreting its micro-ops; a parked cycle is a statistics tick
-  plus re-assertion of the frozen memory requests;
+  plus re-assertion of the memory requests the state last submitted;
 * **skipping** — when *every* executor is parked, every controller
   reports quiescence through ``next_wake()``, and every hook bounds its
-  next effect, the kernel jumps straight to the earliest wake scheduled
-  on a hierarchical :class:`TimingWheel`, batch-accounting the skipped
-  cycles (``park_idle`` / ``on_idle_cycles``).
+  next effect, the kernel jumps straight to the earliest reported wake
+  (or the run's final cycle), batch-accounting the skipped cycles
+  (``park_idle`` / ``on_idle_cycles``).
 
 The wake contract (see ``docs/simulation_kernels.md``): a component
 that can change observable state at cycle ``t > now`` without any new
 input must report a wake ``<= t``; a component with no such ``t``
 reports ``None``.  Hooks use ``next_wake(cycle, limit, kernel)``
-(resolved off the hook or its bound instance); any hook without one
-disables skipping entirely.
+(resolved off the hook or its bound instance), where ``limit`` is the
+earliest wake reported so far; any hook without one disables skipping
+entirely.
 
 The run's final cycle is always executed, never skipped, so end-of-run
 snapshot state (blocked ages, pending counts, controller cycle
@@ -46,129 +47,6 @@ from .executor import ParkClass, ThreadExecutor
 from .kernel import SimulationKernel, SimulationResult
 
 
-class TimingWheel:
-    """Hierarchical timing wheel keyed by absolute cycle.
-
-    ``levels`` wheels of ``slot_count`` slots each; level ``L`` slots
-    span ``slot_count ** L`` cycles, so the wheel covers a horizon of
-    ``slot_count ** levels`` cycles from its base.  Scheduling is O(1)
-    (index arithmetic); events beyond the horizon go to an overflow
-    list and cascade in as the base advances — the classic hashed
-    hierarchical wheel.
-    """
-
-    def __init__(self, slot_count: int = 64, levels: int = 3, start: int = 0):
-        if slot_count < 2 or levels < 1:
-            raise ValueError("wheel needs >= 2 slots and >= 1 level")
-        self.slot_count = slot_count
-        self.levels = levels
-        self._base = start
-        self._slots: list[list[list[tuple[int, object]]]] = [
-            [[] for __ in range(slot_count)] for __ in range(levels)
-        ]
-        self._overflow: list[tuple[int, object]] = []
-        self._count = 0
-
-    @property
-    def horizon(self) -> int:
-        """Cycles covered from the base before events overflow."""
-        return self.slot_count ** self.levels
-
-    def __len__(self) -> int:
-        return self._count
-
-    def level_of(self, cycle: int) -> int:
-        """The wheel level an event at ``cycle`` currently hashes to
-        (``self.levels`` means the overflow list)."""
-        delta = cycle - self._base
-        span = self.slot_count
-        for level in range(self.levels):
-            if delta < span:
-                return level
-            span *= self.slot_count
-        return self.levels
-
-    def schedule(self, cycle: int, token: object = None) -> None:
-        """Insert an event; O(1)."""
-        if cycle < self._base:
-            raise ValueError(
-                f"cannot schedule cycle {cycle} before wheel base "
-                f"{self._base}"
-            )
-        level = self.level_of(cycle)
-        if level >= self.levels:
-            self._overflow.append((cycle, token))
-        else:
-            span = self.slot_count ** level
-            slot = (cycle // span) % self.slot_count
-            self._slots[level][slot].append((cycle, token))
-        self._count += 1
-
-    def earliest(self) -> Optional[int]:
-        """The earliest scheduled cycle, or ``None`` if empty."""
-        best: Optional[int] = None
-        for level in self._slots:
-            for slot in level:
-                for cycle, __ in slot:
-                    if best is None or cycle < best:
-                        best = cycle
-        for cycle, __ in self._overflow:
-            if best is None or cycle < best:
-                best = cycle
-        return best
-
-    def advance(self, to_cycle: int) -> None:
-        """Move the base forward, cascading events into finer levels."""
-        if to_cycle < self._base:
-            raise ValueError("the wheel does not run backwards")
-        pending: list[tuple[int, object]] = []
-        for level in self._slots:
-            for slot in level:
-                pending.extend(slot)
-                slot.clear()
-        pending.extend(self._overflow)
-        self._overflow.clear()
-        self._base = to_cycle
-        self._count = 0
-        for cycle, token in pending:
-            if cycle < to_cycle:
-                raise ValueError(
-                    f"event at cycle {cycle} would be dropped by "
-                    f"advancing to {to_cycle}"
-                )
-            self.schedule(cycle, token)
-
-    def pop_due(self, now: int) -> list[object]:
-        """Remove and return tokens of all events at cycles ``<= now``."""
-        due: list[object] = []
-        for level in self._slots:
-            for slot in level:
-                keep = []
-                for cycle, token in slot:
-                    if cycle <= now:
-                        due.append(token)
-                    else:
-                        keep.append((cycle, token))
-                slot[:] = keep
-        keep = []
-        for cycle, token in self._overflow:
-            if cycle <= now:
-                due.append(token)
-            else:
-                keep.append((cycle, token))
-        self._overflow = keep
-        self._count -= len(due)
-        return due
-
-    def clear(self, base: int = 0) -> None:
-        for level in self._slots:
-            for slot in level:
-                slot.clear()
-        self._overflow.clear()
-        self._base = base
-        self._count = 0
-
-
 @dataclass
 class _Park:
     """Runtime record of one parked executor."""
@@ -181,7 +59,7 @@ class _Park:
 
 
 class FastKernel(SimulationKernel):
-    """Event-wheel kernel: cycle-equivalent, idle stretches skipped.
+    """The ``wheel`` kernel: cycle-equivalent, idle stretches skipped.
 
     :meth:`step` still executes exactly one real cycle (external
     single-stepping stays exact); the skipping happens inside
@@ -198,7 +76,6 @@ class FastKernel(SimulationKernel):
         #: introspection counters (benchmarks and tests read these)
         self.cycles_executed = 0
         self.cycles_skipped = 0
-        self.wheel = TimingWheel()
         self._parked: dict[str, _Park] = {}
         self._named_order = [
             (name, executors[name]) for name in sorted(executors)
@@ -269,7 +146,7 @@ class FastKernel(SimulationKernel):
             return
         elif kind == "mem":
             self._parked[name] = _Park(
-                park=park, requests=executor.build_park_requests(park)
+                park=park, requests=executor.park_requests(park)
             )
         else:  # recv
             rx = tuple(
@@ -328,9 +205,7 @@ class FastKernel(SimulationKernel):
             return None
 
         now = self.cycle - 1
-        wheel = self.wheel
-        wheel.clear(base=self.cycle)
-        wheel.schedule(last_cycle)
+        target = last_cycle
         for __, controller in self._controller_order:
             wake_fn = getattr(controller, "next_wake", None)
             if wake_fn is None:
@@ -339,21 +214,14 @@ class FastKernel(SimulationKernel):
             if wake is not None:
                 if wake <= now:  # pragma: no cover - contract violation
                     return None
-                if wake < last_cycle:
-                    wheel.schedule(wake)
-        limit = wheel.earliest()
+                target = min(target, wake)
         for waker in wakers:
-            wake = waker(now, limit, self)
+            wake = waker(now, target, self)
             if wake is not None:
                 if wake <= now:  # pragma: no cover - contract violation
                     return None
-                if wake < limit:
-                    wheel.schedule(wake)
-                    limit = min(limit, wake)
-        target = wheel.earliest()
-        if target is None or target <= self.cycle:
-            return None
-        return target
+                target = min(target, wake)
+        return target if target > self.cycle else None
 
     def _skip_to(self, target: int) -> None:
         """Batch-account the provably idle cycles ``self.cycle ..
@@ -380,18 +248,15 @@ class FastKernel(SimulationKernel):
         last_cycle = end - 1
         while self.cycle < end:
             self.step()
+            if until is not None and until(self):
+                break
             if deadline is not None and time.monotonic() >= deadline:
                 self._raise_wall_timeout(max_wall_seconds)
-            if until is not None:
-                # Per-cycle predicates may inspect any state: never skip.
-                if until(self):
-                    break
-                continue
-            if self.cycle >= end:
-                break
-            target = self._skip_target(last_cycle)
-            if target is not None and target > self.cycle:
-                self._skip_to(target)
+            # Per-cycle predicates may inspect any state: never skip.
+            if until is None and self.cycle < end:
+                target = self._skip_target(last_cycle)
+                if target is not None:
+                    self._skip_to(target)
         return self._result()
 
     def reset(self) -> None:
@@ -399,4 +264,3 @@ class FastKernel(SimulationKernel):
         self._parked.clear()
         self.cycles_executed = 0
         self.cycles_skipped = 0
-        self.wheel.clear()

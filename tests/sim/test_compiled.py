@@ -1,12 +1,14 @@
-"""Unit coverage for the compiled backend: cache, fallback, fingerprint.
+"""Unit coverage for the compiled backend: cache, cache key, fallback.
 
 The differential suite proves the generated code's *semantics*; these
-tests pin the subsystem's plumbing — the in-process codegen cache
-(including the issue's acceptance criterion that a second
-``build_simulation`` of an identical design is a cache hit), the
-unsupported-design and bind-failure fallbacks, and fingerprint
-sensitivity to the inputs codegen consumes.
+tests pin the subsystem's plumbing — the in-process codegen cache (a
+second ``build_simulation`` of an identical design is a cache hit), its
+key (the generated source: deterministic for one design, distinct for
+designs that differ), and the unsupported-design and bind-failure
+fallbacks.
 """
+
+import hashlib
 
 import pytest
 
@@ -17,14 +19,17 @@ from repro.net import (
     forwarding_functions,
     forwarding_source,
 )
+from repro.scenarios import catalog
 from repro.sim.compiled import (
     CompiledKernel,
+    UnsupportedDesign,
     cache_size,
     clear_cache,
     compile_program,
-    design_fingerprint,
+    generate_source,
     generation_count,
 )
+from repro.sim.compiled import cache as cache_module
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
@@ -75,24 +80,73 @@ class TestCodegenCache:
         assert first is second
 
 
-class TestFingerprint:
-    def test_fingerprint_is_deterministic(self):
-        assert design_fingerprint(_design()) == design_fingerprint(_design())
+def _scenario(name, synthesis):
+    scenario = catalog.get_scenario(name)
+    return scenario.source, {
+        "name": scenario.name,
+        "channel_synthesis": synthesis,
+    }
 
-    def test_fingerprint_tracks_thread_count(self):
-        two = compile_design(forwarding_source(2))
-        four = compile_design(forwarding_source(4))
-        assert design_fingerprint(two) != design_fingerprint(four)
 
-    def test_fingerprint_tracks_fabric(self):
-        flat = _design()
-        banked = _design(num_banks=4)
-        assert design_fingerprint(flat) != design_fingerprint(banked)
+#: Designs by test id, as ``(source, compile_design options)``.
+DESIGNS = {
+    **{f"forwarding{n}": (forwarding_source(n), {}) for n in (2, 4, 8)},
+    **{
+        organization.value: (
+            forwarding_source(2),
+            {"organization": organization},
+        )
+        for organization in Organization
+    },
+    "banks4": (forwarding_source(2), {"num_banks": 4}),
+    **{
+        f"{name}-{synthesis}": _scenario(name, synthesis)
+        for name in catalog.SCENARIO_NAMES
+        for synthesis in ("guarded", "fifo")
+    },
+}
 
-    def test_fingerprint_tracks_organization(self):
-        arb = _design(organization=Organization.ARBITRATED)
-        lock = _design(organization=Organization.LOCK_BASELINE)
-        assert design_fingerprint(arb) != design_fingerprint(lock)
+
+def _compile(design_id):
+    source, options = DESIGNS[design_id]
+    return compile_design(source, **options)
+
+
+class TestCacheKey:
+    """The cache key is the sha256 of the generated source."""
+
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_independent_compiles_generate_identical_source(self, design):
+        first, second = _compile(design), _compile(design)
+        assert first is not second
+        assert generate_source(first) == generate_source(second)
+        before = generation_count()
+        assert compile_program(first) is compile_program(second)
+        assert generation_count() == before + 1
+
+    @pytest.mark.parametrize(
+        "one, other",
+        [
+            ("forwarding2", "forwarding4"),
+            ("arbitrated", "lock_baseline"),
+            ("arbitrated", "event_driven"),
+            ("forwarding2", "banks4"),
+        ],
+    )
+    def test_different_designs_get_distinct_programs(self, one, other):
+        before = generation_count()
+        first = compile_program(_compile(one))
+        second = compile_program(_compile(other))
+        assert first.digest != second.digest
+        assert first.source != second.source
+        assert generation_count() == before + 2
+        assert cache_size() == 2
+
+    def test_digest_is_the_hash_of_the_source(self):
+        program = compile_program(_design())
+        assert program.digest == hashlib.sha256(
+            program.source.encode()
+        ).hexdigest()
 
 
 class TestFallback:
@@ -106,39 +160,40 @@ class TestFallback:
     def test_unsupported_program_reports_reason_and_interprets(
         self, monkeypatch
     ):
-        from repro.sim.compiled import cache as cache_module
-        from repro.sim.compiled.codegen import UnsupportedDesign
+        refusals = []
 
-        def refuse(design, digest=""):
+        def refuse(design):
+            refusals.append(design)
             raise UnsupportedDesign("synthetic: no compiled equivalent")
 
         monkeypatch.setattr(cache_module, "generate_source", refuse)
         design = _design()
-        program = compile_program(design)
-        assert not program.supported
-        assert "synthetic" in program.reason
-        # the unsupported verdict is cached, not retried per build
         before = generation_count()
-        sim = build_simulation(design, kernel="compiled")
+        with pytest.raises(UnsupportedDesign, match="synthetic"):
+            compile_program(design)
+        # the refusal is not cached: every build generates, is refused
+        # again, compiles nothing and runs on the wheel
+        for build in (1, 2):
+            sim = build_simulation(design, kernel="compiled")
+            kernel = sim.kernel
+            assert len(refusals) == 1 + build
+            assert kernel.program is None
+            assert kernel.bind_error == "synthetic: no compiled equivalent"
+            sim.run(20)
+            assert kernel.cycles_interpreted == 20
+            assert kernel.cycles_compiled == 0
         assert generation_count() == before
-        kernel = sim.kernel
-        assert kernel.bind_error == program.reason
-        sim.run(20)
-        assert kernel.cycles_interpreted == 20
-        assert kernel.cycles_compiled == 0
+        assert cache_size() == 0
 
     def test_bind_failure_falls_back_silently(self, monkeypatch):
         design = _design()
         program = compile_program(design)
         broken = compile("def bind(kernel):\n    raise RuntimeError('drift')\n",
                          "<broken>", "exec")
-        from repro.sim.compiled import cache as cache_module
         monkeypatch.setitem(
             cache_module._CACHE,
             program.digest,
-            type(program)(
-                program.digest, program.source, broken, supported=True
-            ),
+            type(program)(program.digest, program.source, broken),
         )
         sim = build_simulation(design, kernel="compiled")
         assert sim.kernel.bind_error == "RuntimeError: drift"
@@ -150,13 +205,10 @@ class TestFallback:
         program = compile_program(design)
         broken = compile("def bind(kernel):\n    raise RuntimeError('drift')\n",
                          "<broken>", "exec")
-        from repro.sim.compiled import cache as cache_module
         monkeypatch.setitem(
             cache_module._CACHE,
             program.digest,
-            type(program)(
-                program.digest, program.source, broken, supported=True
-            ),
+            type(program)(program.digest, program.source, broken),
         )
         monkeypatch.setenv("REPRO_COMPILED_STRICT", "1")
         with pytest.raises(RuntimeError, match="drift"):

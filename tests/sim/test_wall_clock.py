@@ -1,4 +1,4 @@
-"""The ``max_wall_seconds`` livelock valve on both simulation kernels.
+"""The ``max_wall_seconds`` livelock valve on the simulation kernels.
 
 The in-process complement of the campaign engine's worker-kill timeout:
 a run whose cycles keep executing but never finish must surface as a
@@ -9,7 +9,7 @@ silent hang (see ``docs/campaign.md``).
 import pytest
 
 from repro.core import ControllerError, Organization, SimulationTimeout
-from repro.flow import build_simulation, compile_design
+from repro.flow import SIMULATION_KERNELS, build_simulation, compile_design
 
 from ..conftest import FIGURE1_SOURCE
 
@@ -56,3 +56,27 @@ class TestWallClockValve:
     def test_default_is_unbounded(self, simulation):
         simulation.kernel.reset()
         simulation.run(50)  # no budget: must not raise
+
+
+@pytest.mark.parametrize("kernel", SIMULATION_KERNELS)
+class TestUntilBeforeBudget:
+    """Every kernel checks ``until`` before the wall-clock budget, as the
+    reference does: the cycle that satisfied the predicate ended the run,
+    so a budget that ran out during it has nothing left to stop."""
+
+    def test_satisfied_until_returns_instead_of_timing_out(self, kernel):
+        design = compile_design(
+            FIGURE1_SOURCE, organization=Organization.ARBITRATED
+        )
+        sim = build_simulation(design, kernel=kernel)
+        result = sim.run(10, until=lambda k: True, max_wall_seconds=0)
+        assert result.cycles_run == 1
+
+    def test_unsatisfied_until_still_times_out(self, kernel):
+        design = compile_design(
+            FIGURE1_SOURCE, organization=Organization.ARBITRATED
+        )
+        sim = build_simulation(design, kernel=kernel)
+        with pytest.raises(SimulationTimeout) as excinfo:
+            sim.run(10, until=lambda k: False, max_wall_seconds=0)
+        assert excinfo.value.cycle == 1

@@ -1,12 +1,11 @@
-"""Unit tests for the timing wheel and the fast kernel's skip machinery.
+"""Unit tests for the fast kernel's skip machinery.
 
 The cycle-equivalence of :class:`FastKernel` against the reference
-kernel is covered end-to-end by ``tests/differential/``; this module
-tests the wheel data structure itself and the kernel-level mechanics
-(parking counters, final-cycle rule, ``until`` handling, reset).
+kernel is covered end-to-end by ``tests/differential/``, and its exact
+skip schedule on realistic runs by ``test_skip_schedule.py``; this
+module tests the kernel-level mechanics (parking counters, final-cycle
+rule, ``until`` handling, reset).
 """
-
-import pytest
 
 from repro.core import ArbitratedController
 from repro.flow import build_simulation, compile_design
@@ -17,85 +16,7 @@ from repro.net import (
     forwarding_functions,
     forwarding_source,
 )
-from repro.sim import FastKernel, TimingWheel
-
-
-class TestTimingWheel:
-    def test_validates_geometry(self):
-        with pytest.raises(ValueError):
-            TimingWheel(slot_count=1)
-        with pytest.raises(ValueError):
-            TimingWheel(levels=0)
-
-    def test_horizon(self):
-        assert TimingWheel(slot_count=64, levels=3).horizon == 64**3
-        assert TimingWheel(slot_count=4, levels=2).horizon == 16
-
-    def test_schedule_and_earliest(self):
-        wheel = TimingWheel(slot_count=8, levels=2)
-        assert wheel.earliest() is None
-        wheel.schedule(12, "a")
-        wheel.schedule(5, "b")
-        wheel.schedule(40, "c")
-        assert len(wheel) == 3
-        assert wheel.earliest() == 5
-
-    def test_level_of_hashes_by_distance(self):
-        wheel = TimingWheel(slot_count=8, levels=2)
-        assert wheel.level_of(3) == 0  # within the first 8 cycles
-        assert wheel.level_of(20) == 1  # within 8**2
-        assert wheel.level_of(100) == 2  # beyond the horizon: overflow
-
-    def test_overflow_beyond_horizon(self):
-        wheel = TimingWheel(slot_count=4, levels=2)
-        wheel.schedule(1000, "far")
-        assert len(wheel) == 1
-        assert wheel.earliest() == 1000
-
-    def test_cannot_schedule_in_the_past(self):
-        wheel = TimingWheel(slot_count=8, levels=2, start=10)
-        with pytest.raises(ValueError):
-            wheel.schedule(9)
-
-    def test_advance_cascades_to_finer_levels(self):
-        wheel = TimingWheel(slot_count=4, levels=3)
-        wheel.schedule(60, "x")  # level 2 from base 0
-        assert wheel.level_of(60) == 2
-        wheel.advance(58)
-        # Now only 2 cycles away: must have cascaded to level 0.
-        assert wheel.level_of(60) == 0
-        assert wheel.earliest() == 60
-        assert len(wheel) == 1
-
-    def test_advance_refuses_to_drop_events(self):
-        wheel = TimingWheel(slot_count=8, levels=2)
-        wheel.schedule(5, "due")
-        with pytest.raises(ValueError):
-            wheel.advance(6)
-        with pytest.raises(ValueError):
-            wheel.advance(-1)  # backwards
-
-    def test_pop_due(self):
-        wheel = TimingWheel(slot_count=8, levels=2)
-        wheel.schedule(3, "a")
-        wheel.schedule(7, "b")
-        wheel.schedule(30, "c")
-        assert sorted(wheel.pop_due(7)) == ["a", "b"]
-        assert len(wheel) == 1
-        assert wheel.pop_due(7) == []
-        assert wheel.pop_due(30) == ["c"]
-        assert len(wheel) == 0
-
-    def test_clear_rebases(self):
-        wheel = TimingWheel(slot_count=8, levels=2)
-        wheel.schedule(3)
-        wheel.clear(base=100)
-        assert len(wheel) == 0
-        assert wheel.earliest() is None
-        with pytest.raises(ValueError):
-            wheel.schedule(99)
-        wheel.schedule(100)
-        assert wheel.earliest() == 100
+from repro.sim import FastKernel
 
 
 def make_idle_kernel():
@@ -176,29 +97,6 @@ class TestFastKernelMechanics:
 
 
 class TestWheelHorizonEdges:
-    def test_schedule_exactly_at_horizon_overflows(self):
-        # ``horizon`` cycles from the base are covered; an event exactly
-        # *at* ``base + horizon`` is the first one that is not, so it
-        # must take the overflow list — and still be found by earliest().
-        wheel = TimingWheel(slot_count=4, levels=2)
-        assert wheel.horizon == 16
-        wheel.schedule(15, "in")  # last in-horizon cycle
-        wheel.schedule(16, "at")  # exactly at the horizon
-        assert wheel.level_of(15) == 1
-        assert wheel.level_of(16) == 2  # == levels: the overflow list
-        assert wheel.earliest() == 15
-        assert len(wheel) == 2
-
-    def test_advance_cascades_horizon_event_in(self):
-        wheel = TimingWheel(slot_count=4, levels=2)
-        wheel.schedule(16, "at")
-        wheel.advance(1)  # now 15 cycles away: inside the horizon
-        assert wheel.level_of(16) == 1
-        wheel.advance(13)  # 3 away: finest level
-        assert wheel.level_of(16) == 0
-        assert wheel.pop_due(16) == ["at"]
-        assert len(wheel) == 0
-
     def test_wake_exactly_at_the_run_horizon(self):
         """A wake landing exactly on the run's final cycle: the skip
         jumps straight to it, and the final-cycle rule executes it (the
