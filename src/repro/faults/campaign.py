@@ -410,6 +410,10 @@ def _trace_rounds(sim) -> dict[str, list[tuple]]:
                     tuple(sorted((executor.last_round_env or {}).items()))
                 )
 
+    # Round counters move only on executed cycles (a skipped cycle is a
+    # parked, advance-free one), so the recorder never needs a cycle of
+    # its own and leaves idle skipping on.
+    hook.next_wake = lambda cycle, limit, kernel: None
     sim.kernel.add_post_cycle_hook(hook)
     return histories
 
@@ -423,19 +427,21 @@ def _canonical(value):
     return value
 
 
-def _canonical_history(history) -> dict[str, tuple]:
-    return {name: _canonical(rounds) for name, rounds in history.items()}
-
-
 def _diverged(golden: dict[str, list[tuple]], faulted: dict[str, list[tuple]]) -> bool:
     """True iff any thread's faulted round history contradicts the golden
-    one on their common prefix (shorter-but-consistent = delayed, clean)."""
-    golden = _canonical_history(golden)
-    faulted = _canonical_history(faulted)
+    one on their common prefix (shorter-but-consistent = delayed, clean).
+
+    Equal raw prefixes canonicalize equally, so only a raw mismatch —
+    a real divergence, or lists where tuples were — pays for
+    :func:`_canonical`."""
     for name, golden_rounds in golden.items():
         faulted_rounds = faulted.get(name, [])
         common = min(len(golden_rounds), len(faulted_rounds))
-        if golden_rounds[:common] != faulted_rounds[:common]:
+        golden_prefix = golden_rounds[:common]
+        faulted_prefix = faulted_rounds[:common]
+        if golden_prefix == faulted_prefix:
+            continue
+        if _canonical(golden_prefix) != _canonical(faulted_prefix):
             return True
     return False
 
@@ -487,16 +493,29 @@ def campaign_fingerprint(config: CampaignConfig, source: str) -> str:
     return digest.hexdigest()[:16]
 
 
+#: Designs the golden phase of the campaign now running compiled, keyed
+#: by ``(source, organization)``; :func:`run_one` builds its simulation
+#: from these instead of recompiling.  :func:`run_campaign` fills and
+#: empties it, so the reuse never outlives one campaign: serial runs and
+#: forked workers see it, spawned workers and direct ``run_one`` calls
+#: compile as before.
+_CAMPAIGN_DESIGNS: dict[tuple[str, str], object] = {}
+
+
 def build_run_specs(
     config: CampaignConfig,
     source: str = CAMPAIGN_SOURCE,
     kernel: Optional[str] = None,
+    *,
+    designs: Optional[dict] = None,
 ) -> list[RunSpec]:
     """Flatten the (organization × run) matrix into engine run specs.
 
     The fault-free golden run per organization executes here, once, in
     the orchestrator; its round histories ride along in every payload so
-    workers classify independently.
+    workers classify independently.  ``designs``, if given, receives
+    each organization's compiled design keyed by ``(source,
+    organization)``.
     """
     from ..flow import DEFAULT_KERNEL, build_simulation
 
@@ -508,9 +527,10 @@ def build_run_specs(
     specs: list[RunSpec] = []
     flat = 0
     for org_index, organization in enumerate(config.organizations):
-        golden_sim = build_simulation(
-            _compile(source, organization), kernel=kernel
-        )
+        design = _compile(source, organization)
+        if designs is not None:
+            designs[source, organization] = design
+        golden_sim = build_simulation(design, kernel=kernel)
         golden = _trace_rounds(golden_sim)
         golden_sim.run(config.cycles)
         for index in range(config.runs):
@@ -544,11 +564,15 @@ def run_one(payload: dict) -> dict:
     :class:`RunOutcome` as a JSON-pure dict."""
     from ..flow import DEFAULT_KERNEL, build_simulation
 
-    # Compile per run: faults mutate configuration-time state (the
-    # dependency list), which must not leak across runs.
+    # Faults mutate only the simulation's own state (build_simulation
+    # clones each dependency list), so the golden phase's design serves
+    # every run of its campaign.
+    key = (payload["source"], payload["organization"])
+    design = _CAMPAIGN_DESIGNS.get(key)
+    if design is None:
+        design = _compile(*key)
     sim = build_simulation(
-        _compile(payload["source"], payload["organization"]),
-        kernel=payload.get("kernel") or DEFAULT_KERNEL,
+        design, kernel=payload.get("kernel") or DEFAULT_KERNEL
     )
     surface = FaultSurface.from_simulation(sim)
     rng = random.Random(payload["rng_seed"])
@@ -648,14 +672,19 @@ def run_campaign(
     retry/backoff, and journal checkpoint/resume — the merged report is
     byte-identical either way.
     """
-    specs = build_run_specs(config, source, kernel)
-    campaign_engine = CampaignEngine(
-        run_one,
-        engine or EngineConfig(),
-        fingerprint=campaign_fingerprint(config, source),
-        metrics=metrics,
-    )
-    engine_report = campaign_engine.run(specs)
+    try:
+        specs = build_run_specs(
+            config, source, kernel, designs=_CAMPAIGN_DESIGNS
+        )
+        campaign_engine = CampaignEngine(
+            run_one,
+            engine or EngineConfig(),
+            fingerprint=campaign_fingerprint(config, source),
+            metrics=metrics,
+        )
+        engine_report = campaign_engine.run(specs)
+    finally:
+        _CAMPAIGN_DESIGNS.clear()
     spec_by_index = {spec.index: spec for spec in specs}
     report = CampaignReport(
         config=config,

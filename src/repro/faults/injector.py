@@ -69,6 +69,8 @@ class FaultInjector:
         self.cycle = 0
         self._controllers: dict[str, MemoryController] = {}
         self._replaying = False
+        #: last cycle a :class:`RequestDrop` ate a request (see next_wake)
+        self._dropped_cycle: Optional[int] = None
         self._one_shots = [
             f for f in self.faults if isinstance(f, (SeuBitFlip, DeplistCorruption))
         ]
@@ -168,7 +170,14 @@ class FaultInjector:
         the injector pins the simulation to cycle-by-cycle execution
         until those faults are exhausted — fault semantics must not
         depend on which cycles the kernel chose to execute.
+
+        A dropped request never reached its controller, which therefore
+        cannot report it; its owner re-asserts it next cycle, and once
+        the drop count is spent that request passes.  So the cycle after
+        any drop is a wake too, even with no drop count left.
         """
+        if self._dropped_cycle == cycle:
+            return cycle + 1
         wakes = []
         for fault in self._one_shots:
             if fault.at_cycle > cycle:
@@ -211,6 +220,7 @@ class FaultInjector:
                     and (fault.client is None or fault.client == request.client)
                 ):
                     state.remaining -= 1
+                    self._dropped_cycle = self.cycle
                     self.log.append((self.cycle, fault.describe()))
                     return None
             for state in self._duplicates.values():

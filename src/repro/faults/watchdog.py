@@ -105,7 +105,8 @@ class Watchdog:
     def attach(self, target) -> "Watchdog":
         """Wire into a :class:`repro.flow.Simulation` (or a bare kernel)."""
         kernel = getattr(target, "kernel", target)
-        self._controllers = dict(kernel.controllers)
+        # Sorted once here: both detectors scan in controller-name order.
+        self._controllers = dict(sorted(kernel.controllers.items()))
         kernel.add_post_cycle_hook(self.hook)
         kernel.context["watchdog"] = self
         telemetry = kernel.context.get("telemetry")
@@ -139,8 +140,8 @@ class Watchdog:
         """
         wakes = []
         blocked_anywhere = False
-        for name in sorted(self._controllers):
-            for blocked in self._controllers[name].blocked:
+        for name, controller in self._controllers.items():
+            for blocked in controller.blocked:
                 blocked_anywhere = True
                 token = (name, blocked.request.key, blocked.issue_cycle)
                 if token in self._reported:
@@ -155,8 +156,7 @@ class Watchdog:
         return min(wakes) if wakes else None
 
     def _check_blocked_reads(self, cycle: int) -> None:
-        for name in sorted(self._controllers):
-            controller = self._controllers[name]
+        for name, controller in self._controllers.items():
             for blocked in controller.blocked:
                 if blocked.blocked_cycles < self.read_timeout:
                     continue
@@ -222,16 +222,14 @@ class Watchdog:
             self._deadlock_reported = False
             return
         stalled_cycles = cycle - self._progress_cycle
+        if stalled_cycles < self.deadlock_window or self._deadlock_reported:
+            return
         blocked_anywhere = [
             (name, blocked)
-            for name in sorted(self._controllers)
-            for blocked in self._controllers[name].blocked
+            for name, controller in self._controllers.items()
+            for blocked in controller.blocked
         ]
-        if (
-            stalled_cycles < self.deadlock_window
-            or not blocked_anywhere
-            or self._deadlock_reported
-        ):
+        if not blocked_anywhere:
             return
         self._deadlock_reported = True
         clients = sorted({b.request.client for __, b in blocked_anywhere})

@@ -847,7 +847,11 @@ class _Codegen:
         base = placement.base_address
         k = self._rx_index(op.interface, i)
         fields = list(MESSAGE_FIELDS)
-        lines = [f"if rxq_r{k}:", f"    dlv_r{k} += 1", f"    _m = rxq_r{k}.pop(0)"]
+        lines = [
+            f"if rxq_r{k}:",
+            f"    dlv_r{k} += 1",
+            f"    _m = rxq_r{k}.popleft()",
+        ]
         if self.inline[placement.bram]:
             if not 0 <= base <= _BRAM_DEPTH - len(fields):
                 raise UnsupportedDesign("message placement out of range")

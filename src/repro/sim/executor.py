@@ -17,6 +17,7 @@ hic's combinational functions (``f``, ``g``, ``h``, the forwarding lookup,
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -168,7 +169,7 @@ class RxInterface:
 
     def __init__(self, name: str):
         self.name = name
-        self._queue: list[dict[str, int]] = []
+        self._queue: deque[dict[str, int]] = deque()
         self.delivered = 0
 
     def push(self, message: dict[str, int]) -> None:
@@ -178,7 +179,7 @@ class RxInterface:
         if not self._queue:
             return None
         self.delivered += 1
-        return self._queue.pop(0)
+        return self._queue.popleft()
 
     @property
     def backlog(self) -> int:

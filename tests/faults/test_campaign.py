@@ -10,12 +10,15 @@ from repro.__main__ import main
 from repro.campaign import EngineConfig
 from repro.faults import CampaignConfig, Classification, run_campaign
 from repro.faults.campaign import (
+    _CAMPAIGN_DESIGNS,
     CAMPAIGN_SOURCE,
     CONFIG_DEFAULTS,
     ENGINE_DEFAULTS,
     CampaignReport,
     _diverged,
     _faults_parser,
+    build_run_specs,
+    run_one,
 )
 
 GOLDEN_REPORT = (
@@ -216,6 +219,62 @@ class TestDivergence:
     def test_any_divergent_round_is_corruption(self):
         golden = {"t": [(1,), (2,), (3,)]}
         assert _diverged(golden, {"t": [(1,), (9,)]})
+
+    def test_transported_lists_compare_as_tuples(self):
+        golden = {"t": [(("a", 1),), (("a", 2),)]}
+        assert not _diverged(golden, {"t": [[["a", 1]]]})
+        assert _diverged(golden, {"t": [[["a", 1]], [["a", 9]]]})
+
+
+class TestCampaignExecution:
+    """What a campaign pays for: the golden phase compiles each
+    organization once and its runs reuse the design, and the round
+    recorder leaves idle skipping on."""
+
+    CONFIG = CampaignConfig(
+        seed=1, runs=6, cycles=400, fault_kinds=("producer-stall",)
+    )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro import flow
+
+        calls = {"compiles": 0, "skipped": []}
+        real_compile = flow.compile_design
+        real_run = flow.Simulation.run
+
+        def compile_design(*args, **kwargs):
+            calls["compiles"] += 1
+            return real_compile(*args, **kwargs)
+
+        def run(sim, *args, **kwargs):
+            result = real_run(sim, *args, **kwargs)
+            calls["skipped"].append(sim.kernel.cycles_skipped)
+            return result
+
+        monkeypatch.setattr(flow, "compile_design", compile_design)
+        monkeypatch.setattr(flow.Simulation, "run", run)
+        return calls
+
+    def test_one_compile_per_organization(self, calls):
+        report = run_campaign(self.CONFIG, kernel="wheel")
+        assert len(report.outcomes) == 12
+        assert calls["compiles"] == 2
+        assert not _CAMPAIGN_DESIGNS  # the reuse ends with the campaign
+
+    def test_fault_runs_skip_idle_cycles(self, calls):
+        run_campaign(self.CONFIG, kernel="wheel")
+        fault_runs = calls["skipped"][2:]  # after the two golden runs
+        assert len(fault_runs) == 12
+        assert sum(fault_runs) > 0
+
+    def test_run_one_outside_a_campaign_compiles(self, calls):
+        specs = build_run_specs(self.CONFIG, kernel="wheel")
+        assert calls["compiles"] == 2
+        outcome = run_one(specs[0].payload)
+        assert calls["compiles"] == 3
+        report = run_campaign(self.CONFIG, kernel="wheel")
+        assert outcome == report.outcomes[0].to_json()
 
 
 class TestCli:

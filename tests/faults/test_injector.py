@@ -1,5 +1,7 @@
 """Unit tests for the fault injector, driven over a bare kernel."""
 
+import pytest
+
 from repro.core import ArbitratedController, MemRequest
 from repro.faults import (
     DeplistCorruption,
@@ -190,3 +192,49 @@ class TestSimulationWiring:
         )
         sim.run(5)
         assert injector.log
+
+
+#: Two drop schedules that used to let the skipping kernels jump over
+#: the re-asserted request (at 400 cycles the reference kernel completes
+#: 81/79/79 and 66/66/65 stage rounds; the wheel completed 12/11/10 and
+#: 1/1/0).
+DROP_CASES = {
+    "arbitrated": [RequestDrop(at_cycle=55, count=2)],
+    "event_driven": [
+        RequestDrop(at_cycle=6, client="stage3", count=2),
+        RequestDrop(at_cycle=83, count=3),
+    ],
+}
+
+
+def _drop_run(organization, kernel):
+    from repro.core import Organization
+    from repro.faults.campaign import CAMPAIGN_SOURCE
+    from repro.flow import build_simulation, compile_design
+
+    design = compile_design(
+        CAMPAIGN_SOURCE, organization=Organization(organization)
+    )
+    sim = build_simulation(design, kernel=kernel)
+    injector = sim.inject_faults(DROP_CASES[organization])
+    sim.run(400)
+    assert injector.log  # the drops really happened
+    return (
+        {name: e.stats for name, e in sim.executors.items()},
+        {name: tx.messages for name, tx in sim.tx.items()},
+    )
+
+
+class TestRequestDropAcrossKernels:
+    """A dropped request never reaches its controller, so only the
+    injector knows the parked executor re-asserts it next cycle: the
+    skipping kernels must not jump over that cycle once the drop count
+    is spent.  No campaign round recorder is attached, so nothing else
+    holds the kernel to cycle-by-cycle execution."""
+
+    @pytest.mark.parametrize("kernel", ["wheel", "compiled"])
+    @pytest.mark.parametrize("organization", sorted(DROP_CASES))
+    def test_matches_the_reference_kernel(self, organization, kernel):
+        assert _drop_run(organization, kernel) == _drop_run(
+            organization, "reference"
+        )
