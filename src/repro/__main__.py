@@ -148,8 +148,9 @@ def _compile(args: argparse.Namespace) -> int:
     print(utilization.render())
 
     if args.verilog:
+        verilog = design.verilog()  # may refuse the design's module names
         with open(args.verilog, "w") as handle:
-            handle.write(design.verilog())
+            handle.write(verilog)
         print(f"wrote Verilog to {args.verilog}")
 
     if args.thread_verilog:

@@ -7,8 +7,8 @@ This package implements the front-end analyses the paper relies on:
 * :mod:`~repro.analysis.lifetime` — variable live ranges and memory-size
   analysis;
 * :mod:`~repro.analysis.depgraph` — the inter-thread dependency graph;
-* :mod:`~repro.analysis.memgraph` — the memory access graph and operation
-  order graph that drive memory allocation;
+* :mod:`~repro.analysis.memgraph` — the memory access graph that drives
+  memory allocation, and the operation order graph (built on first read);
 * :mod:`~repro.analysis.deadlock` — static deadlock detection over the
   producer/consumer happens-before relation.
 """

@@ -59,7 +59,7 @@ def _collect_events(checked: CheckedProgram) -> list[Event]:
     events: list[Event] = []
     for thread in checked.program.threads:
         index = 0
-        for node in ast.walk(thread.body):
+        for node in thread.nodes:
             if not isinstance(node, ast.Stmt) or isinstance(node, ast.Block):
                 continue
             if isinstance(node, ast.VarDecl):

@@ -42,15 +42,6 @@ class StatementInfo:
     loop_depth: int = 0
 
 
-def expression_uses(expr: ast.Expr) -> set[str]:
-    """All root variable names read by an expression."""
-    names: set[str] = set()
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Name):
-            names.add(node.ident)
-    return names
-
-
 def target_root(target: ast.LValue) -> str:
     """The root variable written through an assignment target."""
     node: ast.Expr = target
@@ -67,7 +58,7 @@ def target_index_uses(target: ast.LValue) -> set[str]:
     node: ast.Expr = target
     while isinstance(node, (ast.FieldAccess, ast.Index)):
         if isinstance(node, ast.Index):
-            uses |= expression_uses(node.index)
+            uses |= ast.names_read(node.index)
         node = node.base
     return uses
 
@@ -102,40 +93,40 @@ class _Linearizer:
         if isinstance(stmt, ast.VarDecl):
             return
         if isinstance(stmt, ast.Assign):
-            uses = expression_uses(stmt.value) | target_index_uses(stmt.target)
+            uses = ast.names_read(stmt.value) | target_index_uses(stmt.target)
             root = target_root(stmt.target)
             if stmt.op != "=" or isinstance(stmt.target, (ast.Index, ast.FieldAccess)):
                 # Compound assignment and partial writes also read the target.
                 uses.add(root)
             self._emit(stmt, {root}, uses)
         elif isinstance(stmt, ast.ExprStmt):
-            self._emit(stmt, set(), expression_uses(stmt.expr))
+            self._emit(stmt, set(), ast.names_read(stmt.expr))
         elif isinstance(stmt, ast.Block):
             self._block(stmt)
         elif isinstance(stmt, ast.If):
-            self._emit(stmt, set(), expression_uses(stmt.cond))
+            self._emit(stmt, set(), ast.names_read(stmt.cond))
             self._block(stmt.then_body)
             if stmt.else_body is not None:
                 self._block(stmt.else_body)
         elif isinstance(stmt, ast.Case):
-            uses = expression_uses(stmt.selector)
+            uses = ast.names_read(stmt.selector)
             for arm in stmt.arms:
                 for value in arm.values:
-                    uses |= expression_uses(value)
+                    uses |= ast.names_read(value)
             self._emit(stmt, set(), uses)
             for arm in stmt.arms:
                 self._block(arm.body)
             if stmt.default is not None:
                 self._block(stmt.default)
         elif isinstance(stmt, ast.While):
-            self._emit(stmt, set(), expression_uses(stmt.cond))
+            self._emit(stmt, set(), ast.names_read(stmt.cond))
             self._depth += 1
             self._block(stmt.body)
             self._depth -= 1
         elif isinstance(stmt, ast.For):
             if stmt.init is not None:
                 self._stmt(stmt.init)
-            uses = expression_uses(stmt.cond) if stmt.cond is not None else set()
+            uses = ast.names_read(stmt.cond) if stmt.cond is not None else set()
             self._emit(stmt, set(), uses)
             self._depth += 1
             self._block(stmt.body)
@@ -145,9 +136,9 @@ class _Linearizer:
         elif isinstance(stmt, ast.Receive):
             self._emit(stmt, {stmt.target.ident}, set())
         elif isinstance(stmt, ast.Transmit):
-            self._emit(stmt, set(), expression_uses(stmt.source))
+            self._emit(stmt, set(), ast.names_read(stmt.source))
         elif isinstance(stmt, ast.Return):
-            uses = expression_uses(stmt.value) if stmt.value is not None else set()
+            uses = ast.names_read(stmt.value) if stmt.value is not None else set()
             self._emit(stmt, set(), uses)
         elif isinstance(stmt, (ast.Break, ast.Continue)):
             self._emit(stmt, set(), set())

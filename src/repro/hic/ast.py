@@ -13,7 +13,7 @@ them, exactly as in the Figure 1 example of the paper, where
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import SourceLocation
 from .types import HicType
@@ -24,18 +24,36 @@ class Node:
 
     location: SourceLocation
 
-    def children(self) -> Iterator["Node"]:
-        """Iterate direct child nodes (used by generic walkers)."""
-        return iter(())
+    def children(self) -> tuple["Node", ...]:
+        """Direct child nodes in source order (used by generic walkers)."""
+        return ()
 
 
-def walk(node: Node) -> Iterator[Node]:
-    """Depth-first pre-order traversal of an AST subtree."""
+def walk(node: Node) -> list[Node]:
+    """Every node of an AST subtree, depth-first pre-order."""
+    order: list[Node] = []
     stack = [node]
     while stack:
         node = stack.pop()
-        yield node
-        stack.extend(reversed([*node.children()]))
+        order.append(node)
+        children = node.children()
+        if children:
+            stack.extend(reversed(children))
+    return order
+
+
+def names_read(expr: "Expr") -> set[str]:
+    """Every variable name an expression reads, including the arrays it
+    indexes and the messages it takes fields of."""
+    names: set[str] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Name):
+            names.add(node.ident)
+        else:
+            stack.extend(node.children())
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +99,8 @@ class FieldAccess(Expr):
     field_name: str
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        yield self.base
+    def children(self) -> tuple[Node, ...]:
+        return (self.base,)
 
 
 @dataclass
@@ -93,9 +111,8 @@ class Index(Expr):
     index: Expr
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        yield self.base
-        yield self.index
+    def children(self) -> tuple[Node, ...]:
+        return (self.base, self.index)
 
 
 @dataclass
@@ -106,8 +123,8 @@ class Unary(Expr):
     operand: Expr
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        yield self.operand
+    def children(self) -> tuple[Node, ...]:
+        return (self.operand,)
 
 
 @dataclass
@@ -119,9 +136,8 @@ class Binary(Expr):
     right: Expr
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        yield self.left
-        yield self.right
+    def children(self) -> tuple[Node, ...]:
+        return (self.left, self.right)
 
 
 @dataclass
@@ -133,10 +149,8 @@ class Conditional(Expr):
     else_value: Expr
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        yield self.cond
-        yield self.then_value
-        yield self.else_value
+    def children(self) -> tuple[Node, ...]:
+        return (self.cond, self.then_value, self.else_value)
 
 
 @dataclass
@@ -151,8 +165,8 @@ class Call(Expr):
     args: list[Expr]
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        yield from self.args
+    def children(self) -> tuple[Node, ...]:
+        return tuple(self.args)
 
 
 #: Valid assignment targets.
@@ -259,9 +273,8 @@ class Assign(Stmt):
     pragmas: list[DependencyPragma] = field(default_factory=list)
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        yield self.target
-        yield self.value
+    def children(self) -> tuple[Node, ...]:
+        return (self.target, self.value)
 
 
 @dataclass
@@ -271,8 +284,8 @@ class ExprStmt(Stmt):
     expr: Expr
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        yield self.expr
+    def children(self) -> tuple[Node, ...]:
+        return (self.expr,)
 
 
 @dataclass
@@ -282,8 +295,8 @@ class Block(Stmt):
     statements: list[Stmt] = field(default_factory=list)
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        yield from self.statements
+    def children(self) -> tuple[Node, ...]:
+        return tuple(self.statements)
 
 
 @dataclass
@@ -293,11 +306,10 @@ class If(Stmt):
     else_body: Optional[Block] = None
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        yield self.cond
-        yield self.then_body
-        if self.else_body is not None:
-            yield self.else_body
+    def children(self) -> tuple[Node, ...]:
+        if self.else_body is None:
+            return (self.cond, self.then_body)
+        return (self.cond, self.then_body, self.else_body)
 
 
 @dataclass
@@ -308,9 +320,8 @@ class CaseArm(Node):
     body: Block
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        yield from self.values
-        yield self.body
+    def children(self) -> tuple[Node, ...]:
+        return (*self.values, self.body)
 
 
 @dataclass
@@ -326,11 +337,10 @@ class Case(Stmt):
     default: Optional[Block] = None
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        yield self.selector
-        yield from self.arms
-        if self.default is not None:
-            yield self.default
+    def children(self) -> tuple[Node, ...]:
+        if self.default is None:
+            return (self.selector, *self.arms)
+        return (self.selector, *self.arms, self.default)
 
 
 @dataclass
@@ -339,9 +349,8 @@ class While(Stmt):
     body: Block
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        yield self.cond
-        yield self.body
+    def children(self) -> tuple[Node, ...]:
+        return (self.cond, self.body)
 
 
 @dataclass
@@ -354,14 +363,12 @@ class For(Stmt):
     body: Block = field(default_factory=Block)
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        if self.init is not None:
-            yield self.init
-        if self.cond is not None:
-            yield self.cond
-        if self.step is not None:
-            yield self.step
-        yield self.body
+    def children(self) -> tuple[Node, ...]:
+        return tuple(
+            child
+            for child in (self.init, self.cond, self.step, self.body)
+            if child is not None
+        )
 
 
 @dataclass
@@ -372,8 +379,8 @@ class Receive(Stmt):
     interface: str
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        yield self.target
+    def children(self) -> tuple[Node, ...]:
+        return (self.target,)
 
 
 @dataclass
@@ -384,8 +391,8 @@ class Transmit(Stmt):
     interface: str
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        yield self.source
+    def children(self) -> tuple[Node, ...]:
+        return (self.source,)
 
 
 @dataclass
@@ -393,9 +400,8 @@ class Return(Stmt):
     value: Optional[Expr] = None
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        if self.value is not None:
-            yield self.value
+    def children(self) -> tuple[Node, ...]:
+        return () if self.value is None else (self.value,)
 
 
 @dataclass
@@ -422,13 +428,21 @@ class Thread(Node):
     params: list[str]
     body: Block
     location: SourceLocation = field(default_factory=SourceLocation)
+    #: every node of the body, the body first, depth-first pre-order.
+    #: Built once: only the parser restructures a body, and the passes
+    #: that read it (pragma inference only appends pragmas to existing
+    #: assignments) add or move no node.
+    nodes: list[Node] = field(init=False, repr=False, compare=False)
 
-    def children(self) -> Iterator[Node]:
-        yield self.body
+    def __post_init__(self) -> None:
+        self.nodes = walk(self.body)
+
+    def children(self) -> tuple[Node, ...]:
+        return (self.body,)
 
     def declarations(self) -> list[VarDecl]:
         """All variable declarations anywhere in the thread body."""
-        return [node for node in walk(self.body) if isinstance(node, VarDecl)]
+        return [node for node in self.nodes if isinstance(node, VarDecl)]
 
     def statements(self) -> list[Stmt]:
         """Top-level statements of the thread body (excluding declarations)."""
@@ -446,8 +460,8 @@ class Program(Node):
     constants: list[ConstantPragma] = field(default_factory=list)
     location: SourceLocation = field(default_factory=SourceLocation)
 
-    def children(self) -> Iterator[Node]:
-        yield from self.threads
+    def children(self) -> tuple[Node, ...]:
+        return tuple(self.threads)
 
     def thread(self, name: str) -> Thread:
         """Look up a thread by name."""
@@ -464,7 +478,7 @@ def dependency_pragmas(program: Program) -> list[tuple[Thread, Assign, Dependenc
     """Collect every producer/consumer pragma with its thread and statement."""
     found: list[tuple[Thread, Assign, DependencyPragma]] = []
     for thread in program.threads:
-        for node in walk(thread.body):
+        for node in thread.nodes:
             if isinstance(node, Assign):
                 for pragma in node.pragmas:
                     found.append((thread, node, pragma))

@@ -40,9 +40,7 @@ class InferredDependency:
 
 
 def _assignments_of(thread: ast.Thread) -> list[ast.Assign]:
-    return [
-        node for node in ast.walk(thread.body) if isinstance(node, ast.Assign)
-    ]
+    return [node for node in thread.nodes if isinstance(node, ast.Assign)]
 
 
 def _target_root(target: ast.LValue) -> str:
@@ -51,14 +49,6 @@ def _target_root(target: ast.LValue) -> str:
         node = node.base
     assert isinstance(node, ast.Name)
     return node.ident
-
-
-def _reads_of(stmt: ast.Assign) -> set[str]:
-    names: set[str] = set()
-    for node in ast.walk(stmt.value):
-        if isinstance(node, ast.Name):
-            names.add(node.ident)
-    return names
 
 
 def _pragma_covered_variables(program: ast.Program) -> set[str]:
@@ -94,7 +84,7 @@ def apply_inferred_pragmas(program: ast.Program) -> list[InferredDependency]:
         for stmt in _assignments_of(thread):
             root = _target_root(stmt.target)
             writing_stmts.setdefault(root, []).append((thread, stmt))
-            for name in _reads_of(stmt):
+            for name in ast.names_read(stmt.value):
                 reading_stmts.setdefault(name, {}).setdefault(
                     thread.name, []
                 ).append(stmt)

@@ -98,8 +98,8 @@ class Token(NamedTuple):
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", "'": "'", '"': '"'}
 
 #: Trivia, every token, every error start and the end of the text.  A
-#: group named after a :class:`TokenKind` yields a token of that kind;
-#: trivia matches no group.
+#: group named after a :class:`TokenKind` yields a token of that kind,
+#: ``word`` an identifier or keyword; trivia matches no group.
 _TOKEN = re.compile(
     r"""
       [ \t\r\n]+ | //[^\n]* | /\*.*?\*/
@@ -117,7 +117,13 @@ _TOKEN = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-_KINDS = {kind.name: kind for kind in TokenKind}
+#: Per group number of ``_TOKEN``, the kind of token the group yields
+#: (None for ``word`` and the error groups).
+_GROUP_KINDS = [None] + [
+    TokenKind.__members__.get(name)
+    for name in sorted(_TOKEN.groupindex, key=_TOKEN.groupindex.__getitem__)
+]
+_WORD = _TOKEN.groupindex["word"]
 
 #: Builds a record without the Python-level ``__new__`` that
 #: ``NamedTuple`` generates: with two records per token, that call took a
@@ -151,7 +157,7 @@ def tokenize(source: str, filename: str = "<hic>") -> list[Token]:
     # none left) and ``line_start`` the offset after the last one counted.
     line, line_start, newline = 0, 0, -1
     for match in _TOKEN.finditer(source):
-        group = match.lastgroup
+        group = match.lastindex
         if group is None:  # trivia
             continue
         start = match.start()
@@ -163,10 +169,12 @@ def tokenize(source: str, filename: str = "<hic>") -> list[Token]:
                 newline = end
         text = match.group()
         location = _record(SourceLocation, (line, start - line_start + 1, filename))
-        if group == "word":
+        if group == _WORD:
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        elif group in _KINDS:
-            kind = _KINDS[group]
+        else:
+            kind = _GROUP_KINDS[group]
+            if kind is None:
+                raise HicSyntaxError(_error_message(source, start), location)
             if kind is TokenKind.INT:
                 try:
                     int(text, 0)
@@ -174,7 +182,5 @@ def tokenize(source: str, filename: str = "<hic>") -> list[Token]:
                     raise HicSyntaxError(
                         f"malformed integer literal {text!r}", location
                     ) from None
-        else:
-            raise HicSyntaxError(_error_message(source, start), location)
         tokens.append(_record(Token, (kind, text, location)))
     return tokens

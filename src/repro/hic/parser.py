@@ -56,6 +56,7 @@ _BINARY_LEVEL = {op: level for level, ops in enumerate(_PRECEDENCE) for op in op
 
 _ASSIGN_OPS = frozenset("= += -= *= /= %= &= |= ^= <<= >>=".split())
 
+
 #: Token kinds whose text ``_check``/``_accept`` match.
 _CHECKED_KINDS = (TokenKind.PUNCT, TokenKind.KEYWORD)
 
@@ -94,19 +95,20 @@ class Parser:
         return self._tokens[self._pos - 1]
 
     def _expect(self, text: str) -> Token:
-        token = self._accept(text)
-        if token is None:
-            found = self._peek()
-            raise HicSyntaxError(f"expected {text!r}, found {found}", found.location)
+        token = self._tokens[self._pos]
+        if self._texts[self._pos] != text:
+            raise HicSyntaxError(f"expected {text!r}, found {token}", token.location)
+        self._pos += 1
         return token
 
     def _expect_ident(self) -> Token:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is not TokenKind.IDENT:
             raise HicSyntaxError(
                 f"expected identifier, found {token}", token.location
             )
-        return self._advance()
+        self._pos += 1
+        return token
 
     def _expect_int(self) -> Token:
         token = self._peek()
@@ -115,13 +117,6 @@ class Parser:
                 f"expected integer literal, found {token}", token.location
             )
         return self._advance()
-
-    def _at_type_name(self) -> bool:
-        """Whether the next token starts a variable declaration."""
-        token = self._peek()
-        if token.kind is TokenKind.KEYWORD and token.text in ("int", "char", "message"):
-            return True
-        return token.kind is TokenKind.IDENT and token.text in self.types
 
     def _parse_type_name(self) -> HicType:
         token = self._advance()
@@ -226,10 +221,11 @@ class Parser:
         start = self._expect("{")
         block = ast.Block(location=start.location)
         pending_pragmas: list[ast.DependencyPragma] = []
-        while not self._check("}"):
-            if self._peek().kind is TokenKind.EOF:
+        while self._texts[self._pos] != "}":
+            kind = self._tokens[self._pos].kind
+            if kind is TokenKind.EOF:
                 raise HicSyntaxError("unterminated block", start.location)
-            if self._peek().kind is TokenKind.HASH:
+            if kind is TokenKind.HASH:
                 pending_pragmas.append(self._parse_dep_pragma())
                 continue
             stmt = self._parse_statement()
@@ -278,37 +274,13 @@ class Parser:
         return ast.ConsumerPragma(dep_id, links, hash_token.location)
 
     def _parse_statement(self) -> ast.Stmt:
-        token = self._peek()
-        if self._check("{"):
-            return self._parse_block()
-        if self._at_type_name():
-            return self._parse_var_decl()
-        if self._check("if"):
-            return self._parse_if()
-        if self._check("case"):
-            return self._parse_case()
-        if self._check("while"):
-            return self._parse_while()
-        if self._check("for"):
-            return self._parse_for()
-        if self._check("receive"):
-            return self._parse_receive()
-        if self._check("transmit"):
-            return self._parse_transmit()
-        if self._check("return"):
-            self._advance()
-            value = None if self._check(";") else self._parse_expr()
-            self._expect(";")
-            return ast.Return(value, token.location)
-        if self._check("break"):
-            self._advance()
-            self._expect(";")
-            return ast.Break(token.location)
-        if self._check("continue"):
-            self._advance()
-            self._expect(";")
-            return ast.Continue(token.location)
-        return self._parse_assign_or_expr()
+        text = self._texts[self._pos]
+        if text is None:  # an identifier, a literal or the end of the input
+            token = self._tokens[self._pos]
+            if token.kind is TokenKind.IDENT and token.text in self.types:
+                return self._parse_var_decl()
+            return self._parse_assign_or_expr()
+        return _STATEMENT_PARSERS.get(text, Parser._parse_assign_or_expr)(self)
 
     def _parse_var_decl(self) -> ast.VarDecl:
         start = self._peek()
@@ -424,6 +396,22 @@ class Parser:
         self._expect(";")
         return ast.Transmit(source, interface, start.location)
 
+    def _parse_return(self) -> ast.Return:
+        start = self._expect("return")
+        value = None if self._check(";") else self._parse_expr()
+        self._expect(";")
+        return ast.Return(value, start.location)
+
+    def _parse_break(self) -> ast.Break:
+        start = self._expect("break")
+        self._expect(";")
+        return ast.Break(start.location)
+
+    def _parse_continue(self) -> ast.Continue:
+        start = self._expect("continue")
+        self._expect(";")
+        return ast.Continue(start.location)
+
     def _parse_bare_assign(self) -> ast.Assign:
         """An assignment without the trailing semicolon (for-loop headers)."""
         target = self._parse_primary()
@@ -463,7 +451,8 @@ class Parser:
     def _parse_expr(self) -> ast.Expr:
         """A conditional expression: ``cond ? a : b`` or a binary one."""
         cond = self._parse_binary(0)
-        if self._accept("?"):
+        if self._texts[self._pos] == "?":
+            self._pos += 1
             then_value = self._parse_expr()
             self._expect(":")
             else_value = self._parse_expr()
@@ -489,10 +478,10 @@ class Parser:
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expr:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is TokenKind.IDENT:
-            self._advance()
-            if self._check("("):
+            self._pos += 1
+            if self._texts[self._pos] == "(":
                 return self._parse_postfix(self._parse_call(token))
             return self._parse_postfix(ast.Name(token.text, token.location))
         if token.kind is TokenKind.INT:
@@ -522,15 +511,39 @@ class Parser:
 
     def _parse_postfix(self, expr: ast.Expr) -> ast.Expr:
         while True:
-            if self._accept("."):
+            text = self._texts[self._pos]
+            if text == ".":
+                self._pos += 1
                 field_name = self._expect_ident()
                 expr = ast.FieldAccess(expr, field_name.text, field_name.location)
-            elif self._accept("["):
+            elif text == "[":
+                self._pos += 1
                 index = self._parse_expr()
                 self._expect("]")
                 expr = ast.Index(expr, index, expr.location)
             else:
                 return expr
+
+
+#: Statement parser by the text of a statement's leading keyword or
+#: punctuation; a statement led by anything else is a declaration of a
+#: user type (an identifier in the type table), an assignment or an
+#: expression.
+_STATEMENT_PARSERS = {
+    "{": Parser._parse_block,
+    "int": Parser._parse_var_decl,
+    "char": Parser._parse_var_decl,
+    "message": Parser._parse_var_decl,
+    "if": Parser._parse_if,
+    "case": Parser._parse_case,
+    "while": Parser._parse_while,
+    "for": Parser._parse_for,
+    "receive": Parser._parse_receive,
+    "transmit": Parser._parse_transmit,
+    "return": Parser._parse_return,
+    "break": Parser._parse_break,
+    "continue": Parser._parse_continue,
+}
 
 
 def parse(source: str, filename: str = "<hic>") -> ast.Program:

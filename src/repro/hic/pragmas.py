@@ -60,17 +60,6 @@ class Dependency:
         return tuple(ref.thread for ref in self.consumers)
 
 
-def _expression_reads(expr: ast.Expr) -> set[str]:
-    """All variable names read within an expression."""
-    names: set[str] = set()
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Name):
-            names.add(node.ident)
-        elif isinstance(node, ast.FieldAccess) and isinstance(node.base, ast.Name):
-            names.add(node.base.ident)
-    return names
-
-
 def _target_name(target: ast.LValue) -> str:
     """The root variable name of an assignment target."""
     node: ast.Expr = target
@@ -150,7 +139,7 @@ def resolve_dependencies(program: ast.Program) -> list[Dependency]:
                     f"statement is [{prod_thread.name},{produced_var}]",
                     producer_pragma.location,
                 )
-            if produced_var not in _expression_reads(cons_stmt.value):
+            if produced_var not in ast.names_read(cons_stmt.value):
                 raise HicPragmaError(
                     f"consuming statement for {dep_id!r} in thread "
                     f"{cons_thread.name!r} does not read {produced_var!r}",

@@ -443,7 +443,7 @@ def check_program(program: ast.Program, types: TypeTable) -> CheckedProgram:
     # the logical global shared memory (Figure 1 reads ``x1`` inside t2/t3).
     for thread in program.threads:
         scope = scopes[thread.name]
-        for node in ast.walk(thread.body):
+        for node in thread.nodes:
             if not isinstance(node, ast.Assign):
                 continue
             for pragma in node.pragmas:

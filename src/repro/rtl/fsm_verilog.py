@@ -152,11 +152,8 @@ def emit_thread_verilog(
     uses_rx = uses_tx = uses_mem = False
 
     def note_expr_names(expr: ast.Expr | None) -> None:
-        if expr is None:
-            return
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name) and node.ident not in constants:
-                registers.add(node.ident)
+        if expr is not None:
+            registers.update(ast.names_read(expr) - constants.keys())
 
     for state in fsm.states.values():
         for tr in state.transitions:

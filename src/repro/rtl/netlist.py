@@ -68,12 +68,21 @@ class Module:
     #: documented critical paths: name -> logic levels (LUT levels); the
     #: timing model takes the worst.
     critical_paths: dict[str, int] = field(default_factory=dict)
+    #: names of :attr:`ports` and of :attr:`instances`, for the duplicate
+    #: checks of :meth:`add_port` and :meth:`add_instance`
+    _port_names: set[str] = field(init=False, repr=False, compare=False)
+    _instance_names: set[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._port_names = {port.name for port in self.ports}
+        self._instance_names = {instance.name for instance in self.instances}
 
     # -- construction ---------------------------------------------------------------
 
     def add_port(self, name: str, direction: PortDirection, width: int = 1) -> Port:
-        if any(p.name == name for p in self.ports):
+        if name in self._port_names:
             raise ValueError(f"duplicate port {name!r} in module {self.name!r}")
+        self._port_names.add(name)
         port = Port(name, direction, width)
         self.ports.append(port)
         self.nets.setdefault(name, Net(name, width))
@@ -98,7 +107,7 @@ class Module:
         component: Union[MacroPrimitive, "Module"],
         connections: dict[str, str] | None = None,
     ) -> Instance:
-        if any(inst.name == name for inst in self.instances):
+        if name in self._instance_names:
             raise ValueError(
                 f"duplicate instance {name!r} in module {self.name!r}"
             )
@@ -109,6 +118,7 @@ class Module:
                     f"instance {name!r} connects to undeclared net "
                     f"{net_name!r} in module {self.name!r}"
                 )
+        self._instance_names.add(name)
         instance = Instance(name, component, connections)
         self.instances.append(instance)
         return instance

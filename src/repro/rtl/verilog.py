@@ -9,6 +9,8 @@ place, and route tools" step — the output is what would be handed to ISE.
 
 from __future__ import annotations
 
+import dataclasses
+import re
 from dataclasses import dataclass, field
 
 from . import primitives as prim
@@ -254,6 +256,36 @@ _PARAM_NAMES: dict[str, str] = {
     "lut_count": "LUT_COUNT",
 }
 
+#: Per primitive type: ``(field, parameter)`` for each of its dataclass
+#: fields that is a Verilog parameter, in ``_PARAM_NAMES`` order.
+_PRIMITIVE_PARAMS: dict[type, tuple[tuple[str, str], ...]] = {
+    ptype: tuple(
+        (fname, pname)
+        for fname, pname in _PARAM_NAMES.items()
+        if fname in {f.name for f in dataclasses.fields(ptype)}
+    )
+    for ptype in _PRIMITIVE_NAMES
+}
+
+#: Port declaration keywords per direction.
+_DIRECTIONS = {
+    PortDirection.INPUT: "input  wire",
+    PortDirection.OUTPUT: "output wire",
+    PortDirection.INOUT: "inout  wire",
+}
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*\Z")
+
+
+def _check_module_name(name: str) -> None:
+    """Refuse a module name that cannot be emitted as written."""
+    if not _IDENTIFIER.match(name):
+        raise ValueError(f"module name {name!r} is not a legal Verilog identifier")
+    if name in _PRIMITIVE_NAMES.values():
+        raise ValueError(
+            f"module name {name!r} is taken by the primitive library"
+        )
+
 
 @dataclass
 class VerilogEmitter:
@@ -261,7 +293,9 @@ class VerilogEmitter:
 
     top: Module
     _emitted_primitives: set[type] = field(default_factory=set)
-    _emitted_modules: set[str] = field(default_factory=set)
+    #: every module in the hierarchy by name, each after the modules it
+    #: instantiates (the order they are emitted in)
+    _modules: dict[str, Module] = field(default_factory=dict)
     _chunks: list[str] = field(default_factory=list)
 
     def emit(self) -> str:
@@ -272,51 +306,49 @@ class VerilogEmitter:
             "`timescale 1ns / 1ps",
             "",
         ]
-        self._collect_primitives(self.top)
+        self._collect(self.top)
         for ptype in sorted(self._emitted_primitives, key=lambda t: t.__name__):
             self._chunks.append(_PRIMITIVE_DEFS[ptype].strip())
             self._chunks.append("")
-        self._emit_module_tree(self.top)
+        for module in self._modules.values():
+            self._chunks.append(self._render_module(module))
+            self._chunks.append("")
         return "\n".join(self._chunks) + "\n"
 
     # -- helpers --------------------------------------------------------------------
 
-    def _collect_primitives(self, module: Module) -> None:
+    def _collect(self, module: Module) -> None:
+        """Note the primitive types and the modules at and below
+        ``module``; each module name must be emittable and name one
+        module, since modules are emitted once per name."""
         for instance in module.instances:
-            if instance.is_primitive:
-                self._emitted_primitives.add(type(instance.component))
+            component = instance.component
+            if isinstance(component, Module):
+                self._collect(component)
             else:
-                self._collect_primitives(instance.component)  # type: ignore[arg-type]
-
-    def _emit_module_tree(self, module: Module) -> None:
-        for instance in module.instances:
-            if not instance.is_primitive:
-                child = instance.component
-                assert isinstance(child, Module)
-                if child.name not in self._emitted_modules:
-                    self._emit_module_tree(child)
-        if module.name not in self._emitted_modules:
-            self._emitted_modules.add(module.name)
-            self._chunks.append(self._render_module(module))
-            self._chunks.append("")
+                self._emitted_primitives.add(type(component))
+        known = self._modules.setdefault(module.name, module)
+        if known is module:
+            _check_module_name(module.name)
+        elif known != module:
+            raise ValueError(f"two different modules are named {module.name!r}")
 
     def _render_module(self, module: Module) -> str:
         lines = [f"module {module.name} ("]
-        port_lines = []
-        for port in module.ports:
-            direction = {
-                PortDirection.INPUT: "input  wire",
-                PortDirection.OUTPUT: "output wire",
-                PortDirection.INOUT: "inout  wire",
-            }[port.direction]
-            port_lines.append(f"  {direction} {_bus(port.width)}{port.name}")
-        lines.append(",\n".join(port_lines))
+        lines.append(
+            ",\n".join(
+                [
+                    f"  {_DIRECTIONS[port.direction]} {_bus(port.width)}{port.name}"
+                    for port in module.ports
+                ]
+            )
+        )
         lines.append(");")
 
         port_names = {p.name for p in module.ports}
-        for net in sorted(module.nets.values(), key=lambda n: n.name):
-            if net.name not in port_names:
-                lines.append(f"  wire {_bus(net.width)}{net.name};")
+        for name, net in sorted(module.nets.items()):
+            if name not in port_names:
+                lines.append(f"  wire {_bus(net.width)}{name};")
 
         for path_name, levels in sorted(module.critical_paths.items()):
             lines.append(
@@ -330,23 +362,31 @@ class VerilogEmitter:
         return "\n".join(lines)
 
     def _render_instance(self, instance: Instance) -> str:
-        if instance.is_primitive:
-            component = instance.component
-            vname = _PRIMITIVE_NAMES[type(component)]
-            params = []
-            for fname, pname in _PARAM_NAMES.items():
-                if hasattr(component, fname):
-                    params.append(f".{pname}({getattr(component, fname)})")
-            param_str = f" #({', '.join(params)})" if params else ""
-        else:
-            vname = instance.component.name
+        component = instance.component
+        if isinstance(component, Module):
+            vname = component.name
             param_str = ""
+        else:
+            vname = _PRIMITIVE_NAMES[type(component)]
+            params = ", ".join(
+                [
+                    f".{pname}({getattr(component, fname)})"
+                    for fname, pname in _PRIMITIVE_PARAMS[type(component)]
+                ]
+            )
+            param_str = f" #({params})" if params else ""
         conns = ", ".join(
-            f".{port}({net})" for port, net in sorted(instance.connections.items())
+            [f".{port}({net})" for port, net in sorted(instance.connections.items())]
         )
         return f"  {vname}{param_str} {instance.name} ({conns});"
 
 
 def emit_verilog(top: Module) -> str:
-    """Emit ``top`` (with its primitive library and children) as Verilog."""
+    """Emit ``top`` (with its primitive library and children) as Verilog.
+
+    Modules are emitted once per name, so a ``ValueError`` refuses a
+    hierarchy in which two different modules share a name, a module
+    takes a primitive's name (``repro_*``) or a name is not a legal
+    Verilog identifier: a design named after one of its thread modules,
+    for example."""
     return VerilogEmitter(top).emit()

@@ -21,7 +21,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..analysis.usedef import expression_uses
 from ..core.controller import MemRequest, MemResult, MemoryController
 from ..hic import ast
 from ..hic.semantic import CheckedProgram
@@ -115,7 +114,7 @@ def _classify_state(state) -> ParkClass:
             for later in state.ops[index:]
             if isinstance(later, ComputeOp)
         }
-        reads = set().union(*map(expression_uses, exprs))
+        reads = set().union(*map(ast.names_read, exprs))
         if reads & (later_dests | read_dests):
             return ParkClass(kind=None)
 

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..analysis.lifetime import thread_lifetimes
-from ..hic import ast
 from ..hic.semantic import CheckedProgram, SymbolKind
 from ..memory.allocation import MemoryMap, Residency
 from .fsm import ComputeOp, MemReadOp, MemWriteOp, ThreadFsm
-from .schedule import op_class
+from .schedule import expression_operations
 
 
 @dataclass
@@ -79,21 +78,6 @@ class DatapathSummary:
         return sum(unit.mux_inputs for unit in self.units)
 
 
-def _expr_operations(expr: ast.Expr) -> list[tuple[str, str]]:
-    """(resource class, label) of every operation in an expression."""
-    ops: list[tuple[str, str]] = []
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Binary):
-            ops.append((op_class(node.op), node.op))
-        elif isinstance(node, ast.Unary):
-            ops.append((op_class(node.op), node.op))
-        elif isinstance(node, ast.Conditional):
-            ops.append(("alu", "?:"))
-        elif isinstance(node, ast.Call):
-            ops.append(("call", node.callee))
-    return ops
-
-
 def bind_thread(
     checked: CheckedProgram,
     memory_map: MemoryMap,
@@ -115,48 +99,46 @@ def bind_thread(
     """
     summary = DatapathSummary(thread=fsm.thread, state_bits=fsm.state_bits())
 
-    # Per-state operation demand.
-    per_state_ops: list[list[tuple[str, str]]] = []
+    # Per-state operation demand.  A state's n-th operation of a class
+    # binds to that class's n-th unit, so a class gets as many units as
+    # the state using it most needs.
+    unit_labels: dict[str, list[list[str]]] = {}
+    load_temps: set[str] = set()
     for state in fsm.states.values():
         state_ops: list[tuple[str, str]] = []
         for op in state.ops:
             if isinstance(op, ComputeOp):
-                state_ops.extend(_expr_operations(op.expr))
+                state_ops.extend(expression_operations(op.expr))
             elif isinstance(op, MemWriteOp):
-                state_ops.extend(_expr_operations(op.value_expr))
+                state_ops.extend(expression_operations(op.value_expr))
                 if op.offset_expr is not None:
-                    state_ops.extend(_expr_operations(op.offset_expr))
+                    state_ops.extend(expression_operations(op.offset_expr))
                     state_ops.append(("alu", "+addr"))
                 summary.memory_ports_used.add(op.port)
                 if bank_of is not None:
                     summary.memory_banks_used.add(bank_of(op.base_address))
             elif isinstance(op, MemReadOp):
+                load_temps.add(op.dest)
                 if op.offset_expr is not None:
-                    state_ops.extend(_expr_operations(op.offset_expr))
+                    state_ops.extend(expression_operations(op.offset_expr))
                     state_ops.append(("alu", "+addr"))
                 summary.memory_ports_used.add(op.port)
                 if bank_of is not None:
                     summary.memory_banks_used.add(bank_of(op.base_address))
-        per_state_ops.append(state_ops)
+        used: dict[str, int] = {}
+        for kind, label in state_ops:
+            slot = used.get(kind, 0)
+            used[kind] = slot + 1
+            units = unit_labels.setdefault(kind, [])
+            if slot == len(units):
+                units.append([])
+            units[slot].append(label)
 
-    # Unit count per class = max concurrent demand in one state.
-    kinds = sorted({kind for ops in per_state_ops for kind, __ in ops})
-    for kind in kinds:
-        demand = max(
-            sum(1 for k, __ in ops if k == kind) for ops in per_state_ops
+    for kind in sorted(unit_labels):
+        summary.units.extend(
+            FunctionalUnit(kind=kind, width=32, operations=labels)
+            for labels in unit_labels[kind]
         )
-        shared_labels: list[list[str]] = [[] for __ in range(demand)]
-        for ops in per_state_ops:
-            slot = 0
-            for k, label in ops:
-                if k == kind:
-                    shared_labels[slot % demand].append(label)
-                    slot += 1
-        for labels in shared_labels:
-            if labels:
-                summary.units.append(
-                    FunctionalUnit(kind=kind, width=32, operations=labels)
-                )
 
     # Registers: thread-local register-resident variables plus load temps.
     scope = checked.scopes[fsm.thread]
@@ -178,12 +160,7 @@ def bind_thread(
             for name, width in candidates
         )
 
-    temps: set[str] = set()
-    for state in fsm.states.values():
-        for op in state.ops:
-            if isinstance(op, MemReadOp):
-                temps.add(op.dest)
-    for temp in sorted(temps):
+    for temp in sorted(load_temps):
         # Load registers mirror a BRAM word (36 bits max, typically 32).
         summary.registers.append(RegisterBinding(name=temp, width=32))
 

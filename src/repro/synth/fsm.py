@@ -292,85 +292,103 @@ class FsmBuilder:
                     guarded_vars[link.variable] = pragma.dep_id
 
         reads: list[MemReadOp] = []
-        loaded: dict[str, str] = {}
+        return reads, self._rewrite_reads(expr, guarded_vars, reads, {})
 
-        def rewrite(node: ast.Expr) -> ast.Expr:
-            if isinstance(node, ast.Name):
-                placement = self._placement_of(node.ident)
-                if placement is None:
-                    return node
-                if node.ident not in loaded:
-                    dep_id = guarded_vars.get(node.ident)
-                    reads.append(
-                        MemReadOp(
-                            bram=placement.bram,
-                            base_address=placement.base_address,
-                            dest=node.ident,
-                            port="C" if dep_id else "A",
-                            dep_id=dep_id,
-                        )
-                    )
-                    loaded[node.ident] = node.ident
-                return node  # register mirror carries the same name
-            if isinstance(node, ast.Index):
-                base = node.base
-                assert isinstance(base, ast.Name)
-                placement = self._placement_of(base.ident)
-                new_index = rewrite(node.index)
-                if placement is None:
-                    return ast.Index(base, new_index, node.location)
-                temp = self._new_temp()
-                dep_id = guarded_vars.get(base.ident)
+    def _rewrite_reads(
+        self,
+        node: ast.Expr,
+        guarded_vars: dict[str, str],
+        reads: list[MemReadOp],
+        loaded: dict[str, str],
+    ) -> ast.Expr:
+        """``node`` reading registers: each BRAM access it makes is
+        appended to ``reads`` (a scalar once, noted in ``loaded``).  A
+        method rather than a nested function, which would refer to itself
+        and so leave every builder it closes over for the cycle collector
+        to free."""
+        state = (guarded_vars, reads, loaded)
+        if isinstance(node, ast.Name):
+            placement = self._placement_of(node.ident)
+            if placement is None:
+                return node
+            if node.ident not in loaded:
+                dep_id = guarded_vars.get(node.ident)
                 reads.append(
                     MemReadOp(
                         bram=placement.bram,
                         base_address=placement.base_address,
-                        dest=temp,
-                        offset_expr=new_index,
+                        dest=node.ident,
                         port="C" if dep_id else "A",
                         dep_id=dep_id,
                     )
                 )
-                return ast.Name(temp, node.location)
-            if isinstance(node, ast.FieldAccess):
-                base = node.base
-                assert isinstance(base, ast.Name)
-                placement = self._placement_of(base.ident)
-                if placement is None:
-                    return node
-                temp = self._new_temp()
-                dep_id = guarded_vars.get(base.ident)
-                offset = _message_field_offset(node.field_name)
-                reads.append(
-                    MemReadOp(
-                        bram=placement.bram,
-                        base_address=placement.base_address + offset,
-                        dest=temp,
-                        port="C" if dep_id else "A",
-                        dep_id=dep_id,
-                    )
+                loaded[node.ident] = node.ident
+            return node  # register mirror carries the same name
+        if isinstance(node, ast.Index):
+            base = node.base
+            assert isinstance(base, ast.Name)
+            placement = self._placement_of(base.ident)
+            new_index = self._rewrite_reads(node.index, *state)
+            if placement is None:
+                return ast.Index(base, new_index, node.location)
+            temp = self._new_temp()
+            dep_id = guarded_vars.get(base.ident)
+            reads.append(
+                MemReadOp(
+                    bram=placement.bram,
+                    base_address=placement.base_address,
+                    dest=temp,
+                    offset_expr=new_index,
+                    port="C" if dep_id else "A",
+                    dep_id=dep_id,
                 )
-                return ast.Name(temp, node.location)
-            if isinstance(node, ast.Unary):
-                return ast.Unary(node.op, rewrite(node.operand), node.location)
-            if isinstance(node, ast.Binary):
-                return ast.Binary(
-                    node.op, rewrite(node.left), rewrite(node.right), node.location
+            )
+            return ast.Name(temp, node.location)
+        if isinstance(node, ast.FieldAccess):
+            base = node.base
+            assert isinstance(base, ast.Name)
+            placement = self._placement_of(base.ident)
+            if placement is None:
+                return node
+            temp = self._new_temp()
+            dep_id = guarded_vars.get(base.ident)
+            offset = _message_field_offset(node.field_name)
+            reads.append(
+                MemReadOp(
+                    bram=placement.bram,
+                    base_address=placement.base_address + offset,
+                    dest=temp,
+                    port="C" if dep_id else "A",
+                    dep_id=dep_id,
                 )
-            if isinstance(node, ast.Conditional):
-                return ast.Conditional(
-                    rewrite(node.cond),
-                    rewrite(node.then_value),
-                    rewrite(node.else_value),
-                    node.location,
-                )
-            if isinstance(node, ast.Call):
-                return ast.Call(
-                    node.callee, [rewrite(a) for a in node.args], node.location
-                )
-            return node
+            )
+            return ast.Name(temp, node.location)
+        if isinstance(node, ast.Unary):
+            return ast.Unary(
+                node.op, self._rewrite_reads(node.operand, *state), node.location
+            )
+        if isinstance(node, ast.Binary):
+            return ast.Binary(
+                node.op,
+                self._rewrite_reads(node.left, *state),
+                self._rewrite_reads(node.right, *state),
+                node.location,
+            )
+        if isinstance(node, ast.Conditional):
+            return ast.Conditional(
+                self._rewrite_reads(node.cond, *state),
+                self._rewrite_reads(node.then_value, *state),
+                self._rewrite_reads(node.else_value, *state),
+                node.location,
+            )
+        if isinstance(node, ast.Call):
+            return ast.Call(
+                node.callee,
+                [self._rewrite_reads(arg, *state) for arg in node.args],
+                node.location,
+            )
+        return node
 
-        return reads, rewrite(expr)
 
     def _emit_reads(self, current: State, reads: list[MemReadOp]) -> State:
         """Chain memory-read states after ``current`` (one access per state)."""

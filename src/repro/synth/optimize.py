@@ -21,9 +21,8 @@ combinational logic.
 
 from __future__ import annotations
 
-from ..hic import ast
 from .fsm import ComputeOp, State, ThreadFsm
-from .schedule import DEFAULT_RESOURCES, op_class
+from .schedule import DEFAULT_RESOURCES, expression_operations
 
 
 def eliminate_dead_states(fsm: ThreadFsm) -> int:
@@ -90,15 +89,7 @@ def _op_demand(state: State) -> dict[str, int]:
     demand: dict[str, int] = {}
     for op in state.ops:
         assert isinstance(op, ComputeOp)
-        for node in ast.walk(op.expr):
-            if isinstance(node, (ast.Binary, ast.Unary)):
-                kind = op_class(node.op)
-            elif isinstance(node, ast.Conditional):
-                kind = "alu"
-            elif isinstance(node, ast.Call):
-                kind = "call"
-            else:
-                continue
+        for kind, __ in expression_operations(op.expr):
             demand[kind] = demand.get(kind, 0) + 1
     return demand
 

@@ -39,6 +39,20 @@ def op_class(op: str) -> str:
     return "alu"
 
 
+def expression_operations(expr: ast.Expr) -> list[tuple[str, str]]:
+    """``(resource class, label)`` of every operation in an expression,
+    depth-first pre-order."""
+    ops: list[tuple[str, str]] = []
+    for node in ast.walk(expr):
+        if isinstance(node, (ast.Binary, ast.Unary)):
+            ops.append((op_class(node.op), node.op))
+        elif isinstance(node, ast.Conditional):
+            ops.append(("alu", "?:"))
+        elif isinstance(node, ast.Call):
+            ops.append(("call", node.callee))
+    return ops
+
+
 @dataclass
 class DfgNode:
     """One primitive operation in the dataflow graph."""

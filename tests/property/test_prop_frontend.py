@@ -4,15 +4,20 @@ The lexer and parser must be total: any input either parses or raises a
 located ``HicError`` — never an unhandled exception.  Token texts are
 self-delimiting: re-lexing them joined by single spaces gives the same
 tokens.  Valid programs generated from the grammar must round-trip
-through analysis.
+through analysis.  Each thread's node list is a fresh pre-order walk,
+and the two shared expression walkers (names read, operations used)
+answer what the six per-pass walkers they replaced did.
 """
 
+import dataclasses
 import string
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from repro.hic import HicError, analyze, parse, tokenize
+from repro.hic import HicError, analyze, ast, parse, tokenize
 from repro.hic.errors import HicSyntaxError
+from repro.synth.schedule import expression_operations, op_class
 
 
 @settings(max_examples=80, deadline=None)
@@ -110,3 +115,195 @@ def test_generated_programs_compile_and_simulate(source):
     sim = build_simulation(design)
     sim.run(30)
     assert sim.executors["t"].stats.cycles == 30
+
+
+# -- shared traversals ---------------------------------------------------------
+
+
+def _fresh_preorder(node):
+    """Oracle: every node at and below ``node``, pre-order, found through
+    the dataclass fields instead of ``children()`` (an assignment's
+    pragmas annotate it and are not part of the tree)."""
+    found = [node]
+    for item in dataclasses.fields(node):
+        if item.name in ("pragmas", "nodes"):
+            continue
+        value = getattr(node, item.name)
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.Node):
+                found.extend(_fresh_preorder(child))
+    return found
+
+
+def _assert_node_lists_are_fresh(program):
+    for thread in program.threads:
+        assert [id(node) for node in thread.nodes] == [
+            id(node) for node in _fresh_preorder(thread.body)
+        ]
+
+
+def _consumer_of_a_single_write(source):
+    """``(variable, thread source)``: a second thread reading a variable
+    the generated (flat) thread writes in exactly one statement, or
+    ``(None, None)`` if it writes none just once."""
+    body = parse(source).threads[0].body
+    writes = Counter(
+        stmt.target.ident for stmt in body.statements if isinstance(stmt, ast.Assign)
+    )
+    once = sorted(name for name, count in writes.items() if count == 1)
+    if not once:
+        return None, None
+    return once[0], f"thread c () {{ int got; got = {once[0]} + 1; }}"
+
+
+@settings(max_examples=30, deadline=None)
+@given(valid_threads())
+def test_thread_node_lists_are_fresh_preorder_walks(source):
+    _assert_node_lists_are_fresh(analyze(source).program)
+    variable, consumer = _consumer_of_a_single_write(source)
+    if consumer is None:
+        return
+    checked = analyze(f"{source}\n{consumer}", infer_pragmas=True)
+    _assert_node_lists_are_fresh(checked.program)
+    if variable != "got":
+        assert [dep.dep_id for dep in checked.dependencies] == [f"auto_{variable}"]
+
+
+def test_node_lists_of_the_example_and_scenario_programs():
+    from pathlib import Path
+
+    from repro.scenarios.catalog import fanin_source, fanout_source, pipeline_source
+
+    examples = sorted((Path(__file__).parents[2] / "examples").glob("*.hic"))
+    sources = [path.read_text() for path in examples]
+    sources += [fanin_source(3), fanout_source(3), pipeline_source(3)]
+    for source in sources:
+        _assert_node_lists_are_fresh(parse(source))
+
+
+# Oracles: the six expression walkers that the two shared ones replace.
+
+
+def _old_walk(node):
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed([*node.children()]))
+
+
+def _old_expression_uses(expr):  # analysis.usedef
+    return {node.ident for node in _old_walk(expr) if isinstance(node, ast.Name)}
+
+
+def _old_expression_reads(expr):  # hic.pragmas
+    names = set()
+    for node in _old_walk(expr):
+        if isinstance(node, ast.Name):
+            names.add(node.ident)
+        elif isinstance(node, ast.FieldAccess) and isinstance(node.base, ast.Name):
+            names.add(node.base.ident)
+    return names
+
+
+def _old_reads_of(stmt):  # hic.autopragma
+    return {node.ident for node in _old_walk(stmt.value) if isinstance(node, ast.Name)}
+
+
+def _old_registers(exprs, constants):  # rtl.fsm_verilog's note_expr_names
+    registers = set()
+    for expr in exprs:
+        for node in _old_walk(expr):
+            if isinstance(node, ast.Name) and node.ident not in constants:
+                registers.add(node.ident)
+    return registers
+
+
+def _old_expr_operations(expr):  # synth.binding
+    ops = []
+    for node in _old_walk(expr):
+        if isinstance(node, ast.Binary):
+            ops.append((op_class(node.op), node.op))
+        elif isinstance(node, ast.Unary):
+            ops.append((op_class(node.op), node.op))
+        elif isinstance(node, ast.Conditional):
+            ops.append(("alu", "?:"))
+        elif isinstance(node, ast.Call):
+            ops.append(("call", node.callee))
+    return ops
+
+
+def _old_op_demand(state):  # synth.optimize
+    demand = {}
+    for op in state.ops:
+        for node in _old_walk(op.expr):
+            if isinstance(node, (ast.Binary, ast.Unary)):
+                kind = op_class(node.op)
+            elif isinstance(node, ast.Conditional):
+                kind = "alu"
+            elif isinstance(node, ast.Call):
+                kind = "call"
+            else:
+                continue
+            demand[kind] = demand.get(kind, 0) + 1
+    return demand
+
+
+_LEAVES = ["a", "b", "k", "arr[1]", "m.ttl", "7", "'x'", "true"]
+_OPERATORS = ["+", "-", "*", "/", "%", "&", "|", "^", "<<", "==", "<", "&&", "||"]
+
+
+@st.composite
+def expression_texts(draw, depth=0):
+    """hic expression text over names, fields, elements and literals."""
+    if depth >= 3 or draw(st.booleans()):
+        return draw(st.sampled_from(_LEAVES))
+
+    def sub():
+        return draw(expression_texts(depth=depth + 1))
+
+    shape = draw(st.sampled_from(["binary", "unary", "call", "conditional", "index"]))
+    if shape == "binary":
+        return f"({sub()} {draw(st.sampled_from(_OPERATORS))} {sub()})"
+    if shape == "unary":
+        return f"({draw(st.sampled_from(['-', '!', '~']))}{sub()})"
+    if shape == "call":
+        return f"f({sub()}, {sub()})"
+    if shape == "conditional":
+        return f"({sub()} ? {sub()} : {sub()})"
+    return f"arr[{sub()}]"
+
+
+@settings(max_examples=60, deadline=None)
+@given(expression_texts())
+def test_shared_expression_walkers_match_the_old_ones(text):
+    source = (
+        "#constant{k, 3}\n"
+        f"thread t () {{ int a, b, arr[4]; message m; a = {text}; }}"
+    )
+    stmt = parse(source).threads[0].body.statements[-1]
+    names = ast.names_read(stmt.value)
+    assert names == _old_expression_uses(stmt.value)
+    assert names == _old_expression_reads(stmt.value)
+    assert names == _old_reads_of(stmt)
+    assert names - {"k"} == _old_registers([stmt.value], {"k": 3})
+    assert expression_operations(stmt.value) == _old_expr_operations(stmt.value)
+
+
+@settings(max_examples=15, deadline=None)
+@given(valid_threads())
+def test_shared_expression_walkers_match_the_old_ones_on_fsms(source):
+    from repro.flow import compile_design
+    from repro.synth.fsm import ComputeOp
+    from repro.synth.optimize import _op_demand
+
+    design = compile_design(source, optimize=True)
+    for fsm in design.fsms.values():
+        for state in fsm.states.values():
+            exprs = [tr.guard for tr in state.transitions if tr.guard is not None]
+            exprs += [op.expr for op in state.ops if isinstance(op, ComputeOp)]
+            assert set().union(*map(ast.names_read, exprs)) == _old_registers(exprs, {})
+            for expr in exprs:
+                assert expression_operations(expr) == _old_expr_operations(expr)
+            if state.ops and all(isinstance(op, ComputeOp) for op in state.ops):
+                assert _op_demand(state) == _old_op_demand(state)

@@ -1,5 +1,7 @@
 """Unit tests for the Verilog emitter."""
 
+import pytest
+
 from repro.hic.pragmas import ConsumerRef, Dependency
 from repro.rtl import (
     Module,
@@ -87,3 +89,38 @@ class TestHierarchy:
         text = arb_verilog(consumers=8)
         # 8 consumers x 9 address bits
         assert "[71:0] portc_addr" in text
+
+
+class TestModuleNames:
+    """A design name that would break the emitted Verilog is refused."""
+
+    def _verilog(self, name):
+        from repro.flow import compile_design
+        from repro.net import forwarding_source
+
+        return compile_design(forwarding_source(2), name=name).verilog()
+
+    def test_name_of_a_thread_module_is_refused(self):
+        with pytest.raises(ValueError, match="'thread_classify'"):
+            self._verilog("thread_classify")
+
+    def test_name_of_a_primitive_module_is_refused(self):
+        with pytest.raises(ValueError, match="'repro_mux'"):
+            self._verilog("repro_mux")
+
+    def test_illegal_identifier_is_refused(self):
+        with pytest.raises(ValueError, match="'my design'"):
+            self._verilog("my design")
+
+    def test_legal_name_names_the_top_module(self):
+        text = self._verilog("forwarder_2")
+        assert text.count("\nmodule forwarder_2 (") == 1
+
+    def test_two_different_modules_of_one_name_are_refused(self):
+        first, second = Module(name="leaf"), Module(name="leaf")
+        second.add_port("clk", PortDirection.INPUT)
+        top = Module(name="top")
+        top.add_instance("u0", first)
+        top.add_instance("u1", second)
+        with pytest.raises(ValueError, match="'leaf'"):
+            emit_verilog(top)

@@ -88,6 +88,18 @@ class TestCli:
         assert main([figure1_file, "--verilog", str(target)]) == 0
         assert "endmodule" in target.read_text()
 
+    def test_verilog_refuses_a_source_name_that_is_no_identifier(
+        self, tmp_path, capsys
+    ):
+        source = tmp_path / "my-design.hic"
+        source.write_text(FIGURE1_SOURCE)
+        target = tmp_path / "out.v"
+        assert main([str(source), "--verilog", str(target)]) == 1
+        assert "'my-design' is not a legal Verilog identifier" in (
+            capsys.readouterr().err
+        )
+        assert not target.exists()
+
     def test_vcd_output(self, figure1_file, tmp_path):
         target = tmp_path / "trace.vcd"
         assert main(

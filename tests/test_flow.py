@@ -1,5 +1,7 @@
 """Unit tests for the end-to-end flow driver."""
 
+import gc
+
 import pytest
 
 from repro.core import Organization
@@ -81,6 +83,32 @@ class TestCompileDesign:
         design = compile_design(make_fanout_source(consumers))
         wrapper = design.wrapper_modules["bram0"]
         assert wrapper.name.endswith(f"c{consumers}")
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"optimize": True, "organization": Organization.EVENT_DRIVEN},
+            {"channel_synthesis": "fifo", "organization": Organization.LOCK_BASELINE},
+            {"num_banks": 4},
+        ],
+    )
+    def test_a_compile_leaves_no_reference_cycles(self, options):
+        """Reference counting frees everything a compile allocates, so
+        the cycle collector never has to walk a design (it did when the
+        FSM builder's expression rewriter was a recursive closure)."""
+        gc.collect()
+        gc.disable()
+        try:
+            design = compile_design(forwarding_source(4), **options)
+            design.verilog()
+            design.utilization()
+            for thread in design.fsms:
+                design.thread_verilog(thread)
+            del design
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBuildSimulation:
