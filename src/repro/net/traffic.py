@@ -11,21 +11,24 @@ arrival patterns.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from functools import partial
+from typing import Callable, Iterator, Optional
 
-from .packet import Ipv4Packet, ip
+from .packet import Ipv4Packet
 
 
 @dataclass
 class PacketFactory:
     """Generates destination/source-varied packets deterministically.
 
-    The factory sits on the simulator's per-cycle hot path (one to two
-    packets per cycle under dense traffic), so the draw is hand-inlined
-    in :meth:`make_message`: it mirrors :meth:`random.Random.randrange`'s
-    rejection sampling bit-for-bit on the same generator state, and the
-    checksum is folded from the raw header words.  The packet *stream* —
+    Every packet a simulated thread receives is drawn here (the attached
+    hook queues :meth:`make_message` itself, and the receive calls it),
+    so the draw is hand-inlined in :meth:`make_message`: it mirrors
+    :meth:`random.Random.randrange`'s rejection sampling bit-for-bit on
+    the same generator state, and the checksum is folded from the raw
+    header words.  The packet *stream* —
     field values and RNG consumption — is identical to the original
     ``randrange``/``with_checksum`` formulation; committed golden traces
     depend on that, and ``tests/net/test_traffic.py`` pins it.
@@ -36,6 +39,8 @@ class PacketFactory:
     _rng: random.Random = field(init=False, repr=False)
     _sequence: int = field(default=0, init=False)
     _ports_bits: int = field(init=False, repr=False)
+    #: set once an attached hook draws from this factory
+    _attached = False
 
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
@@ -54,8 +59,8 @@ class PacketFactory:
 
     def make_message(self) -> dict[str, int]:
         """``make().to_message()`` without materializing the packet —
-        what the attached simulation hook injects (interfaces carry
-        message dicts; the dataclass would be built only to be
+        what a receive draws when it pops a lazy arrival (interfaces
+        carry message dicts; the dataclass would be built only to be
         flattened right back into one).
 
         Each ``getrandbits`` rejection loop replicates CPython's
@@ -102,105 +107,147 @@ class PacketFactory:
 
 
 class TrafficGenerator:
-    """Base class: yields 0..n packets per cycle."""
+    """Base class: a seeded arrival process plus the :class:`PacketFactory`
+    that draws each arriving packet's fields.
 
-    def packets_at(self, cycle: int) -> list[Ipv4Packet]:
+    A subclass defines one method, :meth:`arrivals`, and sets
+    ``factory``.  Arrivals (the generator's own RNG) and fields (the
+    factory's RNG) are separate streams, so the attached hook can draw
+    arrivals a span at a time and leave each packet's fields to the
+    receive that pops it.
+    """
+
+    factory: PacketFactory
+    #: set by :meth:`attach`; an attached generator refuses a second hook
+    _attached = False
+
+    def arrivals(self, start: int, end: int) -> list[int]:
+        """The cycles in ``[start, end)`` at which packets arrive, in
+        increasing order, a cycle listed once per packet arriving in it.
+
+        Each call consumes its span's draws: draw every cycle once, in
+        increasing cycle order (spans may have any length)."""
         raise NotImplementedError
 
-    def messages_at(self, cycle: int) -> list[dict[str, int]]:
-        """The same arrivals as :meth:`packets_at`, already in interface
-        message form — the attached hook's path.  Subclasses with a
-        :class:`PacketFactory` override this with ``make_message`` to
-        skip the packet dataclass; the base fallback guarantees any
-        generator stays attachable.  Call one or the other per cycle,
-        never both: each call consumes the cycle's RNG draw."""
-        return [packet.to_message() for packet in self.packets_at(cycle)]
+    def packets_at(self, cycle: int) -> list[Ipv4Packet]:
+        """The packets arriving at ``cycle``, fields drawn now."""
+        return [self.factory.make() for __ in self.arrivals(cycle, cycle + 1)]
 
     def attach(self, rx_interface) -> "_AttachedHook":
-        """A kernel pre-cycle hook that injects this generator's packets."""
+        """A kernel pre-cycle hook that injects this generator's packets.
+
+        Fields are drawn in receive order, which is arrival order only
+        while one factory feeds one rx queue: a generator attaches once,
+        and never while its factory feeds another hook.
+        """
+        if self._attached:
+            raise ValueError(
+                f"{type(self).__name__} is already attached to an rx queue"
+            )
+        if self.factory._attached:
+            raise ValueError(
+                f"{type(self).__name__}'s PacketFactory already feeds "
+                "another hook: one factory feeds one rx queue"
+            )
+        self._attached = self.factory._attached = True
         return _AttachedHook(self, rx_interface)
+
+
+#: cycles of arrivals drawn per refill when the hook runs cycle by
+#: cycle or looks ahead for the wheel kernel (where span boundaries
+#: fall does not change the arrival stream)
+_DRAW_SPAN = 256
 
 
 @dataclass
 class _AttachedHook:
-    """Pre-cycle hook injecting a generator's packets into an rx queue.
+    """Pre-cycle hook injecting a generator's arrivals into an rx queue.
 
-    The hook draws ``generator.packets_at(c)`` exactly once per cycle,
-    in increasing cycle order — whether the kernel executes every cycle
-    (the reference kernel calls ``__call__`` per cycle) or skips idle
-    stretches (the fast kernel calls :meth:`next_wake` to look ahead).
-    Lookahead draws are buffered and delivered at their exact cycles,
-    so the generator's RNG stream and the injected packet sequence are
-    identical under both kernels.
+    Arrivals are drawn a span at a time (``generator.arrivals``) ahead
+    of the executing cycle, and each one enters the rx queue at its
+    cycle as a lazy arrival (``rx_interface.arrive``): the factory's
+    ``make_message``, which a receive calls when it pops the entry.  A
+    packet no thread receives is never built.
+
+    The output is byte-identical to drawing every packet on arrival: the
+    arrival cycles come from the generator's RNG in increasing cycle
+    order whoever draws them (per-cycle call, the wheel kernel's
+    :meth:`next_wake` lookahead, or a compiled span's
+    :meth:`prepare_span`); the fields come from the factory's separate
+    RNG, and the rx queue is a FIFO, so the k-th receive still gets the
+    k-th draw.
     """
 
     generator: TrafficGenerator
     rx_interface: object
-    injected: int = 0
     #: cycles ``< _drawn_until`` have been drawn from the generator
     _drawn_until: int = field(default=0, init=False, repr=False)
-    #: drawn-ahead arrivals not yet injected, keyed by cycle
-    _buffered: dict = field(default_factory=dict, init=False, repr=False)
+    #: arrivals drawn so far
+    _drawn: int = field(default=0, init=False, repr=False)
+    #: drawn arrival cycles not yet injected, in increasing order
+    _due: deque = field(default_factory=deque, init=False, repr=False)
+    #: queues one lazy arrival on the rx interface
+    _arrive: Callable[[], None] = field(init=False, repr=False)
 
     #: compiled-kernel fast-path contract: this hook reads nothing from
     #: the kernel and mutates only the rx queue, so a generated span may
     #: keep running it without falling back to the wheel kernel
     mutates_only_rx = True
 
-    def _draw_through(self, cycle: int) -> None:
-        while self._drawn_until <= cycle:
-            messages = self.generator.messages_at(self._drawn_until)
-            if messages:
-                self._buffered[self._drawn_until] = messages
-            self._drawn_until += 1
+    def __post_init__(self) -> None:
+        self._arrive = partial(
+            self.rx_interface.arrive, self.generator.factory.make_message
+        )
+
+    @property
+    def injected(self) -> int:
+        """Arrivals queued on the rx interface so far."""
+        return self._drawn - len(self._due)
+
+    def _draw(self, end: int) -> None:
+        """Draw every arrival before cycle ``end``."""
+        arrivals = self.generator.arrivals(self._drawn_until, end)
+        self._due.extend(arrivals)
+        self._drawn += len(arrivals)
+        self._drawn_until = end
 
     def __call__(self, cycle: int, kernel) -> None:
-        self._draw_through(cycle)
-        for message in self._buffered.pop(cycle, ()):
-            self.rx_interface.push(message)
-            self.injected += 1
+        if self._drawn_until <= cycle:
+            self._draw(cycle + _DRAW_SPAN)
+        due = self._due
+        while due and due[0] <= cycle:
+            due.popleft()
+            self._arrive()
 
-    def prepare_span(self, start: int, end: int):
-        """Compiled-kernel batched path: pre-draw every arrival through
-        cycle ``end - 1`` and expose the internal buffer.
+    def prepare_span(self, end: int):
+        """Compiled-kernel batched path: draw every arrival through
+        cycle ``end - 1`` and return ``(due, arrive)``, the deque of
+        drawn arrival cycles not yet injected and the zero-argument
+        call that injects one.
 
-        The caller (a generated ``run_span``) pops each cycle it
-        executes from the returned dict, pushes the messages itself, and
-        adds to :attr:`injected` — exactly what ``__call__`` would have
-        done cycle by cycle, minus the per-cycle function calls.  The
-        RNG draw order is untouched (the pre-draw is the same lookahead
-        the wheel kernel's ``next_wake`` uses), and arrivals left
-        unpopped on an early exit stay buffered for later delivery.
+        The caller (a generated ``run_span``) pops each arrival whose
+        cycle it reaches off ``due`` and calls ``arrive()``: what
+        ``__call__`` does cycle by cycle, minus the per-cycle function
+        calls.  Arrivals left on an early exit stay in ``due`` for later
+        delivery.
         """
         if self._drawn_until < end:
-            span = getattr(self.generator, "messages_span", None)
-            if span is None:
-                self._draw_through(end - 1)
-            else:
-                # span cycles start at _drawn_until, so the keys cannot
-                # collide with anything already buffered
-                self._buffered.update(span(self._drawn_until, end))
-                self._drawn_until = end
-        return self._buffered
+            self._draw(end)
+        return self._due, self._arrive
 
     def next_wake(self, cycle: int, limit: int, kernel):
-        """Earliest arrival in ``(cycle, limit]``; ``None`` if silent.
+        """Earliest arrival after ``cycle``; ``None`` if none arrives
+        through ``limit``.
 
         Part of the fast-kernel hook wake contract: the kernel only
-        skips a cycle range after every hook has bounded it.  Draws at
-        most through ``limit``, preserving the once-per-cycle order.
+        skips a cycle range after every hook has bounded it.  Every
+        arrival through ``cycle`` has been injected, so the earliest
+        drawn one lies after it; draws stop at ``limit``.
         """
-        pending = [c for c in self._buffered if c > cycle]
-        while self._drawn_until <= limit:
-            drawn = self._drawn_until
-            messages = self.generator.messages_at(drawn)
-            self._drawn_until += 1
-            if messages:
-                self._buffered[drawn] = messages
-                if drawn > cycle:
-                    pending.append(drawn)
-                    break  # drawn in order: this is the earliest new one
-        return min(pending) if pending else None
+        due = self._due
+        while not due and self._drawn_until <= limit:
+            self._draw(min(self._drawn_until + _DRAW_SPAN, limit + 1))
+        return due[0] if due else None
 
 
 @dataclass
@@ -219,29 +266,10 @@ class BernoulliTraffic(TrafficGenerator):
         if self.factory is None:
             self.factory = PacketFactory(seed=self.seed + 1)
 
-    def packets_at(self, cycle: int) -> list[Ipv4Packet]:
-        if self._rng.random() < self.rate:
-            return [self.factory.make()]
-        return []
-
-    def messages_at(self, cycle: int) -> list[dict[str, int]]:
-        if self._rng.random() < self.rate:
-            return [self.factory.make_message()]
-        return []
-
-    def messages_span(self, start: int, end: int) -> dict[int, list]:
-        """Batched ``messages_at`` over ``[start, end)``: identical
-        draws in identical order, keyed by cycle (arrival cycles only).
-        The compiled kernel's span pre-draw uses this to skip the
-        per-cycle method call and empty-list churn."""
-        rng_random = self._rng.random
+    def arrivals(self, start: int, end: int) -> list[int]:
+        draw = self._rng.random
         rate = self.rate
-        make_message = self.factory.make_message
-        arrivals: dict[int, list] = {}
-        for cycle in range(start, end):
-            if rng_random() < rate:
-                arrivals[cycle] = [make_message()]
-        return arrivals
+        return [cycle for cycle in range(start, end) if draw() < rate]
 
 
 def drive_ingress(sim, rate: float, seed: int = 1) -> None:
@@ -279,17 +307,16 @@ class PoissonTraffic(TrafficGenerator):
             gap += 1
         return gap
 
-    def packets_at(self, cycle: int) -> list[Ipv4Packet]:
-        if cycle >= self._next_arrival:
-            self._next_arrival = cycle + self._gap()
-            return [self.factory.make()]
-        return []
-
-    def messages_at(self, cycle: int) -> list[dict[str, int]]:
-        if cycle >= self._next_arrival:
-            self._next_arrival = cycle + self._gap()
-            return [self.factory.make_message()]
-        return []
+    def arrivals(self, start: int, end: int) -> list[int]:
+        # An arrival due before ``start`` (in cycles a caller never
+        # drew) lands at ``start``; each gap counts from its arrival.
+        cycles = []
+        cycle = max(self._next_arrival, start)
+        while cycle < end:
+            cycles.append(cycle)
+            cycle += self._gap()
+        self._next_arrival = cycle
+        return cycles
 
 
 @dataclass
@@ -300,26 +327,19 @@ class BurstyTraffic(TrafficGenerator):
     gap_len: int = 24
     seed: int = 1
     factory: Optional[PacketFactory] = None
-    _rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.burst_len <= 0 or self.gap_len < 0:
             raise ValueError("burst length must be positive, gap non-negative")
-        self._rng = random.Random(self.seed)
         if self.factory is None:
             self.factory = PacketFactory(seed=self.seed + 1)
 
-    def packets_at(self, cycle: int) -> list[Ipv4Packet]:
+    def arrivals(self, start: int, end: int) -> list[int]:
         period = self.burst_len + self.gap_len
-        if (cycle % period) < self.burst_len:
-            return [self.factory.make()]
-        return []
-
-    def messages_at(self, cycle: int) -> list[dict[str, int]]:
-        period = self.burst_len + self.gap_len
-        if (cycle % period) < self.burst_len:
-            return [self.factory.make_message()]
-        return []
+        return [
+            cycle for cycle in range(start, end)
+            if cycle % period < self.burst_len
+        ]
 
 
 @dataclass
@@ -335,19 +355,13 @@ class DeterministicTraffic(TrafficGenerator):
         if self.factory is None:
             self.factory = PacketFactory(seed=7)
 
-    def packets_at(self, cycle: int) -> list[Ipv4Packet]:
-        if cycle % self.interval == 0:
-            return [self.factory.make()]
-        return []
-
-    def messages_at(self, cycle: int) -> list[dict[str, int]]:
-        if cycle % self.interval == 0:
-            return [self.factory.make_message()]
-        return []
+    def arrivals(self, start: int, end: int) -> list[int]:
+        return [
+            cycle for cycle in range(start, end) if cycle % self.interval == 0
+        ]
 
 
 def replay(generator: TrafficGenerator, cycles: int) -> Iterator[tuple[int, Ipv4Packet]]:
     """Offline expansion of a generator over a cycle range."""
-    for cycle in range(cycles):
-        for packet in generator.packets_at(cycle):
-            yield cycle, packet
+    for cycle in generator.arrivals(0, cycles):
+        yield cycle, generator.factory.make()

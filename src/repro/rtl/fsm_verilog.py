@@ -42,15 +42,63 @@ _BINOP = {
 }
 
 
+#: Verilog-2001 reserved words (IEEE 1364-2001, Annex B).
+VERILOG_KEYWORDS = frozenset(
+    """
+    always and assign automatic begin buf bufif0 bufif1 case casex casez
+    cell cmos config deassign default defparam design disable edge else
+    end endcase endconfig endfunction endgenerate endmodule endprimitive
+    endspecify endtable endtask event for force forever fork function
+    generate genvar highz0 highz1 if ifnone incdir include initial inout
+    input instance integer join large liblist library localparam
+    macromodule medium module nand negedge nmos nor noshowcancelled not
+    notif0 notif1 or output parameter pmos posedge primitive pull0 pull1
+    pulldown pullup pulsestyle_ondetect pulsestyle_onevent rcmos real
+    realtime reg release repeat rnmos rpmos rtran rtranif0 rtranif1
+    scalared showcancelled signed small specify specparam strong0
+    strong1 supply0 supply1 table task time tran tranif0 tranif1 tri
+    tri0 tri1 triand trior trireg unsigned use vectored wait wand weak0
+    weak1 while wire wor xnor xor
+    """.split()
+)
+
+
 def sanitize(name: str) -> str:
-    """A hic name as a legal Verilog identifier."""
+    """A hic name as a Verilog identifier, before clashes are resolved
+    (see :func:`_verilog_names`)."""
     return name.replace("$", "tmp_").replace(".", "_")
+
+
+def _verilog_names(names: set[str], reserved: set[str]) -> dict[str, str]:
+    """Each hic name's identifier in one module: :func:`sanitize`'s,
+    unless that is a Verilog keyword, a name the module declares itself
+    (``reserved``) or an earlier name's identifier; then it gets
+    trailing underscores until it is none of these."""
+    used = set(VERILOG_KEYWORDS | reserved)
+    idents: dict[str, str] = {}
+    clashing = []
+    for name in sorted(names):
+        ident = sanitize(name)
+        if ident in used:
+            clashing.append(name)
+        else:
+            idents[name] = ident
+            used.add(ident)
+    for name in clashing:
+        ident = sanitize(name) + "_"
+        while ident in used:
+            ident += "_"
+        idents[name] = ident
+        used.add(ident)
+    return idents
 
 
 @dataclass
 class _ExprRenderer:
     """Renders hic expressions as Verilog, collecting used functions."""
 
+    #: hic name -> Verilog identifier (:func:`_verilog_names`)
+    names: dict
     functions: set = field(default_factory=set)
 
     def render(self, expr: ast.Expr) -> str:
@@ -61,7 +109,7 @@ class _ExprRenderer:
         if isinstance(expr, ast.BoolLiteral):
             return "1'b1" if expr.value else "1'b0"
         if isinstance(expr, ast.Name):
-            return sanitize(expr.ident)
+            return self.names[expr.ident]
         if isinstance(expr, ast.Unary):
             op = {"-": "-", "!": "!", "~": "~"}[expr.op]
             return f"({op}{self.render(expr.operand)})"
@@ -128,7 +176,6 @@ def emit_thread_verilog(
         constants: ``#constant`` pragma values, emitted as localparams.
     """
     constants = dict(constants or {})
-    renderer = _ExprRenderer()
     state_names = list(fsm.states)
     state_index = {name: i for i, name in enumerate(state_names)}
     state_bits = max(1, (len(state_names) - 1).bit_length())
@@ -149,31 +196,29 @@ def emit_thread_verilog(
     # every plain variable referenced by an expression (read-before-write
     # registers power up at x in hardware; the simulator models them as 0).
     registers: set[str] = set()
+    exprs: list[ast.Expr] = []
     uses_rx = uses_tx = uses_mem = False
 
-    def note_expr_names(expr: ast.Expr | None) -> None:
-        if expr is not None:
-            registers.update(ast.names_read(expr) - constants.keys())
-
     for state in fsm.states.values():
-        for tr in state.transitions:
-            note_expr_names(tr.guard)
+        exprs.extend(tr.guard for tr in state.transitions)
         for op in state.ops:
             if isinstance(op, ComputeOp):
                 registers.add(op.dest)
-                note_expr_names(op.expr)
+                exprs.append(op.expr)
             elif isinstance(op, MemReadOp):
                 registers.add(op.dest)
-                note_expr_names(op.offset_expr)
+                exprs.append(op.offset_expr)
                 uses_mem = True
             elif isinstance(op, MemWriteOp):
-                note_expr_names(op.value_expr)
-                note_expr_names(op.offset_expr)
+                exprs.extend((op.value_expr, op.offset_expr))
                 uses_mem = True
             elif isinstance(op, ReceiveOp):
                 uses_rx = True
             elif isinstance(op, TransmitOp):
                 uses_tx = True
+    exprs = [expr for expr in exprs if expr is not None]
+    for expr in exprs:
+        registers.update(ast.names_read(expr) - constants.keys())
 
     lines: list[str] = []
     lines.append(f"module thread_{fsm.thread}_fsm (")
@@ -197,16 +242,29 @@ def emit_thread_verilog(
     lines.append(");")
     lines.append("")
 
+    # Names the module declares itself: ports, the state register and
+    # its localparams, and one function per called intrinsic.
+    reserved = {port.split()[-1] for port in ports} | {"state"}
+    reserved.update(f"S_{name.upper()}" for name in state_names)
+    reserved.update(
+        f"fn_{sanitize(node.callee)}"
+        for expr in exprs
+        for node in ast.walk(expr)
+        if isinstance(node, ast.Call)
+    )
+    names = _verilog_names(registers | constants.keys(), reserved)
+    renderer = _ExprRenderer(names)
+
     for i, name in enumerate(state_names):
         lines.append(f"  localparam S_{name.upper()} = {state_bits}'d{i};")
     lines.append(f"  reg [{state_bits - 1}:0] state;")
     lines.append("")
     for name, value in sorted(constants.items()):
         lines.append(
-            f"  localparam [31:0] {sanitize(name)} = 32'd{value & 0xFFFFFFFF};"
+            f"  localparam [31:0] {names[name]} = 32'd{value & 0xFFFFFFFF};"
         )
     for reg in sorted(registers):
-        lines.append(f"  reg [31:0] {sanitize(reg)} = 32'd0;")
+        lines.append(f"  reg [31:0] {names[reg]} = 32'd0;")
     lines.append("")
 
     # Body: collect statements first so function definitions (discovered
@@ -263,7 +321,7 @@ def emit_thread_verilog(
             body.append("          if (mem_grant) begin")
             if isinstance(op, MemReadOp):
                 body.append(
-                    f"            {sanitize(op.dest)} <= mem_rdata[31:0];"
+                    f"            {names[op.dest]} <= mem_rdata[31:0];"
                 )
             body.extend("  " + line for line in advance)
             body.append("          end")
@@ -281,7 +339,7 @@ def emit_thread_verilog(
             for op in state.ops:
                 assert isinstance(op, ComputeOp)
                 body.append(
-                    f"          {sanitize(op.dest)} <= "
+                    f"          {names[op.dest]} <= "
                     f"{renderer.render(op.expr)};"
                 )
             body.extend(advance)

@@ -2,7 +2,8 @@
 
 ``compile_program`` is the subsystem's front door: it generates the
 design's tick module, serves the cached :class:`CompiledProgram` when
-that exact source was compiled before, and otherwise ``compile()``s it.
+that exact source was compiled before, and otherwise ``compile()``s it
+and executes it once, keeping its ``bind`` entry point.
 Generation is the cheap half of codegen and ``compile()`` the dear one,
 so repeated ``build_simulation`` calls on an identical design — the
 shape of every campaign sweep and DSE run — compile once per process;
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 from .codegen import generate_source
 
@@ -31,11 +33,18 @@ from .codegen import generate_source
 @dataclass(frozen=True)
 class CompiledProgram:
     """One cached codegen result (shared by every kernel instance built
-    from a design that generates the same source)."""
+    from a design that generates the same source).
+
+    The module is executed once, here: ``bind(kernel)`` returns the
+    kernel's ``run_span(kernel, start, end, deadline,
+    max_wall_seconds)``.  Executing it per kernel would give every build
+    a fresh module namespace that its own functions point back at, a
+    reference cycle only the cycle collector frees.
+    """
 
     digest: str
     source: str
-    code: object  # the compiled module code object, ready to exec
+    bind: Callable
 
 
 _CACHE: dict[str, CompiledProgram] = {}
@@ -55,7 +64,10 @@ def compile_program(design) -> CompiledProgram:
     if program is None:
         _GENERATION_COUNT += 1
         code = compile(source, f"<compiled-sim {digest[:16]}>", "exec")
-        program = _CACHE[digest] = CompiledProgram(digest, source, code)
+        namespace: dict = {}
+        exec(code, namespace)
+        program = CompiledProgram(digest, source, namespace["bind"])
+        _CACHE[digest] = program
     return program
 
 

@@ -4,11 +4,14 @@
 every thread FSM, the arbitrated controller policy (round-robin
 arbiters, dependency-list guards, priority D > C > B), and the
 interface DMA — into the source of one straight-line Python module with
-a single ``bind(kernel) -> run_span`` entry point.  ``run_span(start,
-end, deadline, max_wall_seconds)`` advances the kernel exactly like
-``SimulationKernel.step`` called ``end - start`` times, then flushes the
-accumulated state back into the real executor/controller objects, so
-interpreted and compiled cycles interleave freely.
+a single ``bind(kernel) -> run_span`` entry point.  ``run_span(kernel,
+start, end, deadline, max_wall_seconds)`` advances the kernel exactly
+like ``SimulationKernel.step`` called ``end - start`` times, then
+flushes the accumulated state back into the real executor/controller
+objects, so interpreted and compiled cycles interleave freely.  The
+kernel is an argument, not a closure variable: the kernel holds its
+``run_span``, so closing over the kernel would make every compiled
+simulation a reference cycle.
 
 Equivalence contract (byte-for-byte, proven by ``tests/differential/``):
 
@@ -48,6 +51,12 @@ from ...synth.fsm import (
     TransmitOp,
 )
 from .exprgen import ExprCompiler, UnsupportedExpression
+
+#: Cycles a generated span runs between arrival pre-draws (which bounds
+#: the arrivals it holds drawn ahead), without and with a wall-clock
+#: deadline (checked once per chunk).
+_CHUNK = 4096
+_TIMED_CHUNK = 256
 
 #: Geometry the inline arbitrated path is specialized for (the flow
 #: always builds ``BlockRam(name)`` with these defaults; ``bind``
@@ -851,6 +860,8 @@ class _Codegen:
             f"if rxq_r{k}:",
             f"    dlv_r{k} += 1",
             f"    _m = rxq_r{k}.popleft()",
+            "    if callable(_m):",  # a lazy arrival draws its fields now
+            "        _m = _m()",
         ]
         if self.inline[placement.bram]:
             if not 0 <= base <= _BRAM_DEPTH - len(fields):
@@ -980,13 +991,16 @@ class _Codegen:
         ):
             lines.extend(_indent(section))
         lines.append("")
-        lines.append("    def run_span(start, end, deadline, max_wall_seconds):")
+        lines.append(
+            "    def run_span(kernel, start, end, deadline, max_wall_seconds):"
+        )
         lines.append("        cycle = start")
         # Partition pre-hooks once per span: a hook exposing
-        # prepare_span() (the traffic injector) pre-draws its whole
-        # arrival buffer here, so the per-cycle work collapses to one
-        # dict.pop; anything else runs through the per-cycle call,
-        # same order as the interpreter.
+        # prepare_span() (the traffic injector) pre-draws its arrivals a
+        # chunk at a time, so delivering one is a deque pop and a call,
+        # and a cycle without arrivals costs one comparison; anything
+        # else runs through the per-cycle call, same order as the
+        # interpreter.
         lines.append("        _fast = []")
         lines.append("        _slow = []")
         lines.append("        for _h in kernel._pre_hooks:")
@@ -994,39 +1008,32 @@ class _Codegen:
         lines.append("            if _ps is None:")
         lines.append("                _slow.append(_h)")
         lines.append("            else:")
-        # push() copies the message dict into the queue; appending the
-        # copy directly skips a method frame per arrival.
-        lines.append(
-            "                _q = getattr(_h.rx_interface, '_queue', None)"
-        )
-        lines.append("                _fast.append((")
-        lines.append("                    _ps(start, end),")
-        lines.append(
-            "                    _h.rx_interface.push "
-            "if _q is None else _q.append,"
-        )
-        lines.append("                    _h,")
-        lines.append("                    _q is not None,")
-        lines.append("                ))")
+        lines.append("                _fast.append(_ps)")
         lines.extend(_indent(self.entry, "        "))
         lines.append("        timed_out = False")
         lines.append("        try:")
         lines.append("            while cycle < end:")
         lines.append(
-            "                _limit = end if deadline is None else "
-            "(cycle + 256 if cycle + 256 < end else end)"
+            "                _limit = cycle + "
+            f"({_CHUNK} if deadline is None else {_TIMED_CHUNK})"
         )
+        lines.append("                if _limit > end:")
+        lines.append("                    _limit = end")
+        lines.append("                _arr = [_ps(_limit) for _ps in _fast]")
+        # _nxt: the chunk's next arrival cycle over every fast hook
+        lines.append("                _nxt = _limit")
+        lines.append("                for _d, _a in _arr:")
+        lines.append("                    if _d and _d[0] < _nxt:")
+        lines.append("                        _nxt = _d[0]")
         lines.append("                while cycle < _limit:")
-        lines.append("                    for _b, _p, _h, _cp in _fast:")
-        lines.append("                        _ms = _b.pop(cycle, None)")
-        lines.append("                        if _ms is not None:")
-        lines.append("                            if _cp:")
-        lines.append("                                for _m in _ms:")
-        lines.append("                                    _p(dict(_m))")
-        lines.append("                            else:")
-        lines.append("                                for _m in _ms:")
-        lines.append("                                    _p(_m)")
-        lines.append("                            _h.injected += len(_ms)")
+        lines.append("                    if cycle >= _nxt:")
+        lines.append("                        _nxt = _limit")
+        lines.append("                        for _d, _a in _arr:")
+        lines.append("                            while _d and _d[0] <= cycle:")
+        lines.append("                                _d.popleft()")
+        lines.append("                                _a()")
+        lines.append("                            if _d and _d[0] < _nxt:")
+        lines.append("                                _nxt = _d[0]")
         # Only a slow hook can see kernel.cycle mid-span; the exit
         # flush stores the final value for everyone else.
         lines.append("                    if _slow:")

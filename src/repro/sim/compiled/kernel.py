@@ -78,10 +78,8 @@ class CompiledKernel(FastKernel):
         except UnsupportedDesign as exc:
             self.bind_error = str(exc)
             return
-        namespace: dict = {}
         try:
-            exec(self.program.code, namespace)
-            self._run_span = namespace["bind"](self)
+            self._run_span = self.program.bind(self)
         except Exception as exc:  # drift between codegen and runtime
             if os.environ.get("REPRO_COMPILED_STRICT"):
                 raise
@@ -116,7 +114,7 @@ class CompiledKernel(FastKernel):
             self._parked.clear()
             try:
                 self._run_span(
-                    start, start + cycles, deadline, max_wall_seconds
+                    self, start, start + cycles, deadline, max_wall_seconds
                 )
             finally:
                 self.cycles_compiled += self.cycle - start

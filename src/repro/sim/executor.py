@@ -163,22 +163,32 @@ def default_intrinsic(name: str) -> Callable[..., int]:
 
 
 class RxInterface:
-    """Ingress side of a network interface: a message queue the traffic
-    generator fills and receive states drain."""
+    """Ingress side of a network interface: a FIFO the traffic generator
+    fills and receive states drain.
+
+    An entry is an explicit message (:meth:`push` copies it) or a lazy
+    arrival (:meth:`arrive`): a zero-argument callable that draws the
+    message when a receive pops the entry, so a packet no thread
+    receives is never built.
+    """
 
     def __init__(self, name: str):
         self.name = name
-        self._queue: deque[dict[str, int]] = deque()
+        self._queue: deque = deque()
         self.delivered = 0
 
     def push(self, message: dict[str, int]) -> None:
         self._queue.append(dict(message))
 
+    def arrive(self, draw: Callable[[], dict[str, int]]) -> None:
+        self._queue.append(draw)
+
     def pop(self) -> Optional[dict[str, int]]:
         if not self._queue:
             return None
         self.delivered += 1
-        return self._queue.popleft()
+        message = self._queue.popleft()
+        return message() if callable(message) else message
 
     @property
     def backlog(self) -> int:

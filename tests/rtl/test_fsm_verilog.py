@@ -5,12 +5,16 @@ import re
 import pytest
 
 from repro.flow import compile_design
+from repro.net import forwarding_source
 from repro.rtl.fsm_verilog import (
+    VERILOG_KEYWORDS,
     emit_testbench,
     emit_thread_verilog,
     sanitize,
 )
+from repro.scenarios.catalog import SCENARIO_NAMES, get_scenario
 from repro.sim import default_intrinsic
+from tests.conftest import FIGURE1_SOURCE
 
 
 def thread_text(source, thread=None, **kwargs):
@@ -122,6 +126,92 @@ class TestSanitize:
 
     def test_plain_names_unchanged(self):
         assert sanitize("counter") == "counter"
+
+
+def declared_names(text):
+    """Every identifier a module declares in its own scope: ports,
+    localparams, registers and functions (a function's locals are in
+    the function's scope)."""
+    module_scope = re.sub(r"function .*?endfunction", "", text, flags=re.S)
+    width = r"(?:\[[^\]]*\]\s*)?"
+    names = re.findall(
+        rf"^\s*(?:input|output)\s+(?:wire|reg)\s+{width}(\w+)",
+        module_scope,
+        re.M,
+    )
+    names += re.findall(rf"^\s*localparam\s+{width}(\w+)", module_scope, re.M)
+    names += re.findall(rf"^\s*reg\s+{width}(\w+)", module_scope, re.M)
+    names += re.findall(r"^\s*function\s+\[31:0\]\s+(\w+);", text, re.M)
+    return names
+
+
+def assert_declares_each_name_once(text):
+    names = declared_names(text)
+    assert len(names) == len(set(names)), sorted(names)
+    assert not set(names) & VERILOG_KEYWORDS
+
+
+class TestDeclaredNames:
+    """A hic name that is a Verilog keyword, or that the module declares
+    itself, gets trailing underscores; every other name is unchanged."""
+
+    def test_keyword_names_are_escaped(self):
+        text = thread_text("thread t () { int begin; begin = begin + 1; }")
+        assert "reg [31:0] begin_ = 32'd0;" in text
+        assert "begin_ <= (begin_ + 32'd1);" in text
+        assert_declares_each_name_once(text)
+
+    def test_a_variable_named_state_keeps_the_fsm_register(self):
+        text = thread_text(
+            "thread t () { int state, work; "
+            "case (state) { of 0: { work = work + 1; state = 1; } "
+            "default: { state = 0; } } }"
+        )
+        assert re.search(r"reg \[\d+:0\] state;", text)
+        assert "reg [31:0] state_ = 32'd0;" in text
+        assert "case (state)" in text
+        assert "state_ <= 32'd1;" in text
+        assert_declares_each_name_once(text)
+
+    def test_port_function_and_localparam_names_are_escaped(self):
+        text = thread_text(
+            "#interface{eth, gige}\n"
+            "thread t () { int mem_req, fn_g, S_START0, x; message m; "
+            "receive(m, eth); mem_req = m.ttl; fn_g = g(mem_req); "
+            "x = fn_g + S_START0; }"
+        )
+        assert "output reg  mem_req," in text
+        assert "function [31:0] fn_g;" in text
+        assert "localparam S_START0 " in text
+        for name in ("mem_req_", "fn_g_", "S_START0_"):
+            assert f"reg [31:0] {name} = 32'd0;" in text
+        assert "fn_g_ <= fn_g(mem_req_);" in text
+        assert_declares_each_name_once(text)
+
+    def test_an_escape_never_takes_another_variable_s_name(self):
+        text = thread_text(
+            "thread t () { int begin, begin_, end; "
+            "begin = begin_ + end; begin_ = begin; end = 1; }"
+        )
+        assert "begin__ <= (begin_ + end_);" in text
+        assert "begin_ <= begin__;" in text
+        assert_declares_each_name_once(text)
+
+    def test_names_clashing_with_nothing_are_unchanged(self, figure1_source):
+        text = thread_text(figure1_source, thread="t2")
+        assert "reg [31:0] y1 = 32'd0;" in text
+
+    @pytest.mark.parametrize(
+        "source",
+        [FIGURE1_SOURCE, forwarding_source(4)]
+        + [get_scenario(name).source for name in SCENARIO_NAMES],
+        ids=["figure1", "forwarding4"] + list(SCENARIO_NAMES),
+    )
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_every_example_declares_each_name_once(self, source, optimize):
+        design = compile_design(source, optimize=optimize)
+        for thread in design.fsms:
+            assert_declares_each_name_once(design.thread_verilog(thread))
 
 
 class TestTestbench:

@@ -149,6 +149,10 @@ class TestCacheKey:
         ).hexdigest()
 
 
+def _drifted_bind(kernel):
+    raise RuntimeError("drift")
+
+
 class TestFallback:
     def test_kernel_without_design_interprets(self):
         sim = build_simulation(_design(), kernel="compiled")
@@ -188,12 +192,10 @@ class TestFallback:
     def test_bind_failure_falls_back_silently(self, monkeypatch):
         design = _design()
         program = compile_program(design)
-        broken = compile("def bind(kernel):\n    raise RuntimeError('drift')\n",
-                         "<broken>", "exec")
         monkeypatch.setitem(
             cache_module._CACHE,
             program.digest,
-            type(program)(program.digest, program.source, broken),
+            type(program)(program.digest, program.source, _drifted_bind),
         )
         sim = build_simulation(design, kernel="compiled")
         assert sim.kernel.bind_error == "RuntimeError: drift"
@@ -203,12 +205,10 @@ class TestFallback:
     def test_bind_failure_raises_under_strict_env(self, monkeypatch):
         design = _design()
         program = compile_program(design)
-        broken = compile("def bind(kernel):\n    raise RuntimeError('drift')\n",
-                         "<broken>", "exec")
         monkeypatch.setitem(
             cache_module._CACHE,
             program.digest,
-            type(program)(program.digest, program.source, broken),
+            type(program)(program.digest, program.source, _drifted_bind),
         )
         monkeypatch.setenv("REPRO_COMPILED_STRICT", "1")
         with pytest.raises(RuntimeError, match="drift"):

@@ -5,8 +5,8 @@ import gc
 import pytest
 
 from repro.core import Organization
-from repro.flow import build_simulation, compile_design
-from repro.net import forwarding_source
+from repro.flow import SIMULATION_KERNELS, build_simulation, compile_design
+from repro.net import drive_ingress, forwarding_source
 from tests.conftest import make_fanout_source
 
 
@@ -138,3 +138,22 @@ class TestBuildSimulation:
         sim = build_simulation(design)
         assert set(sim.controllers) == {"bram0"}
         assert len(sim.executors) == 3
+
+    @pytest.mark.parametrize("kernel", SIMULATION_KERNELS)
+    def test_a_run_leaves_no_reference_cycles(self, kernel):
+        """Reference counting frees a finished run with a traffic hook
+        (it did not on the compiled kernel while the generated
+        ``run_span`` closed over its kernel and every build executed
+        the program into a fresh module namespace)."""
+        design = compile_design(forwarding_source(2))
+        build_simulation(design, kernel=kernel)  # the codegen cache lives on
+        gc.collect()
+        gc.disable()
+        try:
+            sim = build_simulation(design, kernel=kernel)
+            drive_ingress(sim, rate=0.06)
+            sim.run(400)
+            del sim
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
