@@ -229,8 +229,8 @@ class ArbitratedController(MemoryController):
         * port B grants only while ports C and D have no requests at all.
         """
         ports = {"A": [], "B": [], "C": [], "D": []}
-        for blocked in self.blocked:
-            ports[blocked.request.port].append(blocked.request)
+        for request in self._ungranted.values():
+            ports[request.port].append(request)
         if ports["A"]:
             return cycle + 1
         for request in ports["D"]:

@@ -18,8 +18,8 @@ data behind the paper's determinism discussion (§3.1 vs §3.2).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from ..memory.bram import BlockRam
 
@@ -66,16 +66,14 @@ class MemRequest:
         return self.sort_key < other.sort_key
 
 
-@dataclass(frozen=True)
-class MemResult:
+class MemResult(NamedTuple):
     """Outcome of arbitration for one client."""
 
     granted: bool
     data: int = 0
 
 
-@dataclass(frozen=True)
-class LatencySample:
+class LatencySample(NamedTuple):
     """Completed request with its observed wait."""
 
     client: str
@@ -89,14 +87,39 @@ class LatencySample:
         return self.grant_cycle - self.issue_cycle
 
 
-@dataclass(frozen=True)
-class BlockedRequest:
+class BlockedRequest(NamedTuple):
     """A request submitted this cycle that arbitration did not grant —
     the per-controller tap the runtime watchdog reads."""
 
     request: MemRequest
     issue_cycle: int
     blocked_cycles: int
+
+
+#: The per-cycle path builds the records above as ``_new(Record,
+#: fields)``: ``tuple.__new__`` skips the generated ``__new__``'s
+#: argument binding.
+_new = tuple.__new__
+
+#: a granted write's result (records are immutable, so one serves all)
+_WRITE_GRANT = MemResult(True)
+
+
+def _request_order(item: tuple) -> tuple:
+    return item[1].sort_key
+
+
+def _first_by_client(requests) -> dict[str, MemRequest]:
+    """One request per client, the first in sort order, keyed in client
+    order — the per-client view of a blocked set."""
+    first: dict[str, MemRequest] = {}
+    for request in requests:
+        held = first.get(request.client)
+        if held is None or request.sort_key < held.sort_key:
+            first[request.client] = request
+    if len(first) > 1:
+        return {client: first[client] for client in sorted(first)}
+    return first
 
 
 #: An injection seam over ``submit``: each tap may pass a request through
@@ -116,7 +139,11 @@ class MemoryController(abc.ABC):
         #: fault-injection seams applied to every submitted request
         self.request_taps: list[RequestTap] = []
         #: requests left ungranted by the most recent ``arbitrate`` call
-        self.blocked: list[BlockedRequest] = []
+        #: (key -> request, unsorted) and that call's cycle; ``blocked``
+        #: builds its sorted list from them on first read
+        self._ungranted: dict[tuple, MemRequest] = {}
+        self._ungranted_cycle = 0
+        self._blocked: Optional[list[BlockedRequest]] = None
         #: the same requests indexed by client (first in sort order wins
         #: for a client with several) — the profiler's per-cycle view.
         #: When the blocked membership is unchanged from the previous
@@ -126,6 +153,9 @@ class MemoryController(abc.ABC):
         #: objects of an earlier cycle.
         self.blocked_by_client: dict[str, MemRequest] = {}
         self._blocked_keys: set = set()
+        #: ``len(self.blocked)``, without building the list (it moves
+        #: only with the key set, so it is updated with the view)
+        self.blocked_count = 0
         #: telemetry seam (:class:`repro.obs.Telemetry`); every call site
         #: is guarded by ``is not None`` so the disabled path costs one
         #: attribute check
@@ -165,51 +195,82 @@ class MemoryController(abc.ABC):
     def arbitrate(self, cycle: int) -> dict[str, MemResult]:
         """Apply the organization's policy for one cycle."""
         self.cycle = cycle
-        results = self._arbitrate_cycle(list(self._pending.values()), cycle)
-        for key in list(self._pending):
-            request = self._pending[key]
-            result = results.get(request.client)
-            if result is not None and result.granted:
-                sample = LatencySample(
-                    client=request.client,
-                    port=request.port,
-                    dep_id=request.dep_id,
-                    issue_cycle=self._issue_cycle.pop(key),
-                    grant_cycle=cycle,
-                )
-                self.latency_samples.append(sample)
-                if self.observer is not None:
-                    self.observer.on_grant(self.bram.name, request, sample)
-                del self._pending[key]
-        self.blocked = sorted(
-            (
-                BlockedRequest(
-                    request=request,
-                    issue_cycle=self._issue_cycle[key],
-                    blocked_cycles=cycle - self._issue_cycle[key],
-                )
-                for key, request in self._pending.items()
-            ),
-            key=lambda b: b.request.sort_key,
-        )
-        # A request key fixes every classification-relevant field, and a
-        # client can only change the request behind a key after a grant
-        # empties its old key out of this set — so an unchanged ungranted
-        # key set means the per-client view from last cycle is still
-        # equivalent.  Keep the same object: identity is the observers'
-        # "nothing moved" signal (grants of never-blocked requests don't
-        # disturb it).
-        if self._pending.keys() != self._blocked_keys:
-            by_client: dict[str, MemRequest] = {}
-            for item in self.blocked:
-                client = item.request.client
-                if client not in by_client:
-                    by_client[client] = item.request
-            self.blocked_by_client = by_client
-            self._blocked_keys = set(self._pending)
+        pending = self._pending
+        results = self._arbitrate_cycle(list(pending.values()), cycle)
+        if results:
+            issue_cycle = self._issue_cycle
+            observer = self.observer
+            for key, request in list(pending.items()):
+                result = results.get(request.client)
+                if result is not None and result.granted:
+                    sample = _new(
+                        LatencySample,
+                        (
+                            request.client,
+                            request.port,
+                            request.dep_id,
+                            issue_cycle.pop(key),
+                            cycle,
+                        ),
+                    )
+                    self.latency_samples.append(sample)
+                    if observer is not None:
+                        observer.on_grant(self.bram.name, request, sample)
+                    del pending[key]
         # Requests not granted remain pending; threads re-submit anyway.
         self._pending = {}
+        self._leave_ungranted(pending, cycle)
         return results
+
+    def _leave_ungranted(self, requests: dict, cycle: int) -> None:
+        """Record the requests ``arbitrate`` left ungranted at ``cycle``
+        (key -> request), which ``blocked`` sorts when first read.
+
+        A request key fixes every classification-relevant field, and a
+        client can only change the request behind a key after a grant
+        empties its old key out of this set — so an unchanged ungranted
+        key set means the per-client view from last cycle is still
+        equivalent.  Keep the same object: identity is the observers'
+        "nothing moved" signal (grants of never-blocked requests don't
+        disturb it)."""
+        self._ungranted = requests
+        self._ungranted_cycle = cycle
+        self._blocked = None
+        if requests.keys() != self._blocked_keys:
+            self.blocked_by_client = _first_by_client(requests.values())
+            self._blocked_keys = set(requests)
+            self.blocked_count = len(requests)
+
+    @property
+    def blocked(self) -> list[BlockedRequest]:
+        """Requests left ungranted by the most recent ``arbitrate`` call,
+        in request sort order, aged at that call's cycle.  Built on
+        first read; every later read until the next call returns the
+        same list."""
+        blocked = self._blocked
+        if blocked is None:
+            cycle = self._ungranted_cycle
+            issue_cycle = self._issue_cycle
+            blocked = self._blocked = [
+                _new(
+                    BlockedRequest,
+                    (request, issue_cycle[key], cycle - issue_cycle[key]),
+                )
+                for key, request in sorted(
+                    self._ungranted.items(), key=_request_order
+                )
+            ]
+        return blocked
+
+    def blocked_ages(self) -> list[tuple[tuple, int, int]]:
+        """``(request key, issue cycle, blocked cycles)`` of every
+        request in ``blocked``, unsorted and without building the list."""
+        cycle = self._ungranted_cycle
+        ages = []
+        for key in self._ungranted:
+            issue_cycle = self._issue_cycle[key]
+            ages.append((key, issue_cycle, cycle - issue_cycle))
+        return ages
 
     @abc.abstractmethod
     def _arbitrate_cycle(
@@ -224,9 +285,9 @@ class MemoryController(abc.ABC):
         """Execute a granted access against the BRAM."""
         if request.write:
             self.bram.write(request.address, request.data, self.cycle, request.port)
-            return MemResult(granted=True)
+            return _WRITE_GRANT
         value = self.bram.read(request.address, self.cycle, request.port)
-        return MemResult(granted=True, data=value)
+        return _new(MemResult, (True, value))
 
     def force_unblock(self, request: MemRequest, cycle: int) -> bool:
         """Watchdog recovery seam: clear whatever state is holding
@@ -262,10 +323,11 @@ class MemoryController(abc.ABC):
         until a new request arrives, so the fast kernel may skip it for
         any number of cycles.  The conservative base implementation
         wakes next cycle whenever anything is blocked; organizations
-        override this with their actual grantability rules.  Returned
-        cycles must be ``> cycle``.
+        override this with their actual grantability rules, read off
+        the unsorted ``_ungranted`` requests (a wake does not depend on
+        their order).  Returned cycles must be ``> cycle``.
         """
-        return cycle + 1 if self.blocked else None
+        return cycle + 1 if self._ungranted else None
 
     def note_idle_cycles(self, cycle: int) -> None:
         """Fast-kernel seam: the kernel skipped straight past a quiescent
@@ -280,7 +342,7 @@ class MemoryController(abc.ABC):
         self._pending.clear()
         self._issue_cycle.clear()
         self.latency_samples.clear()
-        self.blocked.clear()
+        self._leave_ungranted({}, 0)
         self.blocked_by_client = {}
         self.cycle = 0
         self.classify_epoch += 1

@@ -142,8 +142,7 @@ class EventDrivenController(MemoryController):
         current slot.
         """
         slot = self.selection.current
-        for blocked in self.blocked:
-            request = blocked.request
+        for request in self._ungranted.values():
             if request.port == "A":
                 return cycle + 1
             if slot is not None and request.dep_id is not None:

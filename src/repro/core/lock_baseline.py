@@ -241,7 +241,7 @@ class LockBaselineController(MemoryController):
         jobs cannot progress (a job only steps while its client
         re-asserts a request) and the controller is quiescent.
         """
-        return cycle + 1 if self.blocked else None
+        return cycle + 1 if self._ungranted else None
 
     def reset(self) -> None:
         super().reset()

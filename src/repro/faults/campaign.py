@@ -402,8 +402,11 @@ def _trace_rounds(sim) -> dict[str, list[tuple]]:
     histories: dict[str, list[tuple]] = {name: [] for name in sim.executors}
     seen = {name: 0 for name in sim.executors}
 
+    # The hook reads the executors off the kernel it is handed: closing
+    # over ``sim`` would make the kernel, which holds the hook, hold
+    # itself.
     def hook(cycle: int, kernel) -> None:
-        for name, executor in sim.executors.items():
+        for name, executor in kernel.executors.items():
             if executor.stats.rounds_completed > seen[name]:
                 seen[name] = executor.stats.rounds_completed
                 histories[name].append(

@@ -9,6 +9,10 @@ the physical request wires.
 
 Everything the injector does is logged with its cycle, so a campaign
 report can correlate injections with watchdog events and trace diffs.
+
+The controllers hold the injector's request taps, so the injector holds
+no controller: its pre-cycle hook reads them off the kernel it is
+handed.  A finished simulation is then freed by reference counting.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core.controller import MemRequest, MemoryController
+from ..core.controller import MemRequest
 from .models import (
     DeplistCorruption,
     Fault,
@@ -67,7 +71,6 @@ class FaultInjector:
 
     def __post_init__(self) -> None:
         self.cycle = 0
-        self._controllers: dict[str, MemoryController] = {}
         self._replaying = False
         #: last cycle a :class:`RequestDrop` ate a request (see next_wake)
         self._dropped_cycle: Optional[int] = None
@@ -93,9 +96,8 @@ class FaultInjector:
     def attach(self, target) -> "FaultInjector":
         """Wire into a :class:`repro.flow.Simulation` (or a bare kernel)."""
         kernel = getattr(target, "kernel", target)
-        self._controllers = dict(kernel.controllers)
         kernel.add_pre_cycle_hook(self._pre_cycle)
-        for name, controller in self._controllers.items():
+        for name, controller in kernel.controllers.items():
             controller.request_taps.append(self._make_tap(name))
         kernel.context["fault-injector"] = self
         return self
@@ -104,20 +106,22 @@ class FaultInjector:
 
     def _pre_cycle(self, cycle: int, kernel) -> None:
         self.cycle = cycle
+        controllers = kernel.controllers
         for fault in self._one_shots:
             if fault.at_cycle != cycle:
                 continue
+            controller = controllers.get(fault.bram)
             if isinstance(fault, SeuBitFlip):
-                self._inject_seu(fault)
+                self._inject_seu(fault, controller)
             else:
-                self._inject_corruption(fault)
+                self._inject_corruption(fault, controller)
         for state in self._stalls:
             if state.active(cycle) and not state.announced:
                 state.announced = True
                 self.log.append((cycle, state.fault.describe()))
         for state in self._duplicates.values():
             if state.captured is not None and state.replays_left > 0:
-                controller = self._controllers.get(state.fault.bram)
+                controller = controllers.get(state.fault.bram)
                 if controller is not None:
                     self._replaying = True
                     try:
@@ -126,8 +130,7 @@ class FaultInjector:
                         self._replaying = False
                 state.replays_left -= 1
 
-    def _inject_seu(self, fault: SeuBitFlip) -> None:
-        controller = self._controllers.get(fault.bram)
+    def _inject_seu(self, fault: SeuBitFlip, controller) -> None:
         bram = getattr(controller, "bram", None)
         if bram is None:
             return
@@ -135,8 +138,7 @@ class FaultInjector:
         bram.flip_bit(address, fault.bit % bram.width)
         self.log.append((fault.at_cycle, fault.describe()))
 
-    def _inject_corruption(self, fault: DeplistCorruption) -> None:
-        controller = self._controllers.get(fault.bram)
+    def _inject_corruption(self, fault: DeplistCorruption, controller) -> None:
         deplist = getattr(controller, "deplist", None)
         if deplist is None:
             # The event-driven wrapper carries no dependency list at

@@ -91,6 +91,10 @@ class Watchdog:
         self.observer = None
         self._controllers: dict[str, MemoryController] = {}
         self._reported: set[tuple] = set()
+        #: controller name -> (its ``blocked_by_client`` view, the
+        #: earliest ``issue_cycle + read_timeout`` of its requests not
+        #: yet timed out, or None) as of the last completed scan
+        self._scans: dict[str, tuple] = {}
         self._last_advances: Optional[int] = None
         #: cycle of the last observed progress (advance counter change);
         #: the stall age is derived as ``cycle - _progress_cycle`` so the
@@ -141,14 +145,11 @@ class Watchdog:
         wakes = []
         blocked_anywhere = False
         for name, controller in self._controllers.items():
-            for blocked in controller.blocked:
+            for key, issue_cycle, __ in controller.blocked_ages():
                 blocked_anywhere = True
-                token = (name, blocked.request.key, blocked.issue_cycle)
-                if token in self._reported:
+                if (name, key, issue_cycle) in self._reported:
                     continue
-                wakes.append(
-                    max(cycle + 1, blocked.issue_cycle + self.read_timeout)
-                )
+                wakes.append(max(cycle + 1, issue_cycle + self.read_timeout))
         if blocked_anywhere and not self._deadlock_reported:
             wakes.append(
                 max(cycle + 1, self._progress_cycle + self.deadlock_window)
@@ -156,15 +157,46 @@ class Watchdog:
         return min(wakes) if wakes else None
 
     def _check_blocked_reads(self, cycle: int) -> None:
+        """Report every unreported request blocked ``read_timeout``
+        cycles or more, per controller in name order and within one in
+        ``blocked`` order.
+
+        A controller is rescanned only when its ``blocked_by_client``
+        view object was replaced (its blocked key set changed, and a
+        new key may carry an old issue cycle) or when the earliest
+        timeout among its requests not yet timed out falls due.
+        Otherwise its blocked requests are the keys of the last scan
+        with the same issue cycles: those past their timeout then were
+        reported then, and none of the rest has reached it, so a scan
+        would report nothing.  A rescan reads the unsorted ages and
+        sorts ``blocked`` only when something is to be reported."""
+        timeout = self.read_timeout
+        reported = self._reported
         for name, controller in self._controllers.items():
-            for blocked in controller.blocked:
-                if blocked.blocked_cycles < self.read_timeout:
-                    continue
-                token = (name, blocked.request.key, blocked.issue_cycle)
-                if token in self._reported:
-                    continue
-                self._reported.add(token)
-                self._handle_blocked(cycle, name, controller, blocked)
+            view = controller.blocked_by_client
+            scan = self._scans.get(name)
+            if scan is not None and scan[0] is view and (
+                scan[1] is None or scan[1] > cycle
+            ):
+                continue
+            due = None
+            fires = False
+            for key, issue_cycle, blocked_cycles in controller.blocked_ages():
+                if blocked_cycles < timeout:
+                    if due is None or issue_cycle + timeout < due:
+                        due = issue_cycle + timeout
+                elif (name, key, issue_cycle) not in reported:
+                    fires = True
+            if fires:
+                for blocked in controller.blocked:
+                    if blocked.blocked_cycles < timeout:
+                        continue
+                    token = (name, blocked.request.key, blocked.issue_cycle)
+                    if token in reported:
+                        continue
+                    reported.add(token)
+                    self._handle_blocked(cycle, name, controller, blocked)
+            self._scans[name] = (view, due)
 
     def _handle_blocked(
         self,

@@ -180,8 +180,8 @@ class FifoChannelController(MemoryController):
         pop wakes once the channel is non-empty, a blocked push once it
         is non-full; a blocked request that stays ungrantable without
         new input keeps the channel quiescent."""
-        for item in self.blocked:
-            if item.request.write:
+        for request in self._ungranted.values():
+            if request.write:
                 if not self.full:
                     return cycle + 1
             elif not self.empty:

@@ -112,7 +112,7 @@ class OffchipController(MemoryController):
         cycle if a blocked request could be accepted onto the free port."""
         if self._current is not None:
             return max(cycle + 1, self._finish_cycle)
-        if self.blocked:
+        if self._ungranted:
             return cycle + 1
         return None
 

@@ -273,12 +273,28 @@ class BernoulliTraffic(TrafficGenerator):
 
 
 def drive_ingress(sim, rate: float, seed: int = 1) -> None:
-    """Feed every ingress interface of ``sim`` its own seeded Bernoulli
-    stream: the ``index``-th interface of ``sim.rx`` draws from seed
-    ``seed + index``."""
-    for index, rx in enumerate(sim.rx.values()):
-        generator = BernoulliTraffic(rate=rate, seed=seed + index)
-        sim.kernel.add_pre_cycle_hook(generator.attach(rx))
+    """Feed every ingress interface of ``sim`` that a thread receives
+    from its own seeded Bernoulli stream: the ``index``-th interface of
+    ``sim.rx`` draws from seed ``seed + index``.
+
+    An interface no thread receives from (an egress-only one such as
+    the forwarder's ``eth_out``) gets no generator: its arrivals would
+    queue unread and wake the wheel kernel for nothing.  Its index is
+    still counted, so every received stream is the same as if it had
+    one."""
+    from ..synth.fsm import ReceiveOp
+
+    received = {
+        op.interface
+        for fsm in sim.design.fsms.values()
+        for state in fsm.states.values()
+        for op in state.ops
+        if isinstance(op, ReceiveOp)
+    }
+    for index, (name, rx) in enumerate(sim.rx.items()):
+        if name in received:
+            generator = BernoulliTraffic(rate=rate, seed=seed + index)
+            sim.kernel.add_pre_cycle_hook(generator.attach(rx))
 
 
 @dataclass

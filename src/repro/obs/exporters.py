@@ -431,7 +431,7 @@ def summary_dict(telemetry: Telemetry) -> dict:
         controller = telemetry._controllers[name]
         controllers[name] = {
             "latency_samples": len(controller.latency_samples),
-            "pending_blocked": len(controller.blocked),
+            "pending_blocked": controller.blocked_count,
         }
     dependencies = {
         f"{bram}/{dep_id}": stats

@@ -377,7 +377,7 @@ class Telemetry:
             if view is not sig[1]:
                 sig[1] = view
                 views_moved = True
-                count = len(controller.blocked)
+                count = controller.blocked_count
                 if count > sig[3]:
                     sig[3] = count
             epoch = controller.classify_epoch

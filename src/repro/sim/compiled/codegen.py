@@ -67,11 +67,12 @@ _BRAM_MASK = (1 << 36) - 1
 _PRELUDE = '''\
 from time import monotonic as _monotonic
 
-from repro.core.controller import BlockedRequest, LatencySample, MemRequest
+from repro.core.controller import LatencySample, MemRequest
 from repro.core.errors import GuardViolationError, SimulationTimeout
 from repro.sim.executor import default_intrinsic as _default_intrinsic
 
 _E = {}
+_new = tuple.__new__
 
 
 def _div(l, r):
@@ -94,10 +95,6 @@ def _oob(name, address, depth):
     raise IndexError(
         f"address {address} out of range for {name} (depth {depth})"
     )
-
-
-def _sortkey(blocked):
-    return blocked.request.sort_key
 '''
 
 
@@ -417,25 +414,10 @@ class _Codegen:
         x.append(f"    _ents[_ii].outstanding = out_c{j}[_ii]")
         x.append(f"if left_c{j} is not None:")
         x.append(f"    ctl_c{j}._pending = {{}}")
-        x.append("    _bl = []")
-        x.append(f"    for _k, _r in left_c{j}.items():")
-        x.append(f"        _ic = issue_c{j}[_k]")
         x.append(
-            "    " * 2
-            + "_bl.append(BlockedRequest(MemRequest(_r[0], _r[1], _r[2], "
-            f"_r[3], _r[4], _r[5]), _ic, cyc_c{j} - _ic))"
+            f"    ctl_c{j}._leave_ungranted({{_k: MemRequest(*_r) "
+            f"for _k, _r in left_c{j}.items()}}, cyc_c{j})"
         )
-        x.append("    _bl.sort(key=_sortkey)")
-        x.append(f"    ctl_c{j}.blocked = _bl")
-        x.append(f"    _ks = set(left_c{j})")
-        x.append(f"    if _ks != ctl_c{j}._blocked_keys:")
-        x.append("        _bc = {}")
-        x.append("        for _bb in _bl:")
-        x.append("            _cn = _bb.request.client")
-        x.append("            if _cn not in _bc:")
-        x.append("                _bc[_cn] = _bb.request")
-        x.append(f"        ctl_c{j}.blocked_by_client = _bc")
-        x.append(f"        ctl_c{j}._blocked_keys = _ks")
 
     def _rr_lines(self, j: int, port: str, nclients) -> list[str]:
         """Round-robin grant over ``_reqs``: scan from the saved pointer,
@@ -617,8 +599,8 @@ class _Codegen:
         c.append(f"        for _k, _r in pend_c{j}.items():")
         c.append(f"            if _r[0] in res_c{j}:")
         c.append(
-            f"                samp_c{j}.append(LatencySample(_r[0], _r[1], "
-            f"_r[5], issue_c{j}.pop(_k), cycle))"
+            f"                samp_c{j}.append(_new(LatencySample, (_r[0], "
+            f"_r[1], _r[5], issue_c{j}.pop(_k), cycle)))"
         )
         c.append("                if _drop is None:")
         c.append("                    _drop = [_k]")

@@ -11,7 +11,7 @@ and extract the full comparison surface.
 
 from repro.core import ControllerStats, Organization
 from repro.flow import build_simulation, compile_design
-from repro.net import BernoulliTraffic
+from repro.net import drive_ingress
 
 #: every kernel backend; index 0 is the semantics-defining reference
 KERNELS = ("reference", "wheel", "compiled")
@@ -43,10 +43,9 @@ def build_pair(
 
 
 def attach_traffic(sim, rate, seed):
-    """Seeded Bernoulli traffic on every ingress, one stream per rx."""
-    for index, rx in enumerate(sim.rx.values()):
-        generator = BernoulliTraffic(rate=rate, seed=seed + index)
-        sim.kernel.add_pre_cycle_hook(generator.attach(rx))
+    """Seeded Bernoulli traffic on every received ingress, one stream
+    per rx (see :func:`repro.net.drive_ingress`)."""
+    drive_ingress(sim, rate, seed)
 
 
 def architectural_state(sim):
