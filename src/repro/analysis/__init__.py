@@ -40,9 +40,7 @@ from .memgraph import (
 from .usedef import (
     StatementInfo,
     ThreadUseDef,
-    analyze_program,
     analyze_thread,
-    infer_dependencies,
     linearize,
     use_def_chains,
 )
@@ -69,9 +67,7 @@ __all__ = [
     "build_memory_graphs",
     "StatementInfo",
     "ThreadUseDef",
-    "analyze_program",
     "analyze_thread",
-    "infer_dependencies",
     "linearize",
     "use_def_chains",
 ]

@@ -3,13 +3,10 @@
 The paper notes (section 2) that the explicit producer/consumer pragmas are
 a convenience, and that "one can use standard compiler use-def analysis and
 other lifetime analysis methods to extract producers and consumers from a
-given specification".  This module provides both:
-
-* per-thread def/use sets for every statement (in a linearized statement
-  order), the substrate for lifetime analysis and the operation order graph;
-* :func:`infer_dependencies`, which derives producer/consumer relationships
-  across threads *without* pragmas, by treating a variable written in exactly
-  one thread and read in others as a shared produced value.
+given specification".  This module provides the per-thread def/use sets
+for every statement (in a linearized statement order), the substrate for
+lifetime analysis and the operation order graph.  The pragma inference
+itself is :mod:`repro.hic.autopragma`.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..hic import ast
-from ..hic.pragmas import ConsumerRef, Dependency
 
 
 @dataclass
@@ -40,15 +36,6 @@ class StatementInfo:
     defs: frozenset[str]
     uses: frozenset[str]
     loop_depth: int = 0
-
-
-def target_root(target: ast.LValue) -> str:
-    """The root variable written through an assignment target."""
-    node: ast.Expr = target
-    while isinstance(node, (ast.FieldAccess, ast.Index)):
-        node = node.base
-    assert isinstance(node, ast.Name), "parser guarantees a Name root"
-    return node.ident
 
 
 def target_index_uses(target: ast.LValue) -> set[str]:
@@ -94,7 +81,7 @@ class _Linearizer:
             return
         if isinstance(stmt, ast.Assign):
             uses = ast.names_read(stmt.value) | target_index_uses(stmt.target)
-            root = target_root(stmt.target)
+            root = ast.target_root(stmt.target)
             if stmt.op != "=" or isinstance(stmt.target, (ast.Index, ast.FieldAccess)):
                 # Compound assignment and partial writes also read the target.
                 uses.add(root)
@@ -205,11 +192,6 @@ def analyze_thread(thread: ast.Thread) -> ThreadUseDef:
     return ThreadUseDef(thread.name, linearize(thread))
 
 
-def analyze_program(program: ast.Program) -> dict[str, ThreadUseDef]:
-    """Use/def facts for every thread, keyed by thread name."""
-    return {thread.name: analyze_thread(thread) for thread in program.threads}
-
-
 def use_def_chains(thread: ast.Thread) -> dict[tuple[int, str], list[int]]:
     """Map each (statement index, used variable) to its possible defining
     statement indices within the thread.
@@ -236,45 +218,3 @@ def use_def_chains(thread: ast.Thread) -> dict[tuple[int, str], list[int]]:
             ]
             chains[(use_info.index, name)] = reaching
     return chains
-
-
-def infer_dependencies(program: ast.Program) -> list[Dependency]:
-    """Infer producer/consumer dependencies across threads without pragmas.
-
-    A variable that is *written* in exactly one thread and *read* in at least
-    one other thread is treated as a produced shared value; the writers and
-    readers become the producer and consumers respectively.  Dependency ids
-    are synthesized as ``auto_<var>``.
-
-    Variables written in more than one thread are skipped (the paper's model
-    assigns one producer per dependency entry; a multi-producer variable
-    needs one entry per producer, which requires explicit pragmas to
-    disambiguate ordering).
-    """
-    per_thread = analyze_program(program)
-    writers: dict[str, list[str]] = {}
-    readers: dict[str, list[str]] = {}
-    for thread_name, facts in per_thread.items():
-        for name in facts.all_defs:
-            writers.setdefault(name, []).append(thread_name)
-        for name in facts.all_uses:
-            readers.setdefault(name, []).append(thread_name)
-
-    inferred: list[Dependency] = []
-    for name in sorted(writers):
-        writing = writers[name]
-        reading = [t for t in readers.get(name, []) if t not in writing]
-        if len(writing) != 1 or not reading:
-            continue
-        consumers = tuple(
-            ConsumerRef(thread=t, variable=f"{name}@{t}") for t in sorted(reading)
-        )
-        inferred.append(
-            Dependency(
-                dep_id=f"auto_{name}",
-                producer_thread=writing[0],
-                producer_var=name,
-                consumers=consumers,
-            )
-        )
-    return inferred

@@ -9,15 +9,29 @@ controllers for on-chip BRAMs.
   logic chaining events through consumers;
 * :mod:`~repro.core.lock_baseline` — the hand-built lock/flag protocol the
   paper argues against, for measurable comparison;
-* :mod:`~repro.core.advisor` — the §4 design-time organization selector;
-* supporting pieces: round-robin/priority arbiters, the CAM, and the
-  modulo scheduler.
+* :mod:`~repro.core.advisor` — the §4 design-time organization selector
+  and :func:`~repro.core.advisor.build_controller`, the one place an
+  organization becomes a controller;
+* supporting pieces: round-robin/priority arbiters and the modulo
+  scheduler.
+
+Each organization states its grant rule once, as
+:meth:`~repro.core.controller.MemoryController.hold`; the profiler's
+``classify_wait`` and the fast kernels' ``next_wake`` derive from it.
+The dependency list's CAM match is
+:meth:`repro.memory.deplist.DependencyList.matches`; its area is the
+RTL generator's ``CamRow``.
 """
 
-from .advisor import DesignConstraints, Organization, Recommendation, recommend
+from .advisor import (
+    DesignConstraints,
+    Organization,
+    Recommendation,
+    build_controller,
+    recommend,
+)
 from .arbiter import PriorityArbiter, RoundRobinArbiter
-from .arbitrated import ArbitratedConfig, ArbitratedController
-from .cam import CamEntry, ContentAddressableMemory
+from .arbitrated import ArbitratedController
 from .controller import (
     BlockedRequest,
     ControllerStats,
@@ -37,7 +51,7 @@ from .errors import (
     UnknownPortError,
     WatchdogTimeout,
 )
-from .event_driven import EventDrivenConfig, EventDrivenController
+from .event_driven import EventDrivenController
 from .lock_baseline import LockBaselineController, LockStats
 from .modulo import ModuloSchedule, SelectionLogic, Slot, SlotKind
 
@@ -45,15 +59,13 @@ __all__ = [
     "DesignConstraints",
     "Organization",
     "Recommendation",
+    "build_controller",
     "recommend",
     "PriorityArbiter",
     "RoundRobinArbiter",
-    "ArbitratedConfig",
     "ArbitratedController",
     "AllocationError",
     "BlockedRequest",
-    "CamEntry",
-    "ContentAddressableMemory",
     "ControllerError",
     "ControllerStats",
     "GuardViolationError",
@@ -67,7 +79,6 @@ __all__ = [
     "MemRequest",
     "MemResult",
     "MemoryController",
-    "EventDrivenConfig",
     "EventDrivenController",
     "LockBaselineController",
     "LockStats",

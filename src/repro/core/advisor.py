@@ -9,13 +9,22 @@ access to either of these implementations based on design time
 implementation constraints and parameters."
 
 This module is that envisaged selector: given the user's constraints, it
-recommends an organization and explains why.
+recommends an organization and explains why; :func:`build_controller`
+then instantiates the chosen organization's wrapper for one BRAM.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+
+from ..hic.pragmas import Dependency
+from ..memory.bram import BlockRam
+from ..memory.deplist import DependencyList
+from .arbitrated import ArbitratedController
+from .controller import MemoryController
+from .event_driven import EventDrivenController
+from .lock_baseline import LockBaselineController
 
 
 class Organization(enum.Enum):
@@ -106,3 +115,29 @@ def recommend(constraints: DesignConstraints) -> Recommendation:
                 "fixed base architecture is simpler to implement (§4)"
             )
     return Recommendation(organization=organization, reasons=reasons)
+
+
+def build_controller(
+    organization: Organization,
+    name: str,
+    deps: list[Dependency],
+    deplist: DependencyList,
+) -> MemoryController:
+    """The ``organization`` wrapper of BRAM ``name``, guarding ``deps``.
+
+    ``deplist`` is the design's configured list for the BRAM; the
+    wrapper gets its own copy, because controllers mutate the guard
+    counters and two simulations of one design must not share them.
+    """
+    bram = BlockRam(name)
+    producers = {dep.producer_thread for dep in deps}
+    consumers = {thread for dep in deps for thread in dep.consumer_threads()}
+    if organization is Organization.ARBITRATED:
+        return ArbitratedController(
+            bram, deplist.clone(), sorted(consumers), sorted(producers)
+        )
+    if organization is Organization.EVENT_DRIVEN:
+        return EventDrivenController(bram, deps)
+    return LockBaselineController(
+        bram, deplist.clone(), sorted(producers | consumers)
+    )

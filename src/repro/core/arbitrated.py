@@ -31,30 +31,13 @@ organization's slot table rules this out structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
 from ..memory.bram import BlockRam
 from ..memory.deplist import DependencyList
 from .arbiter import PriorityArbiter, RoundRobinArbiter
-from .cam import ContentAddressableMemory
 from .controller import MemRequest, MemResult, MemoryController
 from .errors import UnknownPortError
-
-
-@dataclass
-class ArbitratedConfig:
-    """Structural parameters of one arbitrated wrapper (sized at design
-    time; the RTL generator and area model consume this)."""
-
-    consumer_clients: list[str]
-    producer_clients: list[str]
-    address_bits: int = 9
-    data_bits: int = 36
-
-    @property
-    def pseudo_ports(self) -> int:
-        """Pseudo-ports multiplexed onto port C (the paper's scaling knob)."""
-        return len(self.consumer_clients)
 
 
 class ArbitratedController(MemoryController):
@@ -70,30 +53,14 @@ class ArbitratedController(MemoryController):
     ):
         super().__init__(bram)
         self.deplist = deplist
-        self.config = ArbitratedConfig(
-            consumer_clients=list(consumer_clients),
-            producer_clients=list(producer_clients),
-            address_bits=deplist.address_bits,
-        )
         self._arb_c = RoundRobinArbiter(list(consumer_clients) or ["-"])
         self._arb_d = RoundRobinArbiter(list(producer_clients) or ["-"])
         self._arb_a = RoundRobinArbiter(
             list(port_a_clients) if port_a_clients else ["*any*"]
         )
         self._priority = PriorityArbiter()
-        # The CAM mirrors the dependency list's guarded addresses.
-        self.cam = ContentAddressableMemory(
-            entries=max(1, len(deplist)), key_bits=deplist.address_bits
-        )
-        for row, entry in enumerate(deplist.entries):
-            self.cam.write(row, entry.base_address, entry.dependency_number)
         #: cycles in which a blocked port-C read was overridden by port D
         self.override_count = 0
-        #: entry-resolution cache for ``classify_wait``: CAM matches are
-        #: static per deplist configuration, so a tagged request's entry
-        #: (and its address's sibling set) resolve once per config
-        self._wait_cache: dict = {}
-        self._wait_cache_version = -1
 
     # -- policy ---------------------------------------------------------------------
 
@@ -211,102 +178,40 @@ class ArbitratedController(MemoryController):
 
         return results
 
-    # -- quiescence (fast-kernel wake contract) ---------------------------------------
+    # -- the grant rule -----------------------------------------------------------------
 
-    def next_wake(self, cycle: int):
-        """Quiescent unless some re-asserted blocked request is grantable.
+    def hold(self, request: MemRequest) -> Optional[str]:
+        """The §3.1 rule, with the guard predicates ``_arbitrate_cycle``
+        grants by:
 
-        Every piece of mutable wrapper state (deplist counters, CAM
-        mirror, round-robin pointers, override count) moves only when a
-        request is *granted*; arbitration itself is combinational.  So
-        with only the current blocked set re-asserted, re-running
-        ``_arbitrate_cycle`` is a no-op exactly when no blocked request
-        passes its guard — the same grantability rules as the policy:
+        * port A grants one requester every cycle;
+        * a port-D write waits for its guard (the previous round has
+          drained) → ``guard-stall``;
+        * a port-C read waits for its guard (the producer has written)
+          → ``blocked-read``;
+        * port B yields while port C or D has requests →
+          ``arbitration-loss``.
 
-        * port A always grants one requester per cycle;
-        * port D grants when the producer write is allowed;
-        * port C grants when the consumer read is allowed;
-        * port B grants only while ports C and D have no requests at all.
+        Every piece of wrapper state (deplist counters, round-robin
+        pointers, override count) moves only on a grant, so a wrapper
+        whose blocked requests are all held is quiescent.
         """
-        ports = {"A": [], "B": [], "C": [], "D": []}
-        for request in self._ungranted.values():
-            ports[request.port].append(request)
-        if ports["A"]:
-            return cycle + 1
-        for request in ports["D"]:
-            if self.deplist.producer_write_allowed(
-                request.address, request.client, request.dep_id
-            ):
-                return cycle + 1
-        for request in ports["C"]:
-            if self.deplist.consumer_read_allowed(
-                request.address, request.client, request.dep_id
-            ):
-                return cycle + 1
-        if ports["B"] and not ports["C"] and not ports["D"]:
-            return cycle + 1
-        return None
-
-    # -- wait attribution (profiler seam) ----------------------------------------------
-
-    def classify_wait(self, request: MemRequest) -> tuple[str, str, str]:
-        """Mirror of the §3.1 grantability rules (see ``next_wake``):
-
-        * a blocked port-D write whose guard *disallows* it is waiting
-          for the previous round to drain → ``guard-stall``;
-        * a blocked port-C read whose guard disallows it is waiting for
-          the producer's data → ``blocked-read``;
-        * everything else (port A mux loss, allowed-but-unserved C/D,
-          port B yielding to C/D traffic) lost arbitration.
-
-        Entry resolution goes through :attr:`_wait_cache` — matches
-        depend only on the deplist *configuration*, so they are
-        re-derived only when ``config_version`` moves (a corruption
-        fault); the per-call work is just the counter predicates.
-        Untagged port-C reads prefer an armed entry, which makes their
-        resolution state-dependent — they take the uncached path.
-        """
-        site = self.bram.name
         port = request.port
-        if port == "D" or (port == "C" and request.dep_id is not None):
-            version = self.deplist.config_version
-            if version != self._wait_cache_version:
-                self._wait_cache_version = version
-                self._wait_cache.clear()
-            key = (request.client, port, request.address, request.dep_id)
-            cached = self._wait_cache.get(key)
-            if cached is None:
-                if port == "D":
-                    cached = (
-                        self.deplist.match_for_write(
-                            request.address, request.client, request.dep_id
-                        ),
-                        tuple(self.deplist.matches(request.address)),
-                    )
-                else:
-                    cached = (
-                        self.deplist.match_for_read(
-                            request.address, request.client, request.dep_id
-                        ),
-                        (),
-                    )
-                self._wait_cache[key] = cached
-            entry, siblings = cached
-            if port == "D":
-                # producer_write_allowed: a matching entry must exist
-                # and every sibling on the address must be drained.
-                if entry is None or any(e.outstanding for e in siblings):
-                    return ("guard-stall", site, port)
-            elif entry is not None and entry.outstanding == 0:
-                # consumer_read_allowed: unguarded reads grant
-                # defensively; a guarded one needs outstanding data.
-                return ("blocked-read", site, port)
-            return ("arbitration-loss", site, port)
-        if port == "C" and not self.deplist.consumer_read_allowed(
-            request.address, request.client, request.dep_id
-        ):
-            return ("blocked-read", site, port)
-        return ("arbitration-loss", site, port)
+        if port == "D":
+            if not self.deplist.producer_write_allowed(
+                request.address, request.client, request.dep_id
+            ):
+                return "guard-stall"
+        elif port == "C":
+            if not self.deplist.consumer_read_allowed(
+                request.address, request.client, request.dep_id
+            ):
+                return "blocked-read"
+        elif port == "B":
+            for other in self._ungranted.values():
+                if other.port == "C" or other.port == "D":
+                    return "arbitration-loss"
+        return None
 
     # -- watchdog recovery tap --------------------------------------------------------
 

@@ -166,11 +166,11 @@ class MemoryController(abc.ABC):
         #: from grants instead (see ``unfinished_request_counts``)
         self.submit_observer = None
         #: classification-cache token (profiler seam): each organization
-        #: bumps it exactly where state that its ``classify_wait`` reads
-        #: mutates — deplist arm/decrement, slot advance, watchdog
-        #: recovery, fault corruption.  A blocked request's
-        #: classification is invariant between bumps, so the profiler
-        #: may reuse it without re-deriving.
+        #: bumps it exactly where state that its ``hold`` reads mutates
+        #: — deplist arm/decrement, slot advance, watchdog recovery,
+        #: fault corruption.  A blocked request's classification is
+        #: invariant between bumps, so the profiler may reuse it
+        #: without re-deriving.
         self.classify_epoch = 0
 
     # -- cycle protocol ------------------------------------------------------------
@@ -295,20 +295,34 @@ class MemoryController(abc.ABC):
         organization could do anything; the base class cannot."""
         return False
 
-    # -- wait attribution (profiler seam) ----------------------------------------------
+    # -- the grant rule (profiler and fast-kernel seams) --------------------------
+
+    def hold(self, request: MemRequest) -> Optional[str]:
+        """The organization's grant rule, stated once: the wait state
+        that stops blocked ``request`` from being granted at the next
+        arbitration, or ``None`` when that arbitration could grant it
+        (it may still lose).
+
+        A state is one of the :data:`repro.obs.attribution.WAIT_STATES`
+        strings (plain literals here: ``repro.obs`` imports this module,
+        not the other way round).  The base rule holds nothing.
+        ``classify_wait`` and ``next_wake`` both read this rule, so it
+        must not depend on the order of the blocked requests.
+        """
+        return None
 
     def classify_wait(self, request: MemRequest) -> tuple[str, str, str]:
         """Attribute one blocked cycle of ``request`` to a wait state.
 
-        Returns ``(state, site, port)`` where *state* is one of the
-        :data:`repro.obs.attribution.WAIT_STATES` strings (plain
-        literals here — ``repro.obs`` imports this module, not the
-        other way round) and *site* is the controller that held the
-        request.  Organizations override this to mirror their own
-        grantability rules; the conservative base answer is that a
-        blocked request was grantable but lost arbitration.
+        Returns ``(state, site, port)``: the request's ``hold``, or
+        ``arbitration-loss`` for a request the rule would let through,
+        at this controller.
         """
-        return ("arbitration-loss", self.bram.name, request.port)
+        return (
+            self.hold(request) or "arbitration-loss",
+            self.bram.name,
+            request.port,
+        )
 
     # -- quiescence (fast-kernel wake contract) -------------------------------------
 
@@ -321,13 +335,17 @@ class MemoryController(abc.ABC):
         ``None`` means *quiescent*: the controller's observable state
         (grants, counters, arbiter pointers) provably cannot change
         until a new request arrives, so the fast kernel may skip it for
-        any number of cycles.  The conservative base implementation
-        wakes next cycle whenever anything is blocked; organizations
-        override this with their actual grantability rules, read off
-        the unsorted ``_ungranted`` requests (a wake does not depend on
-        their order).  Returned cycles must be ``> cycle``.
+        any number of cycles.  A controller's state moves only when it
+        grants, so it wakes next cycle exactly when some blocked request
+        has no ``hold``.  Organizations whose state moves with time
+        rather than with grants override this.  Returned cycles must be
+        ``> cycle``.
         """
-        return cycle + 1 if self._ungranted else None
+        hold = self.hold
+        for request in self._ungranted.values():
+            if hold(request) is None:
+                return cycle + 1
+        return None
 
     def note_idle_cycles(self, cycle: int) -> None:
         """Fast-kernel seam: the kernel skipped straight past a quiescent

@@ -15,7 +15,7 @@ FPGA reconfigurability is what makes this practical).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
 from ..hic.pragmas import Dependency
 from ..memory.bram import BlockRam
@@ -24,39 +24,15 @@ from .errors import ProtocolError
 from .modulo import ModuloSchedule, SelectionLogic, SlotKind
 
 
-@dataclass
-class EventDrivenConfig:
-    """Structural parameters of one event-driven wrapper."""
-
-    schedule: ModuloSchedule
-    address_bits: int = 9
-    data_bits: int = 36
-
-    @property
-    def mux_leaves(self) -> int:
-        """Leaves of the port-B mux/demux network (one per slot client)."""
-        return len(self.schedule)
-
-    @property
-    def select_bits(self) -> int:
-        return self.schedule.select_bits
-
-
 class EventDrivenController(MemoryController):
     """Behavioural model of the event-driven statically scheduled wrapper."""
 
-    def __init__(
-        self,
-        bram: BlockRam,
-        dependencies: list[Dependency],
-        address_bits: int = 9,
-    ):
+    def __init__(self, bram: BlockRam, dependencies: list[Dependency]):
         super().__init__(bram)
+        #: the modulo schedule; its length is the number of port-B
+        #: mux/demux leaves and ``select_bits`` the selection width
         self.schedule = ModuloSchedule.build(dependencies)
         self.selection = SelectionLogic(self.schedule)
-        self.config = EventDrivenConfig(
-            schedule=self.schedule, address_bits=address_bits
-        )
         #: events delivered to consumers: (cycle, dep_id, thread)
         self.events: list[tuple[int, str, str]] = []
 
@@ -130,46 +106,27 @@ class EventDrivenController(MemoryController):
         1-based rank in the dependency's consumer chain."""
         return self.schedule.consumer_rank(dep_id, thread) + 1
 
-    # -- quiescence (fast-kernel wake contract) ---------------------------------------
+    # -- the grant rule -----------------------------------------------------------------
 
-    def next_wake(self, cycle: int):
-        """Quiescent unless a re-asserted blocked request can be served.
+    def hold(self, request: MemRequest) -> Optional[str]:
+        """The §3.2 rule: port A grants one requester every cycle; on the
+        guarded port only the access holding the current slot may go.
+        A producer off its slot is paced by the schedule
+        (``guard-stall``), a consumer off its slot waits for its event
+        (``blocked-read``), and an untagged guarded request matches no
+        slot (``arbitration-loss``).
 
-        The selection logic advances only when the slot-holding thread's
-        access is granted — a blocked schedule does not tick on its own
-        — so the wrapper is quiescent exactly when no blocked port-A
-        request exists and no blocked guarded request matches the
-        current slot.
+        The selection logic advances only when the slot holder's access
+        is granted (a blocked schedule does not tick on its own), so a
+        wrapper whose blocked requests are all held is quiescent.
         """
-        slot = self.selection.current
-        for request in self._ungranted.values():
-            if request.port == "A":
-                return cycle + 1
-            if slot is not None and request.dep_id is not None:
-                if self.selection.enabled(
-                    request.client, request.dep_id, request.write
-                ):
-                    return cycle + 1
-        return None
-
-    # -- wait attribution (profiler seam) ----------------------------------------------
-
-    def classify_wait(self, request: MemRequest) -> tuple[str, str, str]:
-        """Mirror of the §3.2 slot rules: a guarded request whose slot
-        is *not* selected waits on the static schedule — for a producer
-        that is the guard pacing it (``guard-stall``), for a consumer it
-        is the not-yet-signalled event (``blocked-read``).  A request
-        whose slot *is* enabled (or any port-A request) merely lost the
-        one-access-per-cycle arbitration."""
-        site = self.bram.name
-        if request.port != "A" and request.dep_id is not None:
-            slot = self.selection.current
-            if slot is None or not self.selection.enabled(
-                request.client, request.dep_id, request.write
-            ):
-                state = "guard-stall" if request.write else "blocked-read"
-                return (state, site, request.port)
-        return ("arbitration-loss", site, request.port)
+        if request.port == "A":
+            return None
+        if request.dep_id is None:
+            return "arbitration-loss"
+        if self.selection.enabled(request.client, request.dep_id, request.write):
+            return None
+        return "guard-stall" if request.write else "blocked-read"
 
     # -- watchdog recovery tap --------------------------------------------------------
 

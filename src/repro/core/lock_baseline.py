@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Optional
 
 from ..memory.bram import BlockRam
 from ..memory.deplist import DependencyList
@@ -211,35 +212,36 @@ class LockBaselineController(MemoryController):
         self.stats.useful_accesses += 1
         return MemResult(granted=True, data=job.result_data)
 
-    # -- wait attribution (profiler seam) ----------------------------------------------
+    # -- the grant rule -----------------------------------------------------------------
 
-    def classify_wait(self, request: MemRequest) -> tuple[str, str, str]:
-        """Lock-protocol semantics: a guarded access whose *data* guard
-        would fail (producer with unconsumed data outstanding, consumer
-        with nothing produced) is a true dependency wait even while the
-        client is still churning through lock words; any other blocked
-        cycle is lock/protocol contention — the overhead the paper's
-        one-cycle guarded ports eliminate."""
-        site = self.bram.name
-        if request.port != "A":
-            entry = self.deplist.match(request.address)
-            if request.write:
-                if entry is not None and entry.outstanding > 0:
-                    return ("guard-stall", site, request.port)
-            else:
-                if entry is None or entry.outstanding == 0:
-                    return ("blocked-read", site, request.port)
-        return ("arbitration-loss", site, request.port)
+    def hold(self, request: MemRequest) -> Optional[str]:
+        """The data guard of the lock protocol: a producer whose previous
+        value is still unconsumed (``guard-stall``) or a consumer with
+        nothing produced (``blocked-read``) waits on the data even while
+        it is still churning through lock words.  Any other blocked
+        cycle is lock/protocol contention (``arbitration-loss``, the
+        overhead the paper's one-cycle guarded ports eliminate); port A
+        bypasses the protocol."""
+        if request.port == "A":
+            return None
+        entry = self.deplist.match(request.address)
+        if request.write:
+            if entry is not None and entry.outstanding > 0:
+                return "guard-stall"
+        elif entry is None or entry.outstanding == 0:
+            return "blocked-read"
+        return None
 
     # -- quiescence (fast-kernel wake contract) ---------------------------------------
 
     def next_wake(self, cycle: int):
-        """Never quiescent while anything is blocked: every contended
-        cycle burns spin counters and advances job phases even when no
-        access completes, so the fast kernel must execute lock-baseline
-        contention cycle by cycle.  With no blocked requests, parked
-        jobs cannot progress (a job only steps while its client
-        re-asserts a request) and the controller is quiescent.
+        """Never quiescent while anything is blocked, held or not: every
+        contended cycle burns spin counters and advances job phases even
+        when no access completes, so the fast kernel must execute
+        lock-baseline contention cycle by cycle.  With no blocked
+        requests, parked jobs cannot progress (a job only steps while
+        its client re-asserts a request) and the controller is
+        quiescent.
         """
         return cycle + 1 if self._ungranted else None
 

@@ -29,11 +29,8 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..core.advisor import Organization
-from ..core.arbitrated import ArbitratedController
+from ..core.advisor import Organization, build_controller
 from ..core.controller import MemRequest, MemResult, MemoryController
-from ..core.event_driven import EventDrivenController
-from ..core.lock_baseline import LockBaselineController
 from ..hic.pragmas import Dependency
 from ..hic.semantic import CheckedProgram
 from ..memory.allocation import FABRIC_BRAM, MemoryMap, WORDS_PER_BRAM
@@ -583,31 +580,15 @@ def build_fabric(
         if missing:
             raise ValueError(f"no organization given for banks {missing}")
 
-    banks: dict[str, MemoryController] = {}
-    for name in plan.bank_names:
-        bram = BlockRam(name)
-        deps = plan.native_dep_groups[name]
-        # Controllers mutate guard counters; never share the plan's copy.
-        deplist = plan.bank_deplists[name].clone()
-        org = per_bank[name]
-        if org is Organization.ARBITRATED:
-            consumers = sorted(
-                {t for dep in deps for t in dep.consumer_threads()}
-            )
-            producers = sorted({dep.producer_thread for dep in deps})
-            banks[name] = ArbitratedController(
-                bram, deplist, consumers or ["-"], producers or ["-"]
-            )
-        elif org is Organization.EVENT_DRIVEN:
-            banks[name] = EventDrivenController(bram, deps)
-        else:
-            clients = sorted(
-                {dep.producer_thread for dep in deps}
-                | {t for dep in deps for t in dep.consumer_threads()}
-            )
-            banks[name] = LockBaselineController(
-                bram, deplist, clients or ["-"]
-            )
+    banks: dict[str, MemoryController] = {
+        name: build_controller(
+            per_bank[name],
+            name,
+            plan.native_dep_groups[name],
+            plan.bank_deplists[name],
+        )
+        for name in plan.bank_names
+    }
 
     router = DependencyRouter(notify_latency=max(1, config.link_latency))
     for template in plan.routed_deps:

@@ -57,10 +57,6 @@ class RoutedDependency:
         self.reserved = 0
         self.arm_in_flight = False
 
-    @property
-    def counter_bits(self) -> int:
-        return max(1, self.dependency_number.bit_length())
-
 
 @dataclass
 class RouterStats:

@@ -33,11 +33,8 @@ from .analysis.channels import (
 from .analysis.deadlock import assert_deadlock_free
 from .analysis.depgraph import DependencyGraph
 from .analysis.memgraph import build_memory_graphs
-from .core.advisor import Organization
-from .core.arbitrated import ArbitratedController
+from .core.advisor import Organization, build_controller
 from .core.controller import MemoryController
-from .core.event_driven import EventDrivenController
-from .core.lock_baseline import LockBaselineController
 from .fabric import FabricConfig, FabricPlan, build_fabric, plan_fabric
 from .fpga.area import (
     AreaReport,
@@ -457,31 +454,12 @@ def build_simulation(
         )
         return _finish_simulation(design, controllers, functions, kernel)
     for bram_name in design.memory_map.bram_names:
-        bram = BlockRam(bram_name)
-        deps = design.dep_groups.get(bram_name, [])
-        # Controllers mutate guard counters; never share the design's copy.
-        deplist = design.deplists[bram_name].clone()
-        if design.organization is Organization.ARBITRATED:
-            consumer_clients = sorted(
-                {t for dep in deps for t in dep.consumer_threads()}
-            )
-            producer_clients = sorted({dep.producer_thread for dep in deps})
-            controllers[bram_name] = ArbitratedController(
-                bram,
-                deplist,
-                consumer_clients or ["-"],
-                producer_clients or ["-"],
-            )
-        elif design.organization is Organization.EVENT_DRIVEN:
-            controllers[bram_name] = EventDrivenController(bram, deps)
-        else:
-            clients = sorted(
-                {dep.producer_thread for dep in deps}
-                | {t for dep in deps for t in dep.consumer_threads()}
-            )
-            controllers[bram_name] = LockBaselineController(
-                bram, deplist, clients or ["-"]
-            )
+        controllers[bram_name] = build_controller(
+            design.organization,
+            bram_name,
+            design.dep_groups.get(bram_name, []),
+            design.deplists[bram_name],
+        )
 
     for bank in design.memory_map.offchip_names:
         controllers[bank] = OffchipController(OffchipMemory(bank))

@@ -56,6 +56,17 @@ def names_read(expr: "Expr") -> set[str]:
     return names
 
 
+def target_root(target: "Expr") -> Optional[str]:
+    """The variable an assignment target writes: the name under its
+    ``.field`` and ``[index]`` steps, or ``None`` when the target is
+    rooted in anything else (a call, a conditional ...), which the
+    parser refuses."""
+    node = target
+    while isinstance(node, (FieldAccess, Index)):
+        node = node.base
+    return node.ident if isinstance(node, Name) else None
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------

@@ -43,21 +43,13 @@ def _assignments_of(thread: ast.Thread) -> list[ast.Assign]:
     return [node for node in thread.nodes if isinstance(node, ast.Assign)]
 
 
-def _target_root(target: ast.LValue) -> str:
-    node: ast.Expr = target
-    while isinstance(node, (ast.FieldAccess, ast.Index)):
-        node = node.base
-    assert isinstance(node, ast.Name)
-    return node.ident
-
-
 def _pragma_covered_variables(program: ast.Program) -> set[str]:
     covered: set[str] = set()
     for thread in program.threads:
         for stmt in _assignments_of(thread):
             for pragma in stmt.pragmas:
                 if isinstance(pragma, ast.ConsumerPragma):
-                    covered.add(_target_root(stmt.target))
+                    covered.add(ast.target_root(stmt.target))
                 else:
                     covered.add(pragma.links[0].variable)
     return covered
@@ -82,7 +74,7 @@ def apply_inferred_pragmas(program: ast.Program) -> list[InferredDependency]:
     reading_stmts: dict[str, dict[str, list[ast.Assign]]] = {}
     for thread in program.threads:
         for stmt in _assignments_of(thread):
-            root = _target_root(stmt.target)
+            root = ast.target_root(stmt.target)
             writing_stmts.setdefault(root, []).append((thread, stmt))
             for name in ast.names_read(stmt.value):
                 reading_stmts.setdefault(name, {}).setdefault(
@@ -125,7 +117,7 @@ def apply_inferred_pragmas(program: ast.Program) -> list[InferredDependency]:
             consuming_stmt = readers[thread_name][0]
             links.append(
                 ast.DependencyLink(
-                    thread_name, _target_root(consuming_stmt.target)
+                    thread_name, ast.target_root(consuming_stmt.target)
                 )
             )
             consuming_stmt.pragmas.append(

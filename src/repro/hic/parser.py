@@ -61,6 +61,15 @@ _ASSIGN_OPS = frozenset("= += -= *= /= %= &= |= ^= <<= >>=".split())
 _CHECKED_KINDS = (TokenKind.PUNCT, TokenKind.KEYWORD)
 
 
+def _check_target(target: ast.Expr) -> None:
+    """Refuse an assignment target not rooted in a variable."""
+    if ast.target_root(target) is None:
+        raise HicSyntaxError(
+            "assignment target must be a variable, field, or element",
+            target.location,
+        )
+
+
 class Parser:
     """Parses a token stream into a :class:`repro.hic.ast.Program`."""
 
@@ -415,11 +424,7 @@ class Parser:
     def _parse_bare_assign(self) -> ast.Assign:
         """An assignment without the trailing semicolon (for-loop headers)."""
         target = self._parse_primary()
-        if not isinstance(target, (ast.Name, ast.FieldAccess, ast.Index)):
-            raise HicSyntaxError(
-                "assignment target must be a variable, field, or element",
-                target.location,
-            )
+        _check_target(target)
         op_token = self._peek()
         if op_token.text not in _ASSIGN_OPS:
             raise HicSyntaxError(
@@ -434,11 +439,7 @@ class Parser:
         expr = self._parse_expr()
         op_token = self._peek()
         if self._texts[self._pos] in _ASSIGN_OPS:
-            if not isinstance(expr, (ast.Name, ast.FieldAccess, ast.Index)):
-                raise HicSyntaxError(
-                    "assignment target must be a variable, field, or element",
-                    expr.location,
-                )
+            _check_target(expr)
             self._advance()
             value = self._parse_expr()
             self._expect(";")

@@ -60,16 +60,6 @@ class Dependency:
         return tuple(ref.thread for ref in self.consumers)
 
 
-def _target_name(target: ast.LValue) -> str:
-    """The root variable name of an assignment target."""
-    node: ast.Expr = target
-    while isinstance(node, (ast.FieldAccess, ast.Index)):
-        node = node.base
-    if not isinstance(node, ast.Name):
-        raise HicPragmaError("unsupported assignment target", target.location)
-    return node.ident
-
-
 def resolve_dependencies(program: ast.Program) -> list[Dependency]:
     """Cross-validate all producer/consumer pragmas and return dependencies.
 
@@ -109,7 +99,7 @@ def resolve_dependencies(program: ast.Program) -> list[Dependency]:
     for dep_id, (prod_thread, prod_stmt, consumer_pragma) in sorted(
         producers.items()
     ):
-        produced_var = _target_name(prod_stmt.target)
+        produced_var = ast.target_root(prod_stmt.target)
         declared_consumers = [
             ConsumerRef(link.thread, link.variable)
             for link in consumer_pragma.links
@@ -145,7 +135,7 @@ def resolve_dependencies(program: ast.Program) -> list[Dependency]:
                     f"{cons_thread.name!r} does not read {produced_var!r}",
                     producer_pragma.location,
                 )
-            ref = ConsumerRef(cons_thread.name, _target_name(cons_stmt.target))
+            ref = ConsumerRef(cons_thread.name, ast.target_root(cons_stmt.target))
             if ref not in seen:
                 raise HicPragmaError(
                     f"thread {cons_thread.name!r} consumes dependency "

@@ -7,10 +7,11 @@ which is the number of threads that are dependent on this producer ...  The
 second part of the entry is the base address of the data structure in BRAM."
 
 A CAM-like structure compares an incoming address against all entries in
-parallel.  This module holds the *static configuration* (built from the
-allocation) and the *runtime counters* used by the behavioural controller
-model; the RTL generator sizes its CAM and counter bits from the same
-object, so area estimation and simulation cannot drift apart.
+parallel; :meth:`DependencyList.matches` is that comparison.  This module
+holds the *static configuration* (built from the allocation) and the
+*runtime counters* used by the behavioural controller model.  Area and
+timing do not come from here: the RTL generator prices the CAM and the
+counters from its own ``WrapperParams``, ``CamRow`` and ``COUNTER_BITS``.
 
 Granularity note: the guard covers the *base address* of the produced data
 structure — "this is the address that consumer threads will provide to
@@ -52,11 +53,6 @@ class DependencyEntry:
     def reset(self) -> None:
         self.outstanding = 0
 
-    @property
-    def counter_bits(self) -> int:
-        """Bits needed for the outstanding-reads counter."""
-        return max(1, (self.dependency_number).bit_length())
-
 
 @dataclass
 class DependencyList:
@@ -64,7 +60,6 @@ class DependencyList:
 
     bram: str
     entries: list[DependencyEntry] = field(default_factory=list)
-    address_bits: int = 9  # 512-word BRAM
     #: bumped whenever the *configuration* (not the runtime counters)
     #: changes — i.e. on :meth:`corrupt` — so entry-resolution caches
     #: can tell when CAM matches may have moved
@@ -76,7 +71,6 @@ class DependencyList:
         bram: str,
         dependencies: list[Dependency],
         memory_map: MemoryMap,
-        address_bits: int = 9,
     ) -> "DependencyList":
         """Populate the list from resolved dependencies (configuration time)."""
         entries = []
@@ -96,7 +90,7 @@ class DependencyList:
                     consumer_threads=dep.consumer_threads(),
                 )
             )
-        return cls(bram=bram, entries=entries, address_bits=address_bits)
+        return cls(bram=bram, entries=entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -115,7 +109,6 @@ class DependencyList:
         return DependencyList(
             bram=self.bram,
             entries=[replace(entry, outstanding=0) for entry in self.entries],
-            address_bits=self.address_bits,
         )
 
     # -- the CAM match ------------------------------------------------------------
@@ -296,19 +289,3 @@ class DependencyList:
                 dep_id=dep_id or entry.dep_id,
             )
         entry.outstanding -= 1
-
-    # -- hardware sizing (consumed by the RTL generator / area model) --------------
-
-    @property
-    def counter_bits(self) -> int:
-        """Width of the widest per-entry counter."""
-        if not self.entries:
-            return 1
-        return max(entry.counter_bits for entry in self.entries)
-
-    def storage_bits(self) -> int:
-        """Flip-flop bits the list occupies: per entry, the base address,
-        the outstanding counter, and a valid bit."""
-        return sum(
-            self.address_bits + entry.counter_bits + 1 for entry in self.entries
-        )

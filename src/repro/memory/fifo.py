@@ -9,7 +9,7 @@ full/empty handshakes and no dependency CAM.  It implements the same
 wheel's ``next_wake`` quiescence contract), telemetry, and the
 differential harness treat it like any other memory organization.
 
-Semantics (mirrored exactly by :meth:`next_wake`):
+Semantics (stated once, by :meth:`FifoChannelController.hold`):
 
 * a **push** (producer write) is grantable iff the channel was not full
   at the start of the cycle;
@@ -173,31 +173,16 @@ class FifoChannelController(MemoryController):
                     )
         return results
 
-    # -- quiescence (fast-kernel wake contract) ----------------------------------------
+    # -- the grant rule ---------------------------------------------------------------
 
-    def next_wake(self, cycle: int) -> Optional[int]:
-        """Mirror of :meth:`_arbitrate_cycle`'s grantability: a blocked
-        pop wakes once the channel is non-empty, a blocked push once it
-        is non-full; a blocked request that stays ungrantable without
-        new input keeps the channel quiescent."""
-        for request in self._ungranted.values():
-            if request.write:
-                if not self.full:
-                    return cycle + 1
-            elif not self.empty:
-                return cycle + 1
-        return None
-
-    # -- wait attribution (profiler seam) ----------------------------------------------
-
-    def classify_wait(self, request: MemRequest) -> tuple[str, str, str]:
-        if request.write and self.full:
-            # Backpressure: the producer is held by the channel guard,
-            # exactly like a guarded write with outstanding consumers.
-            return ("guard-stall", self.bram.name, request.port)
-        if not request.write and self.empty:
-            return ("blocked-read", self.bram.name, request.port)
-        return ("arbitration-loss", self.bram.name, request.port)
+    def hold(self, request: MemRequest) -> Optional[str]:
+        """:meth:`_arbitrate_cycle`'s grantability: a push waits while
+        the channel is full (backpressure, held by the channel guard
+        exactly like a guarded write with outstanding consumers →
+        ``guard-stall``), a pop while it is empty (``blocked-read``)."""
+        if request.write:
+            return "guard-stall" if self.full else None
+        return "blocked-read" if self.empty else None
 
     # -- watchdog recovery seam --------------------------------------------------------
 

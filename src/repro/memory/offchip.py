@@ -97,19 +97,20 @@ class OffchipController(MemoryController):
                 self._current = None
         return results
 
-    # -- wait attribution (profiler seam) ----------------------------------------------
+    # -- the grant rule ---------------------------------------------------------------
 
-    def classify_wait(self, request: MemRequest) -> tuple[str, str, str]:
+    def hold(self, request: MemRequest) -> Optional[str]:
         """Every blocked cycle at the external tier is latency: either
         the request owns the in-flight multi-cycle transaction or it is
         serialized behind one on the single port."""
-        return ("offchip-latency", self.bram.name, request.port)
+        return "offchip-latency"
 
     # -- quiescence (fast-kernel wake contract) ---------------------------------------
 
     def next_wake(self, cycle: int):
-        """Wake when the in-flight transaction can complete, or next
-        cycle if a blocked request could be accepted onto the free port."""
+        """Driven by time, not by the rule: wake when the in-flight
+        transaction can complete, or next cycle if a blocked request
+        could be accepted onto the free port."""
         if self._current is not None:
             return max(cycle + 1, self._finish_cycle)
         if self._ungranted:

@@ -8,8 +8,8 @@ wait state (see :mod:`repro.obs.attribution`):
   ``stats.advances`` counter — a delta means the FSM took a transition
   this cycle (*executing*); otherwise the thread held, and the
   controllers' ``blocked`` taps say why: a blocked request is handed to
-  its controller's ``classify_wait`` (each organization mirrors its own
-  grantability rules), and a thread with no pending request anywhere is
+  its controller's ``classify_wait`` (which reads the organization's
+  grant rule, ``hold``), and a thread with no pending request anywhere is
   *idle* (terminal hold, empty receive wait, or a fault-dropped
   request);
 * for a wheel-kernel idle skip (``on_idle_cycles``) the same

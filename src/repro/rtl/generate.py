@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 from ..core.modulo import ModuloSchedule
 from ..hic.pragmas import Dependency
-from ..memory.deplist import DependencyList
 from ..synth.binding import DatapathSummary
 from ..synth.fsm import ThreadFsm
 from .netlist import Module, PortDirection

@@ -472,8 +472,8 @@ class FsmBuilder:
         reads, value = self._split_reads(value, stmt.pragmas)
         current = self._emit_reads(current, reads)
 
-        target_root = _root_name(stmt.target)
-        placement = self._placement_of(target_root)
+        root = ast.target_root(stmt.target)
+        placement = self._placement_of(root)
 
         # Guarded producer write?  (#consumer pragma on this statement)
         dep_id = None
@@ -483,7 +483,7 @@ class FsmBuilder:
 
         if placement is None:
             state = self._new_state()
-            state.ops.append(ComputeOp(target_root, value))
+            state.ops.append(ComputeOp(root, value))
             self._link(current, state)
             return state
 
@@ -621,14 +621,6 @@ def _message_field_offset(field_name: str) -> int:
 def message_words() -> int:
     """BRAM words a message occupies (field-per-word layout)."""
     return len(MESSAGE_FIELDS)
-
-
-def _root_name(target: ast.LValue) -> str:
-    node: ast.Expr = target
-    while isinstance(node, (ast.FieldAccess, ast.Index)):
-        node = node.base
-    assert isinstance(node, ast.Name)
-    return node.ident
 
 
 def _target_as_expr(target: ast.LValue) -> ast.Expr:

@@ -238,25 +238,17 @@ def build_statement_dfg(statements: list[ast.Assign]) -> DataflowGraph:
     """
     graph = DataflowGraph()
     for stmt in statements:
+        name = ast.target_root(stmt.target)
         root = build_expr_dfg(graph, stmt.value)
         if stmt.op != "=":
             target_read = graph.last_def.get(
-                _root_name(stmt.target),
-                graph.add_node("var", _root_name(stmt.target), []),
+                name, graph.add_node("var", name, [])
             )
             root = graph.add_node(
                 op_class(stmt.op[:-1]), stmt.op[:-1], [target_read, root]
             )
-        graph.last_def[_root_name(stmt.target)] = root
+        graph.last_def[name] = root
     return graph
-
-
-def _root_name(target: ast.LValue) -> str:
-    node: ast.Expr = target
-    while isinstance(node, (ast.FieldAccess, ast.Index)):
-        node = node.base
-    assert isinstance(node, ast.Name)
-    return node.ident
 
 
 def expression_depth(expr: ast.Expr) -> int:

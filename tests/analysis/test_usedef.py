@@ -1,6 +1,6 @@
-"""Unit tests for use-def analysis and dependency inference."""
+"""Unit tests for use-def analysis."""
 
-from repro.analysis import analyze_thread, infer_dependencies, linearize, use_def_chains
+from repro.analysis import analyze_thread, linearize, use_def_chains
 from repro.hic import parse
 
 
@@ -136,39 +136,3 @@ class TestUseDefChains:
         # The use of i inside the loop body sees the back-edge definition.
         in_loop = [(k, v) for k, v in chains.items() if k[1] == "i" and v]
         assert any(any(d >= k[0] for d in v) for k, v in in_loop)
-
-
-class TestInference:
-    def test_figure1_like_inference_without_pragmas(self):
-        # Threads share variable names; writer t1, readers t2/t3.
-        source = """
-        thread t1 () { int x1, a; x1 = f(a); }
-        thread t2 () { int y1; y1 = g(x1); }
-        thread t3 () { int z1; z1 = h(x1); }
-        """
-        deps = infer_dependencies(parse(source))
-        by_var = {d.producer_var: d for d in deps}
-        assert "x1" in by_var
-        dep = by_var["x1"]
-        assert dep.producer_thread == "t1"
-        assert set(dep.consumer_threads()) == {"t2", "t3"}
-
-    def test_multi_writer_variable_skipped(self):
-        source = """
-        thread a () { int s; s = 1; }
-        thread b () { int q; s = 2; q = s; }
-        """
-        deps = infer_dependencies(parse(source))
-        assert all(d.producer_var != "s" for d in deps)
-
-    def test_private_variable_not_inferred(self):
-        source = "thread a () { int s, q; s = 1; q = s; }"
-        assert infer_dependencies(parse(source)) == []
-
-    def test_inferred_ids_are_stable(self):
-        source = """
-        thread t1 () { int x, a; x = f(a); }
-        thread t2 () { int y; y = g(x); }
-        """
-        deps = infer_dependencies(parse(source))
-        assert deps[0].dep_id == "auto_x"

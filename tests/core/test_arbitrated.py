@@ -228,13 +228,45 @@ class TestPortARoundRobin:
         assert "x" in results and "y" not in results
 
 
-class TestConfig:
-    def test_pseudo_ports_scale(self):
-        for n in (2, 4, 8):
-            controller, __ = make_controller(consumers=n, dn=n)
-            assert controller.config.pseudo_ports == n
+class TestGrantRule:
+    """``hold`` states the §3.1 rule once; the wake and the wait
+    classification both read it."""
 
-    def test_cam_mirrors_deplist(self):
-        controller, __ = make_controller(consumers=2)
-        assert controller.cam.search(0) == 0
-        assert controller.cam.occupancy() == 1
+    def test_port_b_is_held_while_c_or_d_has_requests(self):
+        controller, __ = make_controller(consumers=1)
+        port_b = MemRequest("other", "B", 5, False)
+        controller.submit(read_req("c0"))  # unarmed: stays blocked
+        controller.submit(port_b)
+        controller.arbitrate(0)
+        assert controller.hold(port_b) == "arbitration-loss"
+        assert controller.hold(read_req("c0")) == "blocked-read"
+        assert controller.next_wake(0) is None
+        assert controller.classify_wait(port_b) == (
+            "arbitration-loss", "bram0", "B"
+        )
+
+    def test_port_b_without_c_or_d_requests_wakes_next_cycle(self):
+        controller, __ = make_controller(consumers=1)
+        loser = MemRequest("zed", "B", 6, False)
+        controller.submit(MemRequest("other", "B", 5, False))
+        controller.submit(loser)
+        assert list(controller.arbitrate(0)) == ["other"]
+        assert controller.hold(loser) is None
+        assert controller.next_wake(0) == 1
+        assert controller.classify_wait(loser) == (
+            "arbitration-loss", "bram0", "B"
+        )
+
+    def test_guarded_ports_wake_when_their_guard_allows(self):
+        controller, __ = make_controller(consumers=1)
+        controller.submit(write_req(1))
+        controller.arbitrate(0)  # armed: dn = 1 read outstanding
+        controller.submit(write_req(2))
+        controller.arbitrate(1)
+        assert controller.hold(write_req(2)) == "guard-stall"
+        assert controller.next_wake(1) is None
+        controller.submit(write_req(2))
+        controller.submit(read_req("c0"))
+        controller.arbitrate(2)  # the read drains the guard
+        assert controller.hold(write_req(2)) is None
+        assert controller.next_wake(2) == 3

@@ -133,11 +133,11 @@ class TestConfigAndReset:
     def test_mux_leaves_scale_with_consumers(self):
         for n in (2, 4, 8):
             controller, __ = make_controller(consumers=n)
-            assert controller.config.mux_leaves == 1 + n
+            assert len(controller.schedule) == 1 + n
 
     def test_select_bits(self):
         controller, __ = make_controller(consumers=8)
-        assert controller.config.select_bits == 4  # 9 slots
+        assert controller.schedule.select_bits == 4  # 9 slots
 
     def test_reset_restarts_schedule(self):
         controller, __ = make_controller()

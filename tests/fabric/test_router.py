@@ -152,10 +152,6 @@ class TestMisc:
         assert router.events == []
         assert router.entries["mt1"].outstanding == 0
 
-    def test_counter_bits(self):
-        assert entry(dn=1).counter_bits == 1
-        assert entry(dn=15).counter_bits == 4
-
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             DependencyRouter(notify_latency=-1)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Organization
 from repro.flow import build_simulation, compile_design
-from repro.hic import analyze, parse
+from repro.hic import HicNameError, analyze, parse
 from repro.hic.autopragma import apply_inferred_pragmas
 from repro.sim import default_intrinsic
 
@@ -107,3 +107,45 @@ class TestInference:
         """
         checked = analyze(source, infer_pragmas=True)
         assert [d.dep_id for d in checked.dependencies] == ["auto_a"]
+
+    def test_figure1_like_inference_without_pragmas(self):
+        # Threads share variable names; writer t1, readers t2/t3.
+        source = """
+        thread t1 () { int x1, a; x1 = f(a); }
+        thread t2 () { int y1; y1 = g(x1); }
+        thread t3 () { int z1; z1 = h(x1); }
+        """
+        inferred = apply_inferred_pragmas(parse(source))
+        by_var = {d.variable: d for d in inferred}
+        assert "x1" in by_var
+        dep = by_var["x1"]
+        assert dep.producer_thread == "t1"
+        assert set(dep.consumer_threads) == {"t2", "t3"}
+
+    def test_multi_writer_variable_skipped(self):
+        source = """
+        thread a () { int s; s = 1; }
+        thread b () { int q; s = 2; q = s; }
+        """
+        inferred = apply_inferred_pragmas(parse(source))
+        assert all(d.variable != "s" for d in inferred)
+
+    def test_inferred_ids_are_stable(self):
+        source = """
+        thread t1 () { int x, a; x = f(a); }
+        thread t2 () { int y; y = g(x); }
+        """
+        inferred = apply_inferred_pragmas(parse(source))
+        assert inferred[0].dep_id == "auto_x"
+
+    def test_two_producing_statements_infer_nothing(self):
+        """One producing statement per variable: a variable written twice
+        in its thread gets no pragma, so its reader's use stays an
+        undeclared name."""
+        source = """
+        thread p () { int x; x = 1; x = x + 2; }
+        thread c () { int y; y = x; }
+        """
+        assert apply_inferred_pragmas(parse(source)) == []
+        with pytest.raises(HicNameError, match="'x' is not declared"):
+            analyze(source, infer_pragmas=True)

@@ -139,6 +139,28 @@ class TestStatements:
         assert len(stmt.arms[1].values) == 2
         assert stmt.default is not None
 
+    @pytest.mark.parametrize(
+        "source, where",
+        [
+            ("thread t () { int x; f(x).a = 3; }", "1:27"),
+            ("thread t () { int x; f(x)[0] += 3; }", "1:22"),
+            (
+                "thread t () { message m1, m2; int c; (c ? m1 : m2).ttl = 3; }",
+                "1:52",
+            ),
+            (
+                "thread t () { int i; for (f(i).a = 0; i < 2; i = i + 1) { } }",
+                "1:32",
+            ),
+        ],
+    )
+    def test_target_not_rooted_in_a_variable_rejected(self, source, where):
+        with pytest.raises(
+            HicSyntaxError,
+            match=f"{where}: assignment target must be a variable, field, or element",
+        ):
+            parse(source)
+
     def test_empty_case_rejected(self):
         with pytest.raises(HicSyntaxError):
             parse("thread t () { int s; case (s) { } }")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hic import analyze
-from repro.memory import DependencyEntry, DependencyList, allocate
+from repro.memory import DependencyList, allocate
 from tests.conftest import make_fanout_source
 
 
@@ -103,33 +103,3 @@ class TestGuardProtocol:
         deplist.note_producer_write(address)
         deplist.reset()
         assert not deplist.consumer_read_allowed(address)
-
-
-class TestHardwareSizing:
-    def test_counter_bits_scale_with_dn(self):
-        entry2 = DependencyEntry("a", 2, 0, "p", ("c0", "c1"))
-        entry8 = DependencyEntry("b", 8, 1, "p", tuple(f"c{i}" for i in range(8)))
-        assert entry2.counter_bits == 2
-        assert entry8.counter_bits == 4
-
-    def test_list_counter_bits_is_max(self):
-        deplist = DependencyList(
-            bram="b",
-            entries=[
-                DependencyEntry("a", 2, 0, "p", ("c0", "c1")),
-                DependencyEntry("b", 8, 1, "p", tuple(f"c{i}" for i in range(8))),
-            ],
-        )
-        assert deplist.counter_bits == 4
-
-    def test_empty_list_counter_bits(self):
-        assert DependencyList(bram="b").counter_bits == 1
-
-    def test_storage_bits(self):
-        deplist = DependencyList(
-            bram="b",
-            entries=[DependencyEntry("a", 2, 0, "p", ("c0", "c1"))],
-            address_bits=9,
-        )
-        # 9 addr + 2 counter + 1 valid
-        assert deplist.storage_bits() == 12

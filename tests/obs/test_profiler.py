@@ -141,6 +141,25 @@ def test_figure1_breakdown_matches_committed_golden(figure1_source, request):
     assert fresh == golden.read_text()
 
 
+@pytest.mark.parametrize("organization", ["event_driven", "lock_baseline"])
+def test_figure1_breakdown_per_organization_matches_committed_golden(
+    figure1_source, organization, request
+):
+    """``profile examples/figure1.hic --organization ORG`` (the CI
+    profile-smoke job cmp's the same bytes on every kernel)."""
+    design = compile_design(
+        figure1_source, organization=Organization(organization)
+    )
+    sim = build_simulation(design, kernel="wheel")
+    profiler = sim.attach_profiler()
+    sim.run(300)
+    fresh = json.dumps(breakdown_dict(profiler), sort_keys=True, indent=2) + "\n"
+    golden = (
+        request.path.parent / "golden" / f"figure1_breakdown_{organization}.json"
+    )
+    assert fresh == golden.read_text()
+
+
 # -- attribution ledger -----------------------------------------------------------------
 
 

@@ -1,13 +1,13 @@
-"""Property tests: arbiters, CAM, dependency list, packing, LPM.
+"""Property tests: arbiters, dependency list, packing, LPM.
 
 These are the invariants the hardware relies on: arbitration fairness and
-closure, CAM match correctness, guard-counter bounds, slice-packing
-monotonicity, and longest-prefix-match agreement with a brute-force oracle.
+closure, guard-counter bounds, slice-packing monotonicity, and
+longest-prefix-match agreement with a brute-force oracle.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ContentAddressableMemory, RoundRobinArbiter
+from repro.core import RoundRobinArbiter
 from repro.fpga import pack
 from repro.memory import DependencyEntry, DependencyList
 from repro.net import LpmTable
@@ -43,34 +43,6 @@ def test_arbiter_starvation_freedom(n_clients):
     for start in range(n_clients):
         window = set(grants[start : start + n_clients])
         assert window == set(clients)
-
-
-# -- CAM -----------------------------------------------------------------------------
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=16),
-    st.lists(
-        st.tuples(st.integers(min_value=0, max_value=15),
-                  st.integers(min_value=0, max_value=511)),
-        max_size=20,
-    ),
-    st.integers(min_value=0, max_value=511),
-)
-def test_cam_search_matches_linear_scan(entries, writes, probe):
-    cam = ContentAddressableMemory(entries=entries, key_bits=9)
-    shadow = {}
-    for row, key in writes:
-        if row < entries:
-            cam.write(row, key)
-            shadow[row] = key
-    expected = None
-    for row in range(entries):
-        if shadow.get(row) == probe:
-            expected = row
-            break
-    assert cam.search(probe) == expected
 
 
 # -- dependency list guard protocol ------------------------------------------------

@@ -123,6 +123,18 @@ class TestCli:
         assert main([str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--infer-pragmas"]])
+    def test_target_rooted_in_a_call_is_a_syntax_error(
+        self, tmp_path, capsys, extra
+    ):
+        path = tmp_path / "bad.hic"
+        path.write_text("thread t () { int x; f(x).a = 3; }")
+        assert main([str(path), *extra]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: <hic>:1:27: assignment target must be a variable, "
+            "field, or element"
+        ]
+
     def test_deadlock_rejected(self, tmp_path, capsys):
         path = tmp_path / "deadlock.hic"
         path.write_text(DEADLOCK_SOURCE)
