@@ -23,7 +23,7 @@ overhead — the quantity the paper's one-cycle guarded ports eliminate.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..memory.bram import BlockRam

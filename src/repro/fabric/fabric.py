@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from ..core.advisor import Organization, build_controller
 from ..core.controller import MemRequest, MemResult, MemoryController
 from ..hic.pragmas import Dependency
 from ..hic.semantic import CheckedProgram
-from ..memory.allocation import FABRIC_BRAM, MemoryMap, WORDS_PER_BRAM
+from ..memory.allocation import FABRIC_BRAM, MemoryMap
 from ..memory.bram import BlockRam
 from ..memory.deplist import DependencyEntry, DependencyList
 from .crossbar import Crossbar

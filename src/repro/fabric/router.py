@@ -25,7 +25,7 @@ write that armed it was granted* (see :meth:`DependencyRouter.verify_guard_order
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass

@@ -413,8 +413,8 @@ def _trace_rounds(sim) -> dict[str, list[tuple]]:
                     tuple(sorted((executor.last_round_env or {}).items()))
                 )
 
-    # Round counters move only on executed cycles (a skipped cycle is a
-    # parked, advance-free one), so the recorder never needs a cycle of
+    # Round counters move only on executed cycles (no executor advances
+    # in a skipped cycle), so the recorder never needs a cycle of
     # its own and leaves idle skipping on.
     hook.next_wake = lambda cycle, limit, kernel: None
     sim.kernel.add_post_cycle_hook(hook)

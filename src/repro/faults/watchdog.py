@@ -27,7 +27,7 @@ What happens next is the *recovery policy*:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..core.controller import BlockedRequest, MemoryController

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import ast
-from .errors import HicSyntaxError, SourceLocation
+from .errors import HicSyntaxError
 from .lexer import Token, TokenKind, tokenize
 from .types import BitsType, HicType, TypeTable, UnionType
 

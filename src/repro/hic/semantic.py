@@ -29,7 +29,6 @@ from .types import (
     INT,
     BitsType,
     HicType,
-    IntType,
     MessageType,
     TypeTable,
     common_type,

@@ -18,7 +18,7 @@ byte-stable across runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from ..core.advisor import Organization
 from .fabric import area_slices

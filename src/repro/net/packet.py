@@ -9,7 +9,7 @@ message dictionary the simulator's interfaces carry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..hic.types import MESSAGE_FIELDS
 

@@ -23,10 +23,7 @@ simulation serialize byte-identically.
 from __future__ import annotations
 
 import csv
-import gc
 import json
-from contextlib import contextmanager
-from typing import Optional
 
 from .attribution import NO_SITE, WAIT_STATES
 from .events import EventKind
@@ -248,27 +245,6 @@ def validate_chrome_trace(document: dict) -> None:
             )
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector, restoring its prior state.
-
-    A trace document is tens of thousands of fresh dicts and lists that
-    form a tree and die together once serialized: the collector can
-    never free any of them, yet each pass it makes while the document
-    grows re-scans them and promotes them toward full collections.
-    Reference counting frees the document as usual.  The price: cyclic
-    garbage left by earlier work waits for a collection after the dump
-    rather than during it, so it briefly coexists with the document."""
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
 def dumps_chrome_trace(telemetry: Telemetry) -> str:
     """Serialize with a fixed key order — byte-identical across runs.
 
@@ -276,13 +252,12 @@ def dumps_chrome_trace(telemetry: Telemetry) -> str:
     order, so the encoder skips ``sort_keys``'s per-object re-sort; the
     document is a fresh tree, so it skips the circular-reference check
     too."""
-    with _collector_paused():
-        document = chrome_trace(telemetry)
-        validate_chrome_trace(document)
-        return (
-            json.dumps(document, separators=(",", ":"), check_circular=False)
-            + "\n"
-        )
+    document = chrome_trace(telemetry)
+    validate_chrome_trace(document)
+    return (
+        json.dumps(document, separators=(",", ":"), check_circular=False)
+        + "\n"
+    )
 
 
 def write_chrome_trace(telemetry: Telemetry, path: str) -> None:

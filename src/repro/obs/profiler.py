@@ -14,7 +14,7 @@ wait state (see :mod:`repro.obs.attribution`):
   request);
 * for a wheel-kernel idle skip (``on_idle_cycles``) the same
   classification is booked ``count`` times in one call: during a skip
-  every executor is parked and every blocked set is frozen, so the
+  every executor holds and every blocked set is frozen, so the
   per-cycle classification is constant — the skip's first cycle is
   attributed like an executed cycle in which nothing moved, and the
   open runs extend over the rest.  Batch booking equals the reference
@@ -261,7 +261,7 @@ class CycleProfiler:
     def on_idle_cycles(self, first_cycle: int, count: int, kernel) -> None:
         """Batch booking for a wheel-kernel skip of ``count`` cycles.
 
-        During a skip every executor is parked (no thread advances) and
+        During a skip every executor holds (no thread advances) and
         no view or epoch moves, so each skipped cycle classifies exactly
         like ``first_cycle``: attribute that one as a cycle in which
         nothing moved, and every open run extends over the rest."""

@@ -17,12 +17,14 @@ guaranteed cheaply:
   and refused again, on every build), or binding the generated module
   to the live objects failed a drift assertion.
 
-The escape hatch is per-*call*: a campaign can attach a watchdog, run
-on the wheel, detach it, and continue compiled — state is shared because
-the generated span flushes everything back into the real executor and
-controller objects on exit (including on exceptions).  The wheel's park
-records freeze executor state that a generated span rewrites, so they
-are dropped before each span and rebuilt by the wheel as it re-parks.
+The escape hatch is per-*call*: assigning an observer sends the next
+``run`` to the wheel, clearing it sends the one after back to the
+generated path — state is shared because the generated span flushes
+everything back into the real executor and controller objects on exit
+(including on exceptions).  The wheel keeps no executor state of its
+own, only the advance counters it read last; it re-reads them after
+each span, so its first skip decision after one compares against the
+span's final state.
 
 ``cycles_compiled`` / ``cycles_interpreted`` count where cycles actually
 ran, so tests can assert the fast path really was taken (differential
@@ -111,13 +113,13 @@ class CompiledKernel(FastKernel):
         if cycles > 0 and until is None and self._fast_path_ok():
             deadline = self._deadline(max_wall_seconds)
             start = self.cycle
-            self._parked.clear()
             try:
                 self._run_span(
                     self, start, start + cycles, deadline, max_wall_seconds
                 )
             finally:
                 self.cycles_compiled += self.cycle - start
+                self._read_advances()
             return self._result()
         return super().run(
             cycles, until=until, max_wall_seconds=max_wall_seconds

@@ -39,14 +39,15 @@ MASK32 = (1 << 32) - 1
 
 
 @dataclass
-class ParkClass:
-    """Static classification of one FSM state for the fast kernel.
+class HoldClass:
+    """Static classification of how one FSM state holds.
 
-    A state is *parkable* when re-running :meth:`ThreadExecutor.phase1`
-    in it is provably a no-op on the architectural state (registers,
+    A state can *hold* when re-running :meth:`ThreadExecutor.phase1` and
+    :meth:`ThreadExecutor.phase2` in it, with nothing outside the thread
+    moving, is provably a no-op on the architectural state (registers,
     memories, interfaces) apart from per-cycle statistics and the
-    re-assertion of the same memory request lines.  The three parkable
-    shapes mirror how a blocked FSM state holds in hardware:
+    re-assertion of the same memory request lines.  The three shapes
+    mirror how a blocked FSM state holds in hardware:
 
     * ``"mem"`` — blocked on a memory request: the request lines stay
       asserted with the same address/data every cycle;
@@ -55,22 +56,20 @@ class ParkClass:
     * ``"terminal"`` — no transition can fire and the state's ops are
       register-idempotent: the FSM holds forever.
 
-    ``kind is None`` means the state is not parkable (e.g. it transmits
-    a message per cycle, or a register feeds back on itself) — the fast
-    kernel then executes it cycle by cycle, which is always correct.
+    ``kind is None`` means the state never holds (e.g. it transmits a
+    message per cycle, or a register feeds back on itself).
+    :meth:`ThreadExecutor.holds` combines the kind with the executor's
+    run-time condition; the wheel kernel skips only while every
+    executor holds.
     """
 
     kind: Optional[str]
-    #: interfaces a "recv" park waits on (unpark when any has backlog)
+    #: interfaces a "recv" state waits on (it holds while all are empty)
     rx_interfaces: tuple = ()
-    #: the last MemReadOp of a "mem" park (phase 2 absorbs into its dest)
-    waiting_read: Optional[MemReadOp] = None
-    #: memory ops of a "mem" park, in submission order
-    mem_ops: tuple = ()
 
 
-def _classify_state(state) -> ParkClass:
-    """Compute the :class:`ParkClass` of one FSM state.
+def _classify_state(state) -> HoldClass:
+    """Compute the :class:`HoldClass` of one FSM state.
 
     The idempotence condition: executing the op list a second time with
     the environment produced by the first execution must yield the same
@@ -82,17 +81,17 @@ def _classify_state(state) -> ParkClass:
     """
     has_recv = any(isinstance(op, ReceiveOp) for op in state.ops)
     has_tx = any(isinstance(op, TransmitOp) for op in state.ops)
-    mem_ops = tuple(
-        op for op in state.ops if isinstance(op, (MemReadOp, MemWriteOp))
+    has_mem = any(
+        isinstance(op, (MemReadOp, MemWriteOp)) for op in state.ops
     )
-    if has_tx or (has_recv and mem_ops):
+    if has_tx or (has_recv and has_mem):
         # A transmit fires every held cycle; a mixed receive+memory
-        # state would consume messages while blocked.  Never park.
-        return ParkClass(kind=None)
+        # state would consume messages while blocked.  Never holds.
+        return HoldClass(kind=None)
 
     # Registers a grant writes in phase 2: an expression reading one
     # would re-evaluate differently after a granted-but-not-advancing
-    # cycle, so such states are never parked.
+    # cycle, so such states never hold.
     read_dests = {
         op.dest for op in state.ops if isinstance(op, MemReadOp)
     }
@@ -116,23 +115,19 @@ def _classify_state(state) -> ParkClass:
         }
         reads = set().union(*map(ast.names_read, exprs))
         if reads & (later_dests | read_dests):
-            return ParkClass(kind=None)
+            return HoldClass(kind=None)
 
-    if mem_ops:
-        waiting = None
-        for op in mem_ops:
-            if isinstance(op, MemReadOp):
-                waiting = op
-        return ParkClass(kind="mem", waiting_read=waiting, mem_ops=mem_ops)
+    if has_mem:
+        return HoldClass(kind="mem")
     if has_recv:
         interfaces = tuple(
             op.interface for op in state.ops if isinstance(op, ReceiveOp)
         )
-        return ParkClass(kind="recv", rx_interfaces=interfaces)
-    # Compute-only (or empty) state: parkable when held as a terminal
-    # wait state — phase 2 proved no transition fires, and the frozen
-    # environment keeps every guard false.
-    return ParkClass(kind="terminal")
+        return HoldClass(kind="recv", rx_interfaces=interfaces)
+    # Compute-only (or empty) state: it holds as a terminal wait state
+    # once phase 2 found no transition to fire — the environment it
+    # re-produces keeps every guard false.
+    return HoldClass(kind="terminal")
 
 
 def to_signed(value: int) -> int:
@@ -258,8 +253,8 @@ class ThreadExecutor:
             self.env[name] = to_unsigned(value)
         self.state_name = fsm.initial
         self.stats = ExecutorStats()
-        #: per-state :class:`ParkClass` cache for the fast kernel
-        self._park_classes: dict[str, ParkClass] = {}
+        #: per-state :class:`HoldClass` cache for :meth:`holds`
+        self._hold_classes: dict[str, HoldClass] = {}
         #: architectural state at the last completed round — the
         #: phase-insensitive snapshot golden-trace comparison diffs
         self.last_round_env: Optional[dict[str, int]] = None
@@ -519,61 +514,39 @@ class ThreadExecutor:
         # A state with no matching transition holds (terminal wait state).
         self.stats.stall_cycles += 1
 
-    # -- fast-kernel park protocol (see repro.sim.wheel) ----------------------------
+    # -- holding (read by the wheel's skip decision, see repro.sim.wheel) --------
 
-    def park_class(self) -> ParkClass:
-        """The (cached) park classification of the current state."""
-        park = self._park_classes.get(self.state_name)
-        if park is None:
-            park = _classify_state(self.state)
-            self._park_classes[self.state_name] = park
-        return park
+    def hold_class(self) -> HoldClass:
+        """The (cached) hold classification of the current state."""
+        hold = self._hold_classes.get(self.state_name)
+        if hold is None:
+            hold = _classify_state(self.state)
+            self._hold_classes[self.state_name] = hold
+        return hold
 
-    def park_requests(self, park: ParkClass) -> tuple:
-        """The ``(bram, MemRequest)`` pairs a parked "mem" state
-        re-asserts: the requests the last real :meth:`phase1` submitted.
+    def holds(self) -> bool:
+        """Whether the current state holds until something outside the
+        thread moves: a memory wait while it is blocked, a receive wait
+        while it is blocked and every queue it watches is empty, a
+        terminal state while it is unblocked.  Nothing else holds."""
+        hold = self.hold_class()
+        kind = hold.kind
+        if kind == "mem":
+            return self._blocked
+        if kind == "recv":
+            rx = self._rx
+            return self._blocked and not any(
+                rx[interface].backlog
+                for interface in hold.rx_interfaces
+                if interface in rx
+            )
+        return kind == "terminal" and not self._blocked
 
-        The park idempotence condition keeps their address/data stable
-        while the state holds, and :class:`MemRequest` is frozen, so the
-        same objects are safely resubmitted every parked cycle.
-        """
-        return tuple(
-            (op.bram, self._req_cache[id(op)]) for op in park.mem_ops
-        )
-
-    def parked_phase1(
-        self, cycle: int, park: ParkClass, requests: tuple
-    ) -> None:
-        """Equivalent of :meth:`phase1` for a parked state, O(ops) avoided.
-
-        Replays exactly the per-cycle effects a held state has: the
-        statistics tick, the blocked flag, and (for "mem" parks) the
-        re-asserted request lines.  Register work is skipped — the park
-        idempotence condition proved it a no-op on the frozen
-        environment.
-        """
-        self.stats.cycles += 1
-        self.stats.state_visits[self.state_name] = (
-            self.stats.state_visits.get(self.state_name, 0) + 1
-        )
-        if park.kind == "terminal":
-            # phase 2 is skipped for terminal parks; account its stall
-            # here (no transition can fire on the frozen environment).
-            self._blocked = False
-            self.stats.stall_cycles += 1
-            return
-        self._blocked = True
-        if park.kind == "mem":
-            for bram, request in requests:
-                self._controllers[bram].submit(request)
-            # phase 2's blocked path clears this every ungranted cycle.
-            self._waiting_read = park.waiting_read
-
-    def park_idle(self, count: int) -> None:
-        """Account ``count`` skipped cycles spent parked in this state.
+    def hold_idle(self, count: int) -> None:
+        """Account ``count`` skipped cycles spent holding in this state.
 
         Mirrors the per-cycle increments the reference kernel performs
-        for a held state: every parked shape stalls every cycle (a
+        for a held state: every shape that holds stalls every cycle (a
         blocked "mem"/"recv" state stalls in phase 2, a "terminal"
         state stalls in ``_advance``).
         """

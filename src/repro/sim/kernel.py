@@ -97,13 +97,6 @@ class SimulationKernel:
             executor.stats.advances for executor in self.executors.values()
         )
 
-    def total_rounds(self) -> int:
-        """Completed thread rounds across all executors."""
-        return sum(
-            executor.stats.rounds_completed
-            for executor in self.executors.values()
-        )
-
     def add_pre_cycle_hook(self, hook: CycleHook) -> None:
         """Runs before phase 1 (e.g. traffic injection)."""
         self._pre_hooks.append(hook)

@@ -10,18 +10,19 @@ while staying **cycle-equivalent** to the reference kernel (same
 consumer values, same statistics, same event cycle numbers; enforced by
 ``tests/differential/``).
 
-Two mechanisms, both conservative (anything unprovable falls back to
-cycle-by-cycle execution, which is always correct):
-
-* **parking** — an executor whose FSM state is provably idempotent
-  while held (see :class:`~repro.sim.executor.ParkClass`) stops
-  re-interpreting its micro-ops; a parked cycle is a statistics tick
-  plus re-assertion of the memory requests the state last submitted;
-* **skipping** — when *every* executor is parked, every controller
-  reports quiescence through ``next_wake()``, and every hook bounds its
-  next effect, the kernel jumps straight to the earliest reported wake
-  (or the run's final cycle), batch-accounting the skipped cycles
-  (``park_idle`` / ``on_idle_cycles``).
+Every cycle the wheel executes is the reference kernel's cycle
+(:meth:`SimulationKernel.step` itself); the wheel only decides which
+cycles it may skip.  After an executed cycle in which no executor
+advanced, it asks each executor whether its state *holds*
+(:meth:`~repro.sim.executor.ThreadExecutor.holds`: a blocked memory
+wait, a receive wait on empty queues, or a terminal state — each
+re-executes as a provable no-op apart from per-cycle statistics).  When
+every executor holds, every controller reports quiescence through
+``next_wake()``, and every hook bounds its next effect, the kernel jumps
+straight to the earliest reported wake (or the run's final cycle),
+batch-accounting the skipped cycles (``hold_idle`` /
+``note_idle_cycles`` / ``on_idle_cycles``).  Anything unprovable falls
+back to cycle-by-cycle execution, which is always correct.
 
 The wake contract (see ``docs/simulation_kernels.md``): a component
 that can change observable state at cycle ``t > now`` without any new
@@ -39,32 +40,22 @@ registers) is byte-identical to the reference kernel's.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from ..core.controller import MemResult, MemoryController
-from .executor import ParkClass, ThreadExecutor
+from .executor import ThreadExecutor
 from .kernel import SimulationKernel, SimulationResult
-
-
-@dataclass
-class _Park:
-    """Runtime record of one parked executor."""
-
-    park: ParkClass
-    #: frozen ``(bram, MemRequest)`` pairs a "mem" park re-asserts
-    requests: tuple = ()
-    #: rx interfaces a "recv" park watches for arrivals
-    rx: tuple = ()
 
 
 class FastKernel(SimulationKernel):
     """The ``wheel`` kernel: cycle-equivalent, idle stretches skipped.
 
-    :meth:`step` still executes exactly one real cycle (external
-    single-stepping stays exact); the skipping happens inside
-    :meth:`run` between steps, and only when ``until`` is ``None``
-    (an ``until`` predicate may inspect per-cycle state).
+    :meth:`step` is the reference cycle, counted, followed by a re-read
+    of every executor's advance counter, so external single-stepping
+    stays exact and "no executor advanced in the last executed cycle"
+    is known after any step.  The skipping happens inside :meth:`run`
+    between steps, and only when ``until`` is ``None`` (an ``until``
+    predicate may inspect per-cycle state).
     """
 
     def __init__(
@@ -76,89 +67,33 @@ class FastKernel(SimulationKernel):
         #: introspection counters (benchmarks and tests read these)
         self.cycles_executed = 0
         self.cycles_skipped = 0
-        self._parked: dict[str, _Park] = {}
-        self._named_order = [
-            (name, executors[name]) for name in sorted(executors)
-        ]
+        #: every executor's ``stats.advances`` as last read, and whether
+        #: none of them moved since the read before
+        self._advances: list[int] = []
+        self._held = False
+        self._read_advances()
         self._wakers: Optional[list] = []
         self._waker_cache_key: Optional[tuple[int, int]] = (0, 0)
 
     # -- one real cycle -------------------------------------------------------------
 
     def step(self) -> dict[str, dict[str, MemResult]]:
-        cycle = self.cycle
-        for hook in self._pre_hooks:
-            hook(cycle, self)
-
-        parked = self._parked
-        if parked:
-            # An arrival un-parks a receive wait before phase 1 reads it.
-            for name in [
-                name
-                for name, record in parked.items()
-                if record.park.kind == "recv"
-                and any(rx.backlog > 0 for rx in record.rx)
-            ]:
-                del parked[name]
-
-        for name, executor in self._named_order:
-            record = parked.get(name)
-            if record is not None:
-                executor.parked_phase1(cycle, record.park, record.requests)
-            else:
-                executor.phase1(cycle)
-
-        results: dict[str, dict[str, MemResult]] = {}
-        for bram_name, controller in self._controller_order:
-            results[bram_name] = controller.arbitrate(cycle)
-
-        for name, executor in self._named_order:
-            record = parked.get(name)
-            if record is not None and record.park.kind == "terminal":
-                continue  # provably no transition; stall accounted above
-            before = executor.stats.advances
-            executor.phase2(results)
-            if executor.stats.advances != before:
-                if record is not None:
-                    del parked[name]
-            elif record is None:
-                self._maybe_park(name, executor)
-
-        for hook in self._post_hooks:
-            hook(cycle, self)
-        if self.observer is not None:
-            self.observer.on_cycle(cycle, self)
-        self.cycle = cycle + 1
+        results = super().step()
         self.cycles_executed += 1
+        self._read_advances()
         return results
 
-    def _maybe_park(self, name: str, executor: ThreadExecutor) -> None:
-        """Classify an executor that just held (no advance) for parking."""
-        park = executor.park_class()
-        kind = park.kind
-        if kind is None:
-            return
-        if kind == "terminal":
-            if executor._blocked:
-                return
-            self._parked[name] = _Park(park=park)
-        elif not executor._blocked:
-            return
-        elif kind == "mem":
-            self._parked[name] = _Park(
-                park=park, requests=executor.park_requests(park)
-            )
-        else:  # recv
-            rx = tuple(
-                executor._rx[interface]
-                for interface in park.rx_interfaces
-                if interface in executor._rx
-            )
-            if any(queue.backlog > 0 for queue in rx):
-                # A multi-receive state drains its non-empty queues
-                # every held cycle; only an all-empty wait can park.
-                return
-            self._parked[name] = _Park(park=park, rx=rx)
+    def _read_advances(self) -> None:
+        """Re-read the advance counters.
+
+        Called after every executed cycle, after each compiled span and
+        at :meth:`reset`, so that after a step ``_held`` says exactly
+        whether no executor advanced in that cycle."""
+        advances = [
+            executor.stats.advances for executor in self._executor_order
+        ]
+        self._held = advances == self._advances
+        self._advances = advances
 
     # -- the skip decision ----------------------------------------------------------
 
@@ -189,12 +124,10 @@ class FastKernel(SimulationKernel):
         unexecuted cycle; wake queries are posed at ``self.cycle - 1``,
         the cycle all component state currently reflects.  The run's
         final cycle is never skipped."""
-        if len(self._parked) < len(self.executors):
+        if not self._held:
             return None
-        for record in self._parked.values():
-            if record.park.kind == "recv" and any(
-                rx.backlog > 0 for rx in record.rx
-            ):
+        for executor in self._executor_order:
+            if not executor.holds():
                 return None
         if self.observer is not None and not hasattr(
             self.observer, "on_idle_cycles"
@@ -227,8 +160,8 @@ class FastKernel(SimulationKernel):
         """Batch-account the provably idle cycles ``self.cycle ..
         target - 1`` and jump to ``target``."""
         count = target - self.cycle
-        for name in self._parked:
-            self.executors[name].park_idle(count)
+        for executor in self._executor_order:
+            executor.hold_idle(count)
         for __, controller in self._controller_order:
             # The skipped arbitrate() calls were no-ops except for cycle
             # tracking, which stamps later submissions' issue cycles.
@@ -261,6 +194,6 @@ class FastKernel(SimulationKernel):
 
     def reset(self) -> None:
         super().reset()
-        self._parked.clear()
+        self._read_advances()
         self.cycles_executed = 0
         self.cycles_skipped = 0

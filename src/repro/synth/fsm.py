@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 from ..hic import ast
 from ..hic.semantic import CheckedProgram, SymbolKind
-from ..hic.types import MESSAGE_FIELDS, MessageType
+from ..hic.types import MESSAGE_FIELDS
 from ..memory.allocation import MemoryMap, Placement
 
 

@@ -77,7 +77,7 @@ def test_fast_path_survives_split_runs():
 
 class _NullObserver:
     """Observes nothing but disables the generated path; its idle-cycle
-    callback lets the wheel fallback skip as well as park."""
+    callback lets the wheel fallback skip."""
 
     def on_cycle(self, cycle, sim_kernel):
         pass
@@ -90,10 +90,9 @@ def test_escape_hatch_is_per_call():
     """Attaching an observer mid-run flips to the wheel fallback;
     detaching it resumes the generated path — with state carried across
     every seam byte-for-byte.  The sequence compiled -> observed (the
-    wheel parks executors) -> compiled (the span rewrites the state the
-    park records froze) -> observed again ends equal to the reference
-    kernel, on dense traffic and on sparse traffic; at the sparse rate,
-    keeping the stale park records would make it diverge."""
+    wheel skips while executors hold) -> compiled (the span rewrites
+    executor state and advance counters) -> observed again ends equal
+    to the reference kernel, on dense traffic and on sparse traffic."""
     for rate in (0.9, 0.05):
         reference_sim, compiled_sim = build_pair(
             forwarding_source(2),
@@ -113,8 +112,7 @@ def test_escape_hatch_is_per_call():
         compiled_sim.run(500)
         assert kernel.cycles_interpreted == 500
         if rate < 0.5:
-            # the fallback is the wheel: it parked executors and skipped
-            assert kernel._parked
+            # the fallback is the wheel: it skipped idle stretches
             assert kernel.cycles_skipped > 0
 
         kernel.observer = None

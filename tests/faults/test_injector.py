@@ -227,7 +227,7 @@ def _drop_run(organization, kernel):
 
 class TestRequestDropAcrossKernels:
     """A dropped request never reaches its controller, so only the
-    injector knows the parked executor re-asserts it next cycle: the
+    injector knows the held executor re-asserts it next cycle: the
     skipping kernels must not jump over that cycle once the drop count
     is spent.  No campaign round recorder is attached, so nothing else
     holds the kernel to cycle-by-cycle execution."""

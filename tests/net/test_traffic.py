@@ -217,7 +217,7 @@ class TestAttachedHookDeliveryOrder:
 
     def test_next_wake_never_skips_an_arrival(self):
         """Calls only at the cycles ``next_wake`` reports (what the wheel
-        kernel does while every thread is parked) inject the same
+        kernel does while every thread holds) inject the same
         stream, at the same cycles, as calls on every cycle."""
         reference = BernoulliTraffic(rate=0.01, seed=5).attach(_ListRx())
         skipping = BernoulliTraffic(rate=0.01, seed=5).attach(_ListRx())

@@ -15,7 +15,15 @@ and how many interpreted):
   compiled kernel, which at the dense rate carries a watchdog so that
   its wheel escape hatch is pinned too;
 * the four catalogued scenarios, guarded and FIFO, profiled for 1,500
-  cycles on both kernels.
+  cycles on both kernels;
+* the same forwarder across run boundaries, where the wheel must carry
+  what it knows about held executors from one call to the next: wheel
+  runs in ``run(5)``, ``run(13)`` and ``run(37)`` chunks (alone, and
+  with one to three external ``kernel.step()`` calls after each chunk),
+  a ``run(until=...)`` followed by a plain run, and compiled runs whose
+  chunks alternate between the generated path and the wheel fallback
+  (an observer with ``on_idle_cycles`` is assigned on every other
+  chunk).  These pin the final ``cycle`` too.
 
 To regenerate after an *intentional* change to the skip decision::
 
@@ -42,6 +50,9 @@ GOLDEN = Path(__file__).parent / "golden" / "skip_schedule.json"
 FIGURE1_CYCLES = 6000
 SCENARIO_CYCLES = 1500
 SPARSE, DENSE = 0.004, 0.06
+BOUNDARY_CYCLES = 1500
+BOUNDARY_RATES = (0.004, 0.02, 0.05, 0.2)
+CHUNKS = (5, 13, 37)
 
 
 def _counters(kernel) -> dict[str, int]:
@@ -55,19 +66,71 @@ def _counters(kernel) -> dict[str, int]:
     return counters
 
 
-def _figure1(organization, num_banks, rate, kernel):
+def _forwarder(organization, num_banks, rate, kernel, watchdog=False):
     design = compile_design(
         forwarding_source(2), organization=organization, num_banks=num_banks
     )
     sim = build_simulation(
         design, functions=forwarding_functions(demo_table()), kernel=kernel
     )
-    if kernel == "compiled" and rate == DENSE:
+    if watchdog:
         sim.attach_watchdog()
     generator = BernoulliTraffic(rate, seed=3)
     sim.kernel.add_pre_cycle_hook(generator.attach(sim.rx["eth_in"]))
+    return sim
+
+
+def _figure1(organization, num_banks, rate, kernel):
+    sim = _forwarder(
+        organization,
+        num_banks,
+        rate,
+        kernel,
+        watchdog=kernel == "compiled" and rate == DENSE,
+    )
     sim.run(FIGURE1_CYCLES)
     return _counters(sim.kernel)
+
+
+class _IdleObserver:
+    """Observes nothing, but sends the compiled kernel to its wheel
+    fallback, which may still skip (it has ``on_idle_cycles``)."""
+
+    def on_cycle(self, cycle, kernel):
+        pass
+
+    def on_idle_cycles(self, first_cycle, count, kernel):
+        pass
+
+
+def _boundary_counters(kernel) -> dict[str, int]:
+    return {"cycle": kernel.cycle, **_counters(kernel)}
+
+
+def _chunked(organization, rate, chunk, steps):
+    sim = _forwarder(organization, 0, rate, "wheel")
+    index = 0
+    while sim.kernel.cycle < BOUNDARY_CYCLES:
+        sim.run(chunk)
+        for __ in range(1 + index % 3 if steps else 0):
+            sim.kernel.step()
+        index += 1
+    return _boundary_counters(sim.kernel)
+
+
+def _until(organization, num_banks, rate):
+    sim = _forwarder(organization, num_banks, rate, "wheel")
+    sim.run(400, until=lambda kernel: kernel.cycle >= 150)
+    sim.run(BOUNDARY_CYCLES)
+    return _boundary_counters(sim.kernel)
+
+
+def _switching(organization, num_banks, rate):
+    sim = _forwarder(organization, num_banks, rate, "compiled")
+    for index in range(8):
+        sim.kernel.observer = _IdleObserver() if index % 2 else None
+        sim.run(250)
+    return _boundary_counters(sim.kernel)
 
 
 def _scenario(name, synthesis, kernel):
@@ -95,6 +158,22 @@ def _runs() -> dict:
             for synthesis in ("guarded", "fifo"):
                 key = f"scenario/{name}/{synthesis}/{kernel}"
                 runs[key] = (_scenario, name, synthesis, kernel)
+    for organization in Organization:
+        org = organization.value
+        for rate in BOUNDARY_RATES:
+            for chunk in CHUNKS:
+                key = f"chunked/{org}/rate{rate}/run{chunk}"
+                runs[key] = (_chunked, organization, rate, chunk, False)
+        for rate in (SPARSE, 0.05):
+            for banks in (0, 4):
+                key = f"until/{org}/banks{banks}/rate{rate}"
+                runs[key] = (_until, organization, banks, rate)
+                key = f"switching/{org}/banks{banks}/rate{rate}"
+                runs[key] = (_switching, organization, banks, rate)
+    for rate in BOUNDARY_RATES:
+        for chunk in CHUNKS:
+            key = f"stepped/rate{rate}/run{chunk}"
+            runs[key] = (_chunked, Organization.ARBITRATED, rate, chunk, True)
     return runs
 
 

@@ -15,17 +15,12 @@ class _Stats:
     advances = 0
 
 
-class _NoPark:
-    kind = None
-
-
 class RecordingExecutor:
     """Duck-typed executor that logs its phase calls."""
 
     def __init__(self, name, log):
         self.name = name
         self.log = log
-        self._blocked = False
         self.stats = _Stats()
 
     def phase1(self, cycle):
@@ -33,9 +28,6 @@ class RecordingExecutor:
 
     def phase2(self, results):
         self.log.append(("phase2", self.name))
-
-    def park_class(self):
-        return _NoPark()
 
 
 class RecordingController:

@@ -3,8 +3,8 @@
 The cycle-equivalence of :class:`FastKernel` against the reference
 kernel is covered end-to-end by ``tests/differential/``, and its exact
 skip schedule on realistic runs by ``test_skip_schedule.py``; this
-module tests the kernel-level mechanics (parking counters, final-cycle
-rule, ``until`` handling, reset).
+module tests the kernel-level mechanics (skip counters, final-cycle
+rule, ``until`` handling, reset, what holds across an arrival).
 """
 
 from repro.core import ArbitratedController
@@ -83,7 +83,6 @@ class TestFastKernelMechanics:
         assert kernel.cycle == 0
         assert kernel.cycles_executed == 0
         assert kernel.cycles_skipped == 0
-        assert kernel._parked == {}
         kernel.run(30)
         assert kernel.cycles_executed + kernel.cycles_skipped == 30
 
@@ -152,28 +151,25 @@ def make_traffic_sim(kernel):
 
 class TestParkLifecycle:
     def test_repark_rebuilds_frozen_requests(self):
-        """A mem-parked executor re-asserts its frozen request every
-        parked cycle; the grant un-parks it, and once it blocks again
-        the kernel must build a *fresh* park record (re-freezing the
-        resubmitted request), never resurrect the stale one."""
+        """Between packets every executor holds: ``classify`` on its
+        empty ingress queue, the egress threads on their guarded reads.
+        The packet at 200 moves them all; once they block again they
+        hold again and the wheel skips again, and the run split across
+        the arrival ends equal to the reference kernel's."""
         sim = make_traffic_sim("wheel")
         kernel = sim.kernel
 
         sim.run(150)  # quiescent between the packets at 0 and 200
-        first = dict(kernel._parked)
-        assert first["classify"].park.kind == "recv"
+        executors = sim.executors
+        assert executors["classify"].hold_class().kind == "recv"
         for name in ("egress0", "egress1"):
-            record = first[name]
-            assert record.park.kind == "mem"
-            assert len(record.requests) == 1  # the frozen guarded read
+            assert executors[name].hold_class().kind == "mem"
+        assert all(executor.holds() for executor in executors.values())
+        skipped = kernel.cycles_skipped
 
         sim.run(210)  # across the arrival at 200, back to quiescence
-        second = dict(kernel._parked)
-        assert set(second) == set(first)
-        for name, record in second.items():
-            # the packet un-parked every executor; each re-park is a
-            # rebuilt record, not the pre-arrival one resubmitted
-            assert record is not first[name]
+        assert all(executor.holds() for executor in executors.values())
+        assert kernel.cycles_skipped > skipped
 
         reference = make_traffic_sim("reference")
         reference.run(360)
