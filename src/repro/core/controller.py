@@ -156,9 +156,10 @@ class MemoryController(abc.ABC):
         #: ``len(self.blocked)``, without building the list (it moves
         #: only with the key set, so it is updated with the view)
         self.blocked_count = 0
-        #: telemetry seam (:class:`repro.obs.Telemetry`); every call site
-        #: is guarded by ``is not None`` so the disabled path costs one
-        #: attribute check
+        #: telemetry seam (a ``weakref.proxy`` of the
+        #: :class:`repro.obs.Telemetry` that holds this controller);
+        #: every call site is guarded by ``is not None`` so the disabled
+        #: path costs one attribute check
         self.observer = None
         #: separate seam for per-submission notifications — only set for
         #: "full"-level tracing, because submits are the hottest call

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from ..core.controller import BlockedRequest, MemoryController
@@ -38,6 +39,8 @@ from ..core.errors import RuntimeDeadlockError, WatchdogTimeout
 #: and well below any practical simulation horizon.
 DEFAULT_READ_TIMEOUT = 64
 DEFAULT_DEADLOCK_WINDOW = 128
+
+_advances = attrgetter("advances")
 
 
 class RecoveryPolicy(enum.Enum):
@@ -95,6 +98,9 @@ class Watchdog:
         #: earliest ``issue_cycle + read_timeout`` of its requests not
         #: yet timed out, or None) as of the last completed scan
         self._scans: dict[str, tuple] = {}
+        #: every executor's stats object (stable per executor); their
+        #: summed ``advances`` is the system-level progress counter
+        self._stats: list = []
         self._last_advances: Optional[int] = None
         #: cycle of the last observed progress (advance counter change);
         #: the stall age is derived as ``cycle - _progress_cycle`` so the
@@ -111,6 +117,9 @@ class Watchdog:
         kernel = getattr(target, "kernel", target)
         # Sorted once here: both detectors scan in controller-name order.
         self._controllers = dict(sorted(kernel.controllers.items()))
+        self._stats = [
+            executor.stats for executor in kernel.executors.values()
+        ]
         kernel.add_post_cycle_hook(self.hook)
         kernel.context["watchdog"] = self
         telemetry = kernel.context.get("telemetry")
@@ -126,7 +135,7 @@ class Watchdog:
 
     def hook(self, cycle: int, kernel) -> None:
         self._check_blocked_reads(cycle)
-        self._check_system_deadlock(cycle, kernel)
+        self._check_system_deadlock(cycle)
 
     def next_wake(self, cycle: int, limit: int, kernel):
         """Fast-kernel wake contract: the earliest future cycle either
@@ -246,8 +255,8 @@ class Watchdog:
                 blocked_cycles=blocked.blocked_cycles,
             )
 
-    def _check_system_deadlock(self, cycle: int, kernel) -> None:
-        advances = kernel.total_advances()
+    def _check_system_deadlock(self, cycle: int) -> None:
+        advances = sum(map(_advances, self._stats))
         if advances != self._last_advances:
             self._last_advances = advances
             self._progress_cycle = cycle

@@ -17,6 +17,7 @@ exports (see :mod:`repro.obs.exporters`).
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 
 from ..core.controller import LatencySample, MemRequest
@@ -72,7 +73,6 @@ class Telemetry:
         self._events: list[TraceEvent] = []
         self.spans = SpanAssembler()
         self.registry = MetricsRegistry()
-        self.kernel = None
         self._controllers: dict = {}
         self._executors: dict = {}
         self._tx: dict = {}
@@ -105,7 +105,6 @@ class Telemetry:
     def attach(self, target) -> "Telemetry":
         """Wire into a :class:`repro.flow.Simulation` (or a bare kernel)."""
         kernel = getattr(target, "kernel", target)
-        self.kernel = kernel
         self._controllers = dict(kernel.controllers)
         # A memory fabric fans out to named banks: register each bank as a
         # controller of its own so every event and metric carries the bank
@@ -119,14 +118,19 @@ class Telemetry:
             self._controllers.update(fabric.banks)
         self._executors = dict(kernel.executors)
         self._tx = dict(getattr(target, "tx", {}) or {})
+        # This object holds every controller it exports from, so the
+        # controllers' seams reach it weakly: a strong seam back would
+        # tie each finished run into a reference cycle.  The kernel, its
+        # context and the watchdog hold it strongly.
+        seam = weakref.proxy(self)
         for controller in self._controllers.values():
-            controller.observer = self
+            controller.observer = seam
             # The submit seam is the hottest instrumentation point, and
             # at "deps" level its only product (the submission counter)
             # is derivable from grants at finalize time — so only
             # "full"-level tracing pays for the callback.
             if self._full:
-                controller.submit_observer = self
+                controller.submit_observer = seam
         kernel.observer = self
         kernel.context["telemetry"] = self
         watchdog = kernel.context.get("watchdog")

@@ -87,16 +87,6 @@ class SimulationKernel:
         #: disabled path is a single ``is not None`` check.
         self.observer = None
 
-    # -- progress counters (read by the runtime watchdog) ---------------------------
-
-    def total_advances(self) -> int:
-        """State transitions taken across all executors since reset — the
-        system-level progress counter: if it stops moving while guarded
-        requests stay blocked, the design is dynamically deadlocked."""
-        return sum(
-            executor.stats.advances for executor in self.executors.values()
-        )
-
     def add_pre_cycle_hook(self, hook: CycleHook) -> None:
         """Runs before phase 1 (e.g. traffic injection)."""
         self._pre_hooks.append(hook)

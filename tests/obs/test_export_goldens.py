@@ -1,14 +1,18 @@
 """Export goldens: every telemetry and profiler export, frozen by digest.
 
 ``golden/exports.json`` holds the sha256 of each exporter's output for
-three seeded runs, on every simulation kernel:
+four seeded runs, on every simulation kernel:
 
 * ``figure1`` — the Figure-1 forwarder (``forwarding_source(2)``,
   arbitrated, ``BernoulliTraffic(0.06, seed=1)``) traced at
   ``trace_level="full"`` with the profiler, on one BRAM;
 * ``figure1-banks4`` — the same on a four-bank memory fabric;
 * ``fanout-fifo`` — the catalogued fan-out network with FIFO-lowered
-  channels, profiled at the default ``deps`` trace level.
+  channels, profiled at the default ``deps`` trace level;
+* ``faulted`` — ``forwarding_source(4)`` under a break-dependency
+  watchdog and a producer stall, traced at ``trace_level="full"`` with
+  the profiler: its watchdog and recovery instants reach the telemetry
+  through the watchdog's and the injector's seams.
 
 The exports are ``dumps_chrome_trace``, ``dumps_summary``,
 ``prometheus_text``, the ``write_summary_csv`` file,
@@ -29,6 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import Organization
+from repro.faults.models import ProducerStall
 from repro.flow import SIMULATION_KERNELS, build_simulation, compile_design
 from repro.net import (
     BernoulliTraffic,
@@ -79,10 +84,26 @@ def _fanout_fifo(kernel):
     return telemetry
 
 
+def _faulted_run(kernel):
+    """Watchdog firings and recoveries: instants with ``detail``."""
+    design = compile_design(forwarding_source(4))
+    sim = build_simulation(
+        design, functions=forwarding_functions(demo_table()), kernel=kernel
+    )
+    telemetry = sim.attach_telemetry(trace_level="full", profile=True)
+    sim.attach_watchdog(policy="break-dependency", read_timeout=32)
+    sim.inject_faults([ProducerStall(at_cycle=10, client="classify")])
+    generator = BernoulliTraffic(rate=0.2, seed=3)
+    sim.kernel.add_pre_cycle_hook(generator.attach(sim.rx["eth_in"]))
+    sim.run(400)
+    return telemetry
+
+
 RUNS = {
     "figure1": lambda kernel: _figure1(0, kernel),
     "figure1-banks4": lambda kernel: _figure1(4, kernel),
     "fanout-fifo": _fanout_fifo,
+    "faulted": _faulted_run,
 }
 
 
@@ -129,27 +150,12 @@ def test_exports_are_idempotent(golden):
     assert export_digests(telemetry) == first == golden["figure1"]
 
 
-def _faulted_run():
-    """Watchdog firings and recoveries: instants with ``detail``."""
-    from repro.faults.models import ProducerStall
-
-    design = compile_design(forwarding_source(4))
-    sim = build_simulation(design, functions=forwarding_functions(demo_table()))
-    telemetry = sim.attach_telemetry(trace_level="full")
-    sim.attach_watchdog(policy="break-dependency", read_timeout=32)
-    sim.inject_faults([ProducerStall(at_cycle=10, client="classify")])
-    generator = BernoulliTraffic(rate=0.2, seed=3)
-    sim.kernel.add_pre_cycle_hook(generator.attach(sim.rx["eth_in"]))
-    sim.run(400)
-    return telemetry
-
-
-@pytest.mark.parametrize("run", sorted(RUNS) + ["faulted"])
+@pytest.mark.parametrize("run", sorted(RUNS))
 def test_chrome_trace_is_built_in_sorted_key_order(run):
     """``dumps_chrome_trace`` relies on ``chrome_trace`` emitting every
     object with sorted keys; serializing with ``sort_keys=True`` must
     change nothing."""
-    telemetry = _faulted_run() if run == "faulted" else RUNS[run]("wheel")
+    telemetry = RUNS[run]("wheel")
     kinds = {event.kind for event in telemetry.events}
     if run == "faulted":
         assert {"watchdog", "recovery"} <= kinds

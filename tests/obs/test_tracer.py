@@ -19,7 +19,7 @@ class TestWiring:
         assert sim.kernel.observer is telemetry
         assert sim.kernel.context["telemetry"] is telemetry
         assert all(
-            c.observer is telemetry for c in sim.controllers.values()
+            c.observer == telemetry for c in sim.controllers.values()
         )
 
     def test_disabled_path_has_no_observer(self):

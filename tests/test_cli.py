@@ -6,6 +6,7 @@ intentional change to the command line, regenerate it with
 """
 
 import ast
+import gc
 import importlib
 import json
 import os
@@ -19,6 +20,9 @@ from repro.__main__ import main
 from tests.conftest import DEADLOCK_SOURCE, FIGURE1_SOURCE
 
 GOLDEN_SURFACE = Path(__file__).parent / "golden" / "cli_surface.json"
+FIGURE1_EXAMPLE = (
+    Path(__file__).resolve().parent.parent / "examples" / "figure1.hic"
+)
 
 #: every command's parser builder, keyed by the program name it prints
 PARSERS = {
@@ -561,6 +565,50 @@ class TestCommandTable:
             ("--summary-json", "repro/model/cli.py"),
         ]
         assert sorted(found) == sorted(expected)
+
+
+class TestObservedCommandsFreeTheirRuns:
+    """An observed command run in-process leaves nothing the package
+    defines to the cycle collector: reference counting frees its
+    simulations, telemetry and profiler.  argparse's parsers and the
+    indenting JSON encoder's closures form cycles of their own, which
+    belong to the standard library and are not counted."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", str(FIGURE1_EXAMPLE),
+             "--breakdown-json", "{tmp}/b.json"],
+            ["run", "--scenario", "fanout", "--cycles", "300",
+             "--trace-json", "{tmp}/t.json"],
+            ["faults", "--runs", "2", "--cycles", "200", "--profile",
+             "--summary-json", "{tmp}/s.json"],
+            ["{fwd}", "--simulate", "500", "--traffic-rate", "0.06",
+             "--trace-json", "{tmp}/t.json"],
+        ],
+        ids=["profile", "run", "faults", "simulate"],
+    )
+    def test_leaves_no_package_objects_in_cycles(
+        self, argv, forwarding_file, tmp_path
+    ):
+        argv = [arg.format(tmp=tmp_path, fwd=forwarding_file) for arg in argv]
+        assert main(argv) == 0  # first-use caches live on
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 0
+            gc.collect()
+            cyclic = sorted(
+                f"{type(obj).__module__}.{type(obj).__qualname__}"
+                for obj in gc.garbage
+                if type(obj).__module__.startswith("repro.")
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert cyclic == []
 
 
 class TestSurface:

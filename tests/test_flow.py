@@ -1,6 +1,7 @@
 """Unit tests for the end-to-end flow driver."""
 
 import gc
+import weakref
 
 import pytest
 
@@ -15,7 +16,19 @@ from repro.faults import (
 from repro.faults.campaign import _trace_rounds
 from repro.flow import SIMULATION_KERNELS, build_simulation, compile_design
 from repro.net import BernoulliTraffic, drive_ingress, forwarding_source
+from repro.obs import dumps_chrome_trace, summary_dict
+from repro.scenarios import catalog
 from tests.conftest import make_fanout_source
+from tests.obs.test_export_goldens import export_digests
+
+#: One fault of each kind, all inside a 400-cycle run.
+ARMED_FAULTS = (
+    SeuBitFlip(at_cycle=40, address=9),
+    RequestDrop(at_cycle=60, count=2),
+    RequestDuplicate(at_cycle=80),
+    ProducerStall(at_cycle=120, client="classify", duration=40),
+    DeplistCorruption(at_cycle=200, dep_id="fw", base_address=9),
+)
 
 #: What a run may carry besides its traffic hook, none of which may
 #: leave the finished simulation to the cycle collector.
@@ -23,16 +36,26 @@ RUN_ATTACHMENTS = {
     "traffic only": lambda sim: None,
     "watchdog": lambda sim: sim.attach_watchdog(),
     "empty injector": lambda sim: sim.inject_faults([]),
-    "armed injector": lambda sim: sim.inject_faults(
-        [
-            SeuBitFlip(at_cycle=40, address=9),
-            RequestDrop(at_cycle=60, count=2),
-            RequestDuplicate(at_cycle=80),
-            ProducerStall(at_cycle=120, client="classify", duration=40),
-            DeplistCorruption(at_cycle=200, dep_id="fw", base_address=9),
-        ]
-    ),
+    "armed injector": lambda sim: sim.inject_faults(ARMED_FAULTS),
     "campaign recorder": _trace_rounds,
+    "telemetry": lambda sim: sim.attach_telemetry(),
+    "full telemetry": lambda sim: sim.attach_telemetry(trace_level="full"),
+    "profiler": lambda sim: sim.attach_profiler(),
+    "profiler and watchdog": lambda sim: (
+        sim.attach_profiler(), sim.attach_watchdog()
+    ),
+    "telemetry and armed injector": lambda sim: (
+        sim.attach_telemetry(), sim.inject_faults(ARMED_FAULTS)
+    ),
+}
+
+#: The Figure-1 forwarder under every memory organization, and on a
+#: four-bank fabric, for the attachment table above.
+RUN_DESIGNS = {
+    "arbitrated": {"organization": Organization.ARBITRATED},
+    "event-driven": {"organization": Organization.EVENT_DRIVEN},
+    "lock-baseline": {"organization": Organization.LOCK_BASELINE},
+    "fabric": {"num_banks": 4},
 }
 
 
@@ -168,25 +191,70 @@ class TestBuildSimulation:
     @pytest.mark.parametrize("kernel", SIMULATION_KERNELS)
     def test_a_run_leaves_no_reference_cycles(self, kernel):
         """Reference counting frees a finished run with a traffic hook
-        and any one of a watchdog, a fault injector (empty or armed)
-        and the campaign's round recorder.  It did not on the compiled
-        kernel while the generated ``run_span`` closed over its kernel,
-        nor while the injector held the controllers that hold its
-        request taps or the recorder closed over the simulation."""
-        design = compile_design(forwarding_source(2))
-        build_simulation(design, kernel=kernel)  # the codegen cache lives on
+        and any one of a watchdog, a fault injector (empty or armed),
+        the campaign's round recorder, telemetry and the profiler, on
+        every memory organization and on a fabric, after the telemetry
+        exported.  It did not on the compiled kernel while the
+        generated ``run_span`` closed over its kernel, nor while the
+        injector held the controllers that hold its request taps, the
+        recorder closed over the simulation, or the controllers held
+        the telemetry that holds them."""
+        runs = {
+            name: (
+                compile_design(forwarding_source(2), **options),
+                None,
+                RUN_ATTACHMENTS,
+            )
+            for name, options in RUN_DESIGNS.items()
+        }
+        fanout = catalog.get_scenario("fanout")
+        runs["fanout-fifo"] = (
+            compile_design(
+                fanout.source, name=fanout.name, channel_synthesis="fifo"
+            ),
+            fanout.functions(),
+            {"profiler": RUN_ATTACHMENTS["profiler"]},
+        )
+        for design, functions, __ in runs.values():
+            build_simulation(design, functions, kernel=kernel)  # codegen cache
         gc.collect()
         gc.disable()
         try:
-            for name, attach in RUN_ATTACHMENTS.items():
-                sim = build_simulation(design, kernel=kernel)
-                drive_ingress(sim, rate=0.06)
-                attach(sim)
-                sim.run(400)
-                del sim
-                assert gc.collect() == 0, name
+            for design_name, (design, functions, attachments) in runs.items():
+                for name, attach in attachments.items():
+                    sim = build_simulation(design, functions, kernel=kernel)
+                    drive_ingress(sim, rate=0.06)
+                    attach(sim)
+                    sim.run(400)
+                    if sim.telemetry is not None:
+                        dumps_chrome_trace(sim.telemetry)
+                        summary_dict(sim.telemetry)
+                    del sim
+                    assert gc.collect() == 0, (design_name, name)
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("kernel", SIMULATION_KERNELS)
+    def test_a_kept_telemetry_outlives_its_run(self, kernel):
+        """The telemetry holds what its exports read (controllers,
+        executor stats, tx interfaces) and nothing that holds the run:
+        dropping the simulation frees its kernel at once, and the kept
+        telemetry exports byte for byte what it exported before."""
+        design = compile_design(forwarding_source(2), num_banks=4)
+        sim = build_simulation(design, kernel=kernel)
+        drive_ingress(sim, rate=0.06)
+        telemetry = sim.attach_telemetry(trace_level="full", profile=True)
+        sim.attach_watchdog(policy="warn-continue")
+        sim.run(400)
+        before = export_digests(telemetry)
+        kernel_ref = weakref.ref(sim.kernel)
+        gc.disable()
+        try:
+            del sim
+            assert kernel_ref() is None
+        finally:
+            gc.enable()
+        assert export_digests(telemetry) == before
 
     def test_drive_ingress_feeds_only_received_interfaces(self):
         """No thread of the forwarder receives from ``eth_out``, so it
