@@ -232,11 +232,6 @@ def _compile(args: argparse.Namespace) -> int:
         print(f"wrote VCD trace to {args.vcd}")
     if telemetry is not None:
         cli.write_telemetry(telemetry, args)
-        if args.summary_csv:
-            from .obs.exporters import write_summary_csv
-
-            write_summary_csv(telemetry, args.summary_csv)
-            print(f"wrote metrics CSV to {args.summary_csv}")
     return 0
 
 

@@ -237,8 +237,9 @@ def run_command(
     body: Callable[[argparse.Namespace], int], args: argparse.Namespace
 ) -> int:
     """``body(args)``'s exit code, or the code of the error it raised:
-    2 for a shared option out of range or an unreadable source, 1 for a
-    design, compile or simulation error (with one ``error:`` line)."""
+    2 for a shared option out of range, an unreadable source or an
+    unwritable telemetry output, 1 for a design, compile or simulation
+    error (with one ``error:`` line)."""
     try:
         check_ranges(args)
         return body(args)
@@ -293,11 +294,13 @@ def compile_options(args: argparse.Namespace) -> dict:
 
 
 def write_telemetry(telemetry, args: argparse.Namespace) -> None:
-    """Write the ``--trace-json``/``--metrics``/``--summary-json`` files
-    that were asked for."""
+    """Write the ``--trace-json``/``--metrics``/``--summary-json`` (and,
+    where the command has it, ``--summary-csv``) files that were asked
+    for; an unwritable path is a usage error."""
     from .obs.exporters import (
         write_chrome_trace,
         write_prometheus,
+        write_summary_csv,
         write_summary_json,
     )
 
@@ -305,7 +308,13 @@ def write_telemetry(telemetry, args: argparse.Namespace) -> None:
         (args.trace_json, write_chrome_trace, "Chrome trace"),
         (args.metrics, write_prometheus, "Prometheus metrics"),
         (args.summary_json, write_summary_json, "telemetry summary"),
+        (getattr(args, "summary_csv", None), write_summary_csv,
+         "metrics CSV"),
     ):
         if path:
-            write(telemetry, path)
+            try:
+                write(telemetry, path)
+            except OSError as error:
+                print(f"error: cannot write {path}: {error}", file=sys.stderr)
+                raise UsageError from None
             print(f"wrote {label} to {path}")

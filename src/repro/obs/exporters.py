@@ -2,7 +2,7 @@
 
 Three formats:
 
-* **Chrome trace-event JSON** (:func:`chrome_trace` /
+* **Chrome trace-event JSON** (:func:`dumps_chrome_trace` /
   :func:`write_chrome_trace`) — loadable in Perfetto or
   ``chrome://tracing``.  Dependency spans and consumer reads become
   complete ("X") events on per-controller and per-thread tracks;
@@ -48,165 +48,43 @@ _INSTANT_KINDS = {
 }
 
 
-def chrome_trace(telemetry: Telemetry) -> dict:
-    """Render the telemetry record as a trace-event JSON document.
-
-    Every object is built with its keys in sorted order, so
-    :func:`dumps_chrome_trace` serializes it without re-sorting and
-    still writes exactly what ``sort_keys=True`` would."""
-    threads = telemetry.thread_names()
-    controllers = telemetry.controller_names()
-    thread_tid = {name: tid for tid, name in enumerate(threads, start=1)}
-    controller_tid = {name: tid for tid, name in enumerate(controllers, start=1)}
-
-    events: list[dict] = [
-        {
-            "args": {"name": "threads"},
-            "name": "process_name",
-            "ph": "M",
-            "pid": THREADS_PID,
-            "tid": 0,
-            "ts": 0,
-        },
-        {
-            "args": {"name": "memory controllers"},
-            "name": "process_name",
-            "ph": "M",
-            "pid": CONTROLLERS_PID,
-            "tid": 0,
-            "ts": 0,
-        },
-    ]
-    for pid, tids in (
-        (THREADS_PID, thread_tid),
-        (CONTROLLERS_PID, controller_tid),
-    ):
-        for name, tid in tids.items():
-            events.append(
-                {
-                    "args": {"name": name},
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": 0,
-                }
-            )
-
-    # Dependency-lifecycle spans on the controller tracks.
-    append = events.append
-    for span in telemetry.spans.spans:
-        write = span.write_cycle
-        reads = span.reads
-        complete = span.complete_cycle is not None
-        end = span.complete_cycle if complete else span.last_activity
-        append(
-            {
-                "args": {
-                    "complete": complete,
-                    "expected_reads": span.expected_reads,
-                    "post_write_latencies": [
-                        read.grant_cycle - write for read in reads
-                    ],
-                    "producer": span.producer,
-                    "reads": len(reads),
-                },
-                "cat": "dependency",
-                "dur": max(0, end - write),
-                "name": f"{span.dep_id}#{span.instance}",
-                "ph": "X",
-                "pid": CONTROLLERS_PID,
-                "tid": controller_tid.get(span.bram, 0),
-                "ts": write,
-            }
-        )
-        # Each consumer read: a slice on the reading thread's track,
-        # spanning its blocked wait (issue -> grant).
-        name = f"read {span.dep_id}"
-        for read in reads:
-            wait = read.grant_cycle - read.issue_cycle
-            append(
-                {
-                    "args": {
-                        "bram": span.bram,
-                        "dep_id": span.dep_id,
-                        "post_write_latency": read.grant_cycle - write,
-                        "wait_cycles": wait,
-                    },
-                    "cat": "consumer-read",
-                    "dur": max(0, wait),
-                    "name": name,
-                    "ph": "X",
-                    "pid": THREADS_PID,
-                    "tid": thread_tid.get(read.client, 0),
-                    "ts": read.issue_cycle,
-                }
-            )
-
-    # Instant events for the remaining structured record: a controller
-    # name wins over a thread name; anything else lands on track 0.
-    tracks = {name: (THREADS_PID, tid) for name, tid in thread_tid.items()}
-    tracks.update(
-        (name, (CONTROLLERS_PID, tid)) for name, tid in controller_tid.items()
-    )
-    untracked = (CONTROLLERS_PID, 0)
-    for (
-        cycle, kind, source, client, port, address, dep_id, value, detail
-    ) in telemetry.event_records():
-        category = _INSTANT_KINDS.get(kind)
-        if category is None:
-            continue
-        pid, tid = tracks.get(source, untracked)
-        args = {}
-        if address is not None:
-            args["address"] = address
-        if client is not None:
-            args["client"] = client
-        if dep_id is not None:
-            args["dep_id"] = dep_id
-        if detail is not None:
-            args["detail"] = detail
-        if port is not None:
-            args["port"] = port
-        if value is not None:
-            args["value"] = value
-        append(
-            {
-                "args": args,
-                "cat": category,
-                "name": kind,
-                "ph": "i",
-                "pid": pid,
-                "s": "t",
-                "tid": tid,
-                "ts": cycle,
-            }
-        )
-
-    return {
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "cycles": telemetry.cycles_observed,
-            "exporter": "repro.obs",
-            "time_unit": "1 cycle = 1 us",
-        },
-        "traceEvents": events,
-    }
-
-
 #: Phases and instant scopes :func:`validate_chrome_trace` accepts.
 _PHASES = frozenset(("X", "i", "M", "C", "b", "e", "B", "E"))
 _SCOPES = frozenset(("t", "p", "g"))
 
 
+def _check_event(index, name, phase, pid, tid, ts, dur, scope) -> None:
+    """The per-event rules of the trace-event subset the exporter
+    writes: a name, a known phase, integer pid/tid, a non-negative
+    timestamp, a non-negative duration for a complete event and a known
+    scope for an instant.  Raises ``ValueError`` naming
+    ``traceEvents[index]``."""
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"traceEvents[{index}]: missing name")
+    if phase not in _PHASES:
+        raise ValueError(f"traceEvents[{index}]: unknown phase {phase!r}")
+    if not isinstance(pid, int):
+        raise ValueError(f"traceEvents[{index}]: pid must be an integer")
+    if not isinstance(tid, int):
+        raise ValueError(f"traceEvents[{index}]: tid must be an integer")
+    if not isinstance(ts, (int, float)) or ts < 0:
+        raise ValueError(
+            f"traceEvents[{index}]: ts must be a non-negative number"
+        )
+    if phase == "X":
+        if not isinstance(dur, (int, float)) or dur < 0:
+            raise ValueError(
+                f"traceEvents[{index}]: X event needs non-negative dur"
+            )
+    elif phase == "i" and scope not in _SCOPES:
+        raise ValueError(f"traceEvents[{index}]: instant scope must be t/p/g")
+
+
 def validate_chrome_trace(document: dict) -> None:
     """Schema-check a trace-event document; raises ``ValueError``.
 
-    Checks the subset of the trace-event format the exporter emits:
-    a ``traceEvents`` array whose entries carry a name, a known phase,
-    integer pid/tid, a non-negative timestamp, and — for complete
-    events — a non-negative duration.
-    """
+    A ``traceEvents`` array whose entries are objects that pass the
+    per-event rules :func:`dumps_chrome_trace` applies as it writes."""
     if not isinstance(document, dict):
         raise ValueError("trace document must be a JSON object")
     events = document.get("traceEvents")
@@ -216,48 +94,212 @@ def validate_chrome_trace(document: dict) -> None:
         if not isinstance(event, dict):
             raise ValueError(f"traceEvents[{index}] is not an object")
         get = event.get
-        name = get("name")
-        if not isinstance(name, str) or not name:
-            raise ValueError(f"traceEvents[{index}]: missing name")
-        phase = get("ph")
-        if phase not in _PHASES:
-            raise ValueError(
-                f"traceEvents[{index}]: unknown phase {phase!r}"
-            )
-        if not isinstance(get("pid"), int):
-            raise ValueError(f"traceEvents[{index}]: pid must be an integer")
-        if not isinstance(get("tid"), int):
-            raise ValueError(f"traceEvents[{index}]: tid must be an integer")
-        ts = get("ts")
-        if not isinstance(ts, (int, float)) or ts < 0:
-            raise ValueError(
-                f"traceEvents[{index}]: ts must be a non-negative number"
-            )
-        if phase == "X":
-            dur = get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                raise ValueError(
-                    f"traceEvents[{index}]: X event needs non-negative dur"
-                )
-        elif phase == "i" and get("s") not in _SCOPES:
-            raise ValueError(
-                f"traceEvents[{index}]: instant scope must be t/p/g"
-            )
+        _check_event(
+            index, get("name"), get("ph"), get("pid"), get("tid"),
+            get("ts"), get("dur"), get("s"),
+        )
+
+
+#: The string encoder ``json.dumps`` uses.
+_quote = json.encoder.encode_basestring_ascii
+
+# Each event's JSON text, keys in sorted order.  The ``%s`` slots take
+# JSON text and the ``%d`` slots exact ints; an event holding any other
+# number is written through the ``_ANY`` form, whose every slot takes
+# JSON text.
+_HEADER = (
+    '{"displayTimeUnit":"ms","otherData":{"cycles":%s,'
+    '"exporter":"repro.obs","time_unit":"1 cycle = 1 us"},"traceEvents":['
+)
+_METADATA = '{"args":{"name":%s},"name":%s,"ph":"M","pid":%d,"tid":%d,"ts":0}'
+_DEPENDENCY = (
+    '{"args":{"complete":%s,"expected_reads":%s,'
+    '"post_write_latencies":[%s],"producer":%s,"reads":%d},'
+    '"cat":"dependency","dur":%d,"name":%s,"ph":"X","pid":%d,"tid":%d,'
+    '"ts":%d}'
+)
+_READ = (
+    '{"args":{"bram":%s,"dep_id":%s,"post_write_latency":%s,'
+    '"wait_cycles":%d},"cat":"consumer-read","dur":%d,"name":%s,'
+    '"ph":"X","pid":%d,"tid":%d,"ts":%d}'
+)
+#: An instant: its args, the run of keys its kind and source fix
+#: (``_INSTANT_TRACK``), its timestamp.
+_INSTANT = '{"args":{%s},%s,"ts":%d}'
+_INSTANT_TRACK = '"cat":%s,"name":%s,"ph":"i","pid":%d,"s":"t","tid":%d'
+#: The args of a guard instant, the most frequent shape.
+_GUARD_ARGS = '"address":%d,"client":%s,"dep_id":%s,"value":%d'
+#: An instant's optional args, in key order, by event-record field.
+_INSTANT_ARGS = (
+    ('"address":', 5),
+    ('"client":', 3),
+    ('"dep_id":', 6),
+    ('"detail":', 8),
+    ('"port":', 4),
+    ('"value":', 7),
+)
+_DEPENDENCY_ANY, _READ_ANY, _INSTANT_ANY = (
+    template.replace("%d", "%s") for template in (_DEPENDENCY, _READ, _INSTANT)
+)
+
+
+def _number_texts(fields: tuple, text) -> tuple:
+    """``fields`` for an ``_ANY`` form: every field that is not already
+    JSON text (a ``str``) replaced by its JSON text."""
+    return tuple(
+        field if type(field) is str else text(field) for field in fields
+    )
 
 
 def dumps_chrome_trace(telemetry: Telemetry) -> str:
-    """Serialize with a fixed key order — byte-identical across runs.
+    """Render the telemetry record as trace-event JSON text.
 
-    :func:`chrome_trace` already builds every object in sorted key
-    order, so the encoder skips ``sort_keys``'s per-object re-sort; the
-    document is a fresh tree, so it skips the circular-reference check
-    too."""
-    document = chrome_trace(telemetry)
-    validate_chrome_trace(document)
-    return (
-        json.dumps(document, separators=(",", ":"), check_circular=False)
-        + "\n"
+    Dependency spans and consumer reads become complete ("X") events on
+    per-controller and per-thread tracks, the instant kinds of the event
+    record instants ("i").  Each event's text is formatted straight from
+    the records and checked by :func:`validate_chrome_trace`'s per-event
+    rules as it is written; the pieces are joined once.  The text is
+    what ``json.dumps(document, sort_keys=True, separators=(",", ":"))``
+    writes, plus a newline: strings go through the encoder ``json.dumps``
+    uses (once per distinct string), exact ints through ``%d`` and every
+    other value through ``json.dumps`` itself."""
+    threads = telemetry.thread_names()
+    controllers = telemetry.controller_names()
+    thread_tid = {name: tid for tid, name in enumerate(threads, start=1)}
+    controller_tid = {name: tid for tid, name in enumerate(controllers, start=1)}
+    quoted: dict[str, str] = {}
+
+    def text(value) -> str:
+        """``value``'s JSON text, as ``json.dumps`` writes it."""
+        kind = type(value)
+        if kind is str:
+            encoded = quoted.get(value)
+            if encoded is None:
+                encoded = quoted[value] = _quote(value)
+            return encoded
+        if kind is int:
+            return "%d" % value
+        return json.dumps(value, separators=(",", ":"), check_circular=False)
+
+    check = _check_event
+    events: list[str] = []
+    append = events.append
+    for pid, label in (
+        (THREADS_PID, "threads"),
+        (CONTROLLERS_PID, "memory controllers"),
+    ):
+        check(len(events), "process_name", "M", pid, 0, 0, None, None)
+        append(_METADATA % (text(label), '"process_name"', pid, 0))
+    for pid, tids in (
+        (THREADS_PID, thread_tid),
+        (CONTROLLERS_PID, controller_tid),
+    ):
+        for name, tid in tids.items():
+            check(len(events), "thread_name", "M", pid, tid, 0, None, None)
+            append(_METADATA % (text(name), '"thread_name"', pid, tid))
+
+    # Dependency-lifecycle spans on the controller tracks.
+    for span in telemetry.spans.spans:
+        write = span.write_cycle
+        reads = span.reads
+        complete = span.complete_cycle is not None
+        end = span.complete_cycle if complete else span.last_activity
+        dur = max(0, end - write)
+        name = f"{span.dep_id}#{span.instance}"
+        tid = controller_tid.get(span.bram, 0)
+        check(len(events), name, "X", CONTROLLERS_PID, tid, write, dur, None)
+        latencies = [text(read.grant_cycle - write) for read in reads]
+        fields = (
+            "true" if complete else "false",
+            text(span.expected_reads),
+            ",".join(latencies),
+            text(span.producer),
+            len(reads),
+            dur,
+            _quote(name),  # one per span: not worth remembering
+            CONTROLLERS_PID,
+            tid,
+            write,
+        )
+        if type(write) is int and type(dur) is int:
+            append(_DEPENDENCY % fields)
+        else:
+            append(_DEPENDENCY_ANY % _number_texts(fields, text))
+        # Each consumer read: a slice on the reading thread's track,
+        # spanning its blocked wait (issue -> grant).
+        name = f"read {span.dep_id}"
+        bram, dep_id = text(span.bram), text(span.dep_id)
+        read_name = text(name)
+        for read, latency in zip(reads, latencies):
+            issue = read.issue_cycle
+            wait = read.grant_cycle - issue
+            dur = max(0, wait)
+            tid = thread_tid.get(read.client, 0)
+            check(len(events), name, "X", THREADS_PID, tid, issue, dur, None)
+            fields = (
+                bram, dep_id, latency, wait, dur, read_name, THREADS_PID, tid,
+                issue,
+            )
+            if type(issue) is int and type(wait) is int:
+                append(_READ % fields)
+            else:
+                append(_READ_ANY % _number_texts(fields, text))
+
+    # Instant events for the remaining structured record: a controller
+    # name wins over a thread name; anything else lands on track 0.
+    tracks = {name: (THREADS_PID, tid) for name, tid in thread_tid.items()}
+    tracks.update(
+        (name, (CONTROLLERS_PID, tid)) for name, tid in controller_tid.items()
     )
+    untracked = (CONTROLLERS_PID, 0)
+    # (kind, source) -> (pid, tid, the JSON text of the keys they fix)
+    instant_tracks: dict[tuple, tuple] = {}
+    for record in telemetry.event_records():
+        cycle, kind, source, client, port, address, dep_id, value, detail = (
+            record
+        )
+        category = _INSTANT_KINDS.get(kind)
+        if category is None:
+            continue
+        track = instant_tracks.get((kind, source))
+        if track is None:
+            pid, tid = tracks.get(source, untracked)
+            keys = _INSTANT_TRACK % (text(category), text(kind), pid, tid)
+            track = instant_tracks[kind, source] = (pid, tid, keys)
+        pid, tid, keys = track
+        check(len(events), kind, "i", pid, tid, cycle, None, "t")
+        if (
+            port is None
+            and detail is None
+            and type(address) is int
+            and type(value) is int
+            and type(client) is str
+            and type(dep_id) is str
+        ):
+            args = _GUARD_ARGS % (address, text(client), text(dep_id), value)
+        elif address is client is port is dep_id is value is detail is None:
+            args = ""
+        else:
+            args = ",".join(
+                [
+                    key + text(record[field])
+                    for key, field in _INSTANT_ARGS
+                    if record[field] is not None
+                ]
+            )
+        if type(cycle) is int:
+            append(_INSTANT % (args, keys, cycle))
+        else:
+            append(_INSTANT_ANY % (args, keys, text(cycle)))
+
+    events[0] = _HEADER % text(telemetry.cycles_observed) + events[0]
+    events[-1] += "]}\n"
+    return ",".join(events)
+
+
+def chrome_trace(telemetry: Telemetry) -> dict:
+    """The trace-event document :func:`dumps_chrome_trace` writes."""
+    return json.loads(dumps_chrome_trace(telemetry))
 
 
 def write_chrome_trace(telemetry: Telemetry, path: str) -> None:

@@ -1,12 +1,16 @@
 """Export goldens: every telemetry and profiler export, frozen by digest.
 
 ``golden/exports.json`` holds the sha256 of each exporter's output for
-four seeded runs, on every simulation kernel:
+six seeded runs, on every simulation kernel:
 
 * ``figure1`` — the Figure-1 forwarder (``forwarding_source(2)``,
   arbitrated, ``BernoulliTraffic(0.06, seed=1)``) traced at
   ``trace_level="full"`` with the profiler, on one BRAM;
 * ``figure1-banks4`` — the same on a four-bank memory fabric;
+* ``figure1-event-driven`` and ``figure1-lock-baseline`` — the same on
+  one BRAM under the other two organizations: the event-driven one
+  writes ``chain`` instants, the lock baseline closes its spans through
+  its own counter protocol;
 * ``fanout-fifo`` — the catalogued fan-out network with FIFO-lowered
   channels, profiled at the default ``deps`` trace level;
 * ``faulted`` — ``forwarding_source(4)`` under a break-dependency
@@ -28,6 +32,7 @@ To regenerate after an *intentional* export change::
 import hashlib
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -50,6 +55,7 @@ from repro.obs import (
     prometheus_text,
     write_summary_csv,
 )
+from repro.obs.events import EventKind
 from repro.scenarios import catalog
 
 GOLDEN = Path(__file__).parent / "golden" / "exports.json"
@@ -57,11 +63,9 @@ GOLDEN = Path(__file__).parent / "golden" / "exports.json"
 CYCLES = 800
 
 
-def _figure1(num_banks, kernel):
+def _figure1(num_banks, kernel, organization=Organization.ARBITRATED):
     design = compile_design(
-        forwarding_source(2),
-        organization=Organization.ARBITRATED,
-        num_banks=num_banks,
+        forwarding_source(2), organization=organization, num_banks=num_banks
     )
     sim = build_simulation(
         design, functions=forwarding_functions(demo_table()), kernel=kernel
@@ -102,6 +106,12 @@ def _faulted_run(kernel):
 RUNS = {
     "figure1": lambda kernel: _figure1(0, kernel),
     "figure1-banks4": lambda kernel: _figure1(4, kernel),
+    "figure1-event-driven": lambda kernel: _figure1(
+        0, kernel, Organization.EVENT_DRIVEN
+    ),
+    "figure1-lock-baseline": lambda kernel: _figure1(
+        0, kernel, Organization.LOCK_BASELINE
+    ),
     "fanout-fifo": _fanout_fifo,
     "faulted": _faulted_run,
 }
@@ -152,9 +162,10 @@ def test_exports_are_idempotent(golden):
 
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_chrome_trace_is_built_in_sorted_key_order(run):
-    """``dumps_chrome_trace`` relies on ``chrome_trace`` emitting every
-    object with sorted keys; serializing with ``sort_keys=True`` must
-    change nothing."""
+    """``dumps_chrome_trace`` writes each event's text with its keys in
+    sorted order: the text must be canonical sorted-key compact JSON, so
+    re-serializing the document it parses to (``chrome_trace``) with
+    ``sort_keys=True`` changes nothing."""
     telemetry = RUNS[run]("wheel")
     kinds = {event.kind for event in telemetry.events}
     if run == "faulted":
@@ -162,6 +173,42 @@ def test_chrome_trace_is_built_in_sorted_key_order(run):
     document = chrome_trace(telemetry)
     resorted = json.dumps(document, sort_keys=True, separators=(",", ":"))
     assert dumps_chrome_trace(telemetry) == resorted + "\n"
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_chrome_trace_export_memory_is_proportional_to_its_text(run):
+    """``dumps_chrome_trace`` writes each event's text and joins them
+    once: its transient memory peaks at a small multiple of the text it
+    returns, not at a document tree plus an encoder's chunk list."""
+    telemetry = RUNS[run]("wheel")
+    tracemalloc.start()
+    try:
+        text = dumps_chrome_trace(telemetry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
+
+
+def test_chrome_trace_checks_every_event_it_writes():
+    """A negative timestamp anywhere fails the export with the index of
+    the offending event in ``traceEvents``: an instant recorded at cycle
+    -1 (the last event) and the first dependency slice (after the six
+    metadata events)."""
+    telemetry = RUNS["figure1"]("wheel")
+    negative_ts = "ts must be a non-negative number"
+    records = telemetry.event_records()
+    records.append(
+        (-1, EventKind.OVERRIDE, "bram0", None, None, None, None, None, None)
+    )
+    with pytest.raises(ValueError) as excinfo:
+        dumps_chrome_trace(telemetry)
+    assert str(excinfo.value) == f"traceEvents[1463]: {negative_ts}"
+    records.pop()
+    telemetry.spans.spans[0].write_cycle = -5
+    with pytest.raises(ValueError) as excinfo:
+        dumps_chrome_trace(telemetry)
+    assert str(excinfo.value) == f"traceEvents[6]: {negative_ts}"
 
 
 def main() -> None:

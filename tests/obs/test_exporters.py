@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import Organization
 from repro.obs.attribution import NO_SITE, WAIT_STATES, Segment
+from repro.obs.spans import ConsumerRead, DependencySpan
 from repro.obs.exporters import (
     chrome_trace,
     dumps_chrome_trace,
@@ -79,6 +80,111 @@ class TestChromeTrace:
         write_chrome_trace(telemetry, str(path))
         document = json.loads(path.read_text())
         validate_chrome_trace(document)
+
+
+def _metadata(name, pid, tid, label):
+    return {"args": {"name": label}, "name": name, "ph": "M", "pid": pid,
+            "tid": tid, "ts": 0}
+
+
+def _instant(cat, name, pid, tid, ts, **args):
+    return {"args": args, "cat": cat, "name": name, "ph": "i", "pid": pid,
+            "s": "t", "tid": tid, "ts": ts}
+
+
+class TestChromeTraceText:
+    """The emitted text, against a hand-written document for records
+    holding floats, bools, big ints, escapes and non-ASCII text."""
+
+    SPANS = [
+        DependencySpan("bram0", "d", 0, "t0", 2.5, None,
+                       [ConsumerRead("t1", 1, 4.0)]),
+        DependencySpan("bram0", "d\u00e9", 1, "t0", 5, 5,
+                       [ConsumerRead("t1", 5, 7), ConsumerRead("ghost", 6, 9)],
+                       2, 9),
+        DependencySpan("bram0", "d", 1, "t1", True, None,
+                       [ConsumerRead("t0", False, 3)]),
+    ]
+    RECORDS = [
+        (3, "dep-armed", "bram0", "t1", None, 9, "d", 2, None),
+        (4, "override", "bram0", None, None, None, None, None, None),
+        (True, "override", "t1", None, None, None, None, None, None),
+        (4.5, "chain-event", "t0", "t1", None, None, 'd\n"x', None, None),
+        (6, "watchdog", "system", "t1", None, None, "d", True,
+         "read-timeout \u2192 warned"),
+        (7, "grant", "bram0", "t0", "A", 2**70, "d", 0, None),
+        (8, "dep-complete", "bram0", None, None, None, "d", None, None),
+        (9, "dep-decrement", "bram0", "t1", None, 9, "d", 1.0, None),
+        (10, "round-complete", "t1", None, None, None, None, 3, None),
+    ]
+    EVENTS = [
+        _metadata("process_name", 1, 0, "threads"),
+        _metadata("process_name", 2, 0, "memory controllers"),
+        _metadata("thread_name", 1, 1, "t0"),
+        _metadata("thread_name", 1, 2, "t1"),
+        _metadata("thread_name", 2, 1, "bram0"),
+        {"args": {"complete": False, "expected_reads": None,
+                  "post_write_latencies": [1.5], "producer": "t0",
+                  "reads": 1},
+         "cat": "dependency", "dur": 1.5, "name": "d#0", "ph": "X",
+         "pid": 2, "tid": 1, "ts": 2.5},
+        {"args": {"bram": "bram0", "dep_id": "d", "post_write_latency": 1.5,
+                  "wait_cycles": 3.0},
+         "cat": "consumer-read", "dur": 3.0, "name": "read d", "ph": "X",
+         "pid": 1, "tid": 2, "ts": 1},
+        {"args": {"complete": True, "expected_reads": 2,
+                  "post_write_latencies": [2, 4], "producer": "t0",
+                  "reads": 2},
+         "cat": "dependency", "dur": 4, "name": "d\u00e9#1", "ph": "X",
+         "pid": 2, "tid": 1, "ts": 5},
+        {"args": {"bram": "bram0", "dep_id": "d\u00e9",
+                  "post_write_latency": 2, "wait_cycles": 2},
+         "cat": "consumer-read", "dur": 2, "name": "read d\u00e9", "ph": "X",
+         "pid": 1, "tid": 2, "ts": 5},
+        {"args": {"bram": "bram0", "dep_id": "d\u00e9",
+                  "post_write_latency": 4, "wait_cycles": 3},
+         "cat": "consumer-read", "dur": 3, "name": "read d\u00e9", "ph": "X",
+         "pid": 1, "tid": 0, "ts": 6},
+        {"args": {"complete": False, "expected_reads": None,
+                  "post_write_latencies": [2], "producer": "t1",
+                  "reads": 1},
+         "cat": "dependency", "dur": 2, "name": "d#1", "ph": "X",
+         "pid": 2, "tid": 1, "ts": True},
+        {"args": {"bram": "bram0", "dep_id": "d", "post_write_latency": 2,
+                  "wait_cycles": 3},
+         "cat": "consumer-read", "dur": 3, "name": "read d", "ph": "X",
+         "pid": 1, "tid": 1, "ts": False},
+        _instant("guard", "dep-armed", 2, 1, 3, address=9, client="t1",
+                 dep_id="d", value=2),
+        _instant("override", "override", 2, 1, 4),
+        _instant("override", "override", 1, 2, True),
+        _instant("chain", "chain-event", 1, 1, 4.5, client="t1",
+                 dep_id='d\n"x'),
+        _instant("watchdog", "watchdog", 2, 0, 6, client="t1", dep_id="d",
+                 detail="read-timeout \u2192 warned", value=True),
+        _instant("request", "grant", 2, 1, 7, address=2**70, client="t0",
+                 dep_id="d", port="A", value=0),
+        _instant("guard", "dep-decrement", 2, 1, 9, address=9, client="t1",
+                 dep_id="d", value=1.0),
+        _instant("progress", "round-complete", 1, 2, 10, value=3),
+    ]
+
+    def test_values_are_written_as_json_dumps_writes_them(self):
+        telemetry = SimpleNamespace(
+            thread_names=lambda: ["t0", "t1"],
+            controller_names=lambda: ["bram0"],
+            spans=SimpleNamespace(spans=self.SPANS),
+            event_records=lambda: self.RECORDS,
+            cycles_observed=12,
+        )
+        document = {
+            "displayTimeUnit": "ms",
+            "otherData": {"cycles": 12, "exporter": "repro.obs",
+                          "time_unit": "1 cycle = 1 us"},
+            "traceEvents": self.EVENTS,
+        }
+        expected = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        assert dumps_chrome_trace(telemetry) == expected + "\n"
 
 
 class TestDeterminism:

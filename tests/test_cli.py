@@ -486,6 +486,32 @@ class TestSharedErrors:
         assert f"(parameter={parameter}, value=" in captured.err
 
     @pytest.mark.parametrize(
+        "flag",
+        ["--trace-json", "--metrics", "--summary-json", "--summary-csv"],
+    )
+    def test_unwritable_telemetry_output_is_a_usage_error(
+        self, figure1_file, tmp_path, flag, capsys
+    ):
+        path = tmp_path / "missing" / "out"
+        assert main([figure1_file, "--simulate", "50", flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--trace-json", "--metrics", "--summary-json"]
+    )
+    def test_run_unwritable_telemetry_output_is_a_usage_error(
+        self, tmp_path, flag, capsys
+    ):
+        path = tmp_path / "missing" / "out"
+        argv = ["run", "--scenario", "fanout", "--cycles", "50"]
+        assert main([*argv, flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "extra",
         [
             ["--batch-size", "0"],
