@@ -24,10 +24,10 @@ from repro.net import (
     forwarding_source,
 )
 from repro.obs.exporters import (
-    write_chrome_trace,
-    write_prometheus,
-    write_summary_csv,
-    write_summary_json,
+    dumps_chrome_trace,
+    dumps_summary,
+    dumps_summary_csv,
+    prometheus_text,
 )
 
 CONSUMERS = 4
@@ -48,14 +48,15 @@ def main() -> None:
     sim.kernel.add_pre_cycle_hook(generator.attach(sim.rx["eth_in"]))
     sim.run(CYCLES)
 
+    # Every exporter returns text; writing it is up to the caller.
     trace_path = out_dir / "trace.json"
     metrics_path = out_dir / "metrics.prom"
     summary_path = out_dir / "summary.json"
     csv_path = out_dir / "metrics.csv"
-    write_chrome_trace(telemetry, str(trace_path))
-    write_prometheus(telemetry, str(metrics_path))
-    write_summary_json(telemetry, str(summary_path))
-    write_summary_csv(telemetry, str(csv_path))
+    trace_path.write_text(dumps_chrome_trace(telemetry))
+    metrics_path.write_text(prometheus_text(telemetry))
+    summary_path.write_text(dumps_summary(telemetry))
+    csv_path.write_text(dumps_summary_csv(telemetry), newline="")
 
     print(telemetry.describe())
     print()

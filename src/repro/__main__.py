@@ -19,6 +19,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import cli
@@ -148,21 +149,18 @@ def _compile(args: argparse.Namespace) -> int:
     print(utilization.render())
 
     if args.verilog:
-        verilog = design.verilog()  # may refuse the design's module names
-        with open(args.verilog, "w") as handle:
-            handle.write(verilog)
-        print(f"wrote Verilog to {args.verilog}")
+        # design.verilog() may refuse the design's module names
+        cli.write_output(args.verilog, design.verilog(), "Verilog")
 
     if args.thread_verilog:
-        import os
-
-        os.makedirs(args.thread_verilog, exist_ok=True)
         for thread_name in design.fsms:
-            path = os.path.join(
-                args.thread_verilog, f"thread_{thread_name}_fsm.v"
+            cli.write_output(
+                os.path.join(
+                    args.thread_verilog, f"thread_{thread_name}_fsm.v"
+                ),
+                design.thread_verilog(thread_name),
+                make_parent=True,
             )
-            with open(path, "w") as handle:
-                handle.write(design.thread_verilog(thread_name))
         print(
             f"wrote {len(design.fsms)} thread FSMs to {args.thread_verilog}/"
         )
@@ -228,8 +226,7 @@ def _compile(args: argparse.Namespace) -> int:
             print(f"{bram} guarded-access latency:")
             print(report)
     if vcd is not None:
-        vcd.write(args.vcd)
-        print(f"wrote VCD trace to {args.vcd}")
+        cli.write_output(args.vcd, vcd.render(), "VCD trace")
     if telemetry is not None:
         cli.write_telemetry(telemetry, args)
     return 0

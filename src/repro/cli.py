@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
 from typing import Callable
 
@@ -238,8 +239,8 @@ def run_command(
 ) -> int:
     """``body(args)``'s exit code, or the code of the error it raised:
     2 for a shared option out of range, an unreadable source or an
-    unwritable telemetry output, 1 for a design, compile or simulation
-    error (with one ``error:`` line)."""
+    unwritable output, 1 for a design, compile or simulation error (with
+    one ``error:`` line)."""
     try:
         check_ranges(args)
         return body(args)
@@ -293,28 +294,42 @@ def compile_options(args: argparse.Namespace) -> dict:
     return options
 
 
+def write_output(
+    path: str, text: str, label: str | None = None, make_parent: bool = False
+) -> None:
+    """Write ``text`` to ``path`` verbatim and, given a ``label``, say so
+    on stdout; ``make_parent`` creates the file's directory first.  Every
+    command writes its output files here: an unwritable path is a usage
+    error."""
+    try:
+        if make_parent:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as error:
+        print(f"error: cannot write {path}: {error}", file=sys.stderr)
+        raise UsageError from None
+    if label:
+        print(f"wrote {label} to {path}")
+
+
 def write_telemetry(telemetry, args: argparse.Namespace) -> None:
     """Write the ``--trace-json``/``--metrics``/``--summary-json`` (and,
     where the command has it, ``--summary-csv``) files that were asked
-    for; an unwritable path is a usage error."""
+    for."""
     from .obs.exporters import (
-        write_chrome_trace,
-        write_prometheus,
-        write_summary_csv,
-        write_summary_json,
+        dumps_chrome_trace,
+        dumps_summary,
+        dumps_summary_csv,
+        prometheus_text,
     )
 
-    for path, write, label in (
-        (args.trace_json, write_chrome_trace, "Chrome trace"),
-        (args.metrics, write_prometheus, "Prometheus metrics"),
-        (args.summary_json, write_summary_json, "telemetry summary"),
-        (getattr(args, "summary_csv", None), write_summary_csv,
+    for path, render, label in (
+        (args.trace_json, dumps_chrome_trace, "Chrome trace"),
+        (args.metrics, prometheus_text, "Prometheus metrics"),
+        (args.summary_json, dumps_summary, "telemetry summary"),
+        (getattr(args, "summary_csv", None), dumps_summary_csv,
          "metrics CSV"),
     ):
         if path:
-            try:
-                write(telemetry, path)
-            except OSError as error:
-                print(f"error: cannot write {path}: {error}", file=sys.stderr)
-                raise UsageError from None
-            print(f"wrote {label} to {path}")
+            write_output(path, render(telemetry), label)

@@ -958,17 +958,17 @@ def _faults(args: argparse.Namespace) -> int:
         # counts), wall-clock numbers are not.
         print(report.engine.describe(), file=sys.stderr)
     if args.engine_metrics and metrics is not None:
-        with open(args.engine_metrics, "w") as handle:
-            handle.write(metrics.render_prometheus())
-        print(f"wrote engine metrics to {args.engine_metrics}")
+        cli.write_output(
+            args.engine_metrics, metrics.render_prometheus(), "engine metrics"
+        )
     if args.summary_json:
-        with open(args.summary_json, "w") as handle:
-            handle.write(dumps_campaign_summary(report))
-        print(f"wrote campaign summary to {args.summary_json}")
+        cli.write_output(
+            args.summary_json,
+            dumps_campaign_summary(report),
+            "campaign summary",
+        )
     if args.report:
-        with open(args.report, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote report to {args.report}")
+        cli.write_output(args.report, text + "\n", "report")
     if report.interrupted:
         return 130
     if report.engine is not None and report.engine.stopped:

@@ -108,13 +108,6 @@ def _predict_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path: Optional[str], payload: str, label: str) -> None:
-    if path:
-        with open(path, "w") as handle:
-            handle.write(payload)
-        print(f"wrote {label} to {path}")
-
-
 def predict_main(argv: Optional[list] = None) -> int:
     args = _predict_parser().parse_args(argv)
     try:
@@ -211,7 +204,7 @@ def _run_predict(args) -> int:
         if args.summary_json:
             import json
 
-            _write(
+            cli.write_output(
                 args.summary_json,
                 json.dumps(result.to_dict(), indent=2, sort_keys=True)
                 + "\n",
@@ -244,9 +237,10 @@ def _run_predict(args) -> int:
     print("  wait-state fractions:")
     for state, value in sorted(prediction.fractions.items()):
         print(f"    {state:<18} {value:.4f}")
-    _write(
-        args.summary_json, prediction.summary_json(), "prediction summary"
-    )
+    if args.summary_json:
+        cli.write_output(
+            args.summary_json, prediction.summary_json(), "prediction summary"
+        )
     return 0
 
 
@@ -254,5 +248,8 @@ def _run_validate(args) -> int:
     source = cli.read_source(args.source) if args.source else None
     report = validate(source, bound=args.bound, kernel=args.kernel)
     print(report.render())
-    _write(args.summary_json, report.to_json(), "validation report")
+    if args.summary_json:
+        cli.write_output(
+            args.summary_json, report.to_json(), "validation report"
+        )
     return 0 if report.within_bound else 1

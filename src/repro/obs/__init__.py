@@ -34,18 +34,14 @@ from .exporters import (
     dumps_chrome_trace,
     dumps_profile_chrome_trace,
     dumps_summary,
+    dumps_summary_csv,
     profile_chrome_trace,
     prometheus_text,
     summary_dict,
     validate_chrome_trace,
     write_bench_json,
-    write_chrome_trace,
-    write_profile_chrome_trace,
-    write_prometheus,
-    write_summary_csv,
-    write_summary_json,
 )
-from .flame import folded_stacks, render_flame_svg, write_flame
+from .flame import folded_stacks, render_flame_svg
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -72,16 +68,12 @@ __all__ = [
     "dumps_chrome_trace",
     "dumps_profile_chrome_trace",
     "dumps_summary",
+    "dumps_summary_csv",
     "profile_chrome_trace",
     "prometheus_text",
     "summary_dict",
     "validate_chrome_trace",
     "write_bench_json",
-    "write_chrome_trace",
-    "write_profile_chrome_trace",
-    "write_prometheus",
-    "write_summary_csv",
-    "write_summary_json",
     "DEFAULT_BUCKETS",
     "Counter",
     "Gauge",
@@ -100,7 +92,6 @@ __all__ = [
     "render_critical_path",
     "folded_stacks",
     "render_flame_svg",
-    "write_flame",
     "PROFILE_SCHEMA",
     "CycleProfiler",
     "attach_profiler",

@@ -1,19 +1,21 @@
-"""Machine-readable exporters over a :class:`~repro.obs.tracer.Telemetry`.
+"""Machine-readable exporters over a :class:`~repro.obs.tracer.Telemetry`
+and a :class:`~repro.obs.profiler.CycleProfiler`.
 
-Three formats:
+Every exporter returns text; the command line (``repro.cli``) writes
+the files.  The formats:
 
-* **Chrome trace-event JSON** (:func:`dumps_chrome_trace` /
-  :func:`write_chrome_trace`) — loadable in Perfetto or
-  ``chrome://tracing``.  Dependency spans and consumer reads become
-  complete ("X") events on per-controller and per-thread tracks;
-  watchdog firings, port-C overrides, and chained events become
+* **Chrome trace-event JSON** (:func:`dumps_chrome_trace`) — loadable
+  in Perfetto or ``chrome://tracing``.  Dependency spans and consumer
+  reads become complete ("X") events on per-controller and per-thread
+  tracks; watchdog firings, port-C overrides, and chained events become
   instants ("i").  One simulation cycle maps to one microsecond of
-  trace time.
-* **Prometheus text exposition** (:func:`prometheus_text` /
-  :func:`write_prometheus`) — the metrics registry, verbatim.
-* **JSON/CSV summaries** (:func:`summary_dict`,
-  :func:`write_summary_json`, :func:`write_summary_csv`) — the
-  aggregate the benchmark harness reuses to emit ``BENCH_sim.json``.
+  trace time.  :func:`dumps_profile_chrome_trace` writes the profiler's
+  wait-state timeline the same way.
+* **Prometheus text exposition** (:func:`prometheus_text`) — the
+  metrics registry, verbatim.
+* **JSON/CSV summaries** (:func:`summary_dict`, :func:`dumps_summary`,
+  :func:`dumps_summary_csv`) — the aggregate the benchmark harness
+  reuses to emit ``BENCH_sim.json``.
 
 All exporters are deterministic: fixed key order, no wall-clock
 timestamps, no environment leakage — two runs of the same seeded
@@ -23,7 +25,9 @@ simulation serialize byte-identically.
 from __future__ import annotations
 
 import csv
+import io
 import json
+from operator import attrgetter
 
 from .attribution import NO_SITE, WAIT_STATES
 from .events import EventKind
@@ -100,18 +104,67 @@ def validate_chrome_trace(document: dict) -> None:
         )
 
 
+# -- trace-event text ------------------------------------------------------------------
+#
+# Both traces are written alike, sharing the header, the metadata
+# template, the string memo and the per-event check: each event's text
+# is formatted from a ``%`` template with its keys in sorted order and
+# checked as it is written, and the pieces are joined once.  The ``%s``
+# slots take JSON text and the ``%d`` slots exact ints.
+
 #: The string encoder ``json.dumps`` uses.
 _quote = json.encoder.encode_basestring_ascii
-
-# Each event's JSON text, keys in sorted order.  The ``%s`` slots take
-# JSON text and the ``%d`` slots exact ints; an event holding any other
-# number is written through the ``_ANY`` form, whose every slot takes
-# JSON text.
 _HEADER = (
-    '{"displayTimeUnit":"ms","otherData":{"cycles":%s,'
-    '"exporter":"repro.obs","time_unit":"1 cycle = 1 us"},"traceEvents":['
+    '{"displayTimeUnit":"ms","otherData":{"cycles":%s,"exporter":%s,'
+    '"time_unit":"1 cycle = 1 us"},"traceEvents":['
 )
 _METADATA = '{"args":{"name":%s},"name":%s,"ph":"M","pid":%d,"tid":%d,"ts":0}'
+
+
+def _json_text():
+    """A fresh ``text(value)`` for one export: ``value``'s JSON text as
+    ``json.dumps`` writes it (each distinct string encoded once, exact
+    ints through ``%d``, any other value through ``json.dumps``)."""
+    quoted: dict[str, str] = {}
+
+    def text(value) -> str:
+        kind = type(value)
+        if kind is str:
+            encoded = quoted.get(value)
+            if encoded is None:
+                encoded = quoted[value] = _quote(value)
+            return encoded
+        if kind is int:
+            return "%d" % value
+        return json.dumps(value, separators=(",", ":"), check_circular=False)
+
+    return text
+
+
+def _number_texts(fields: tuple, text) -> tuple:
+    """``fields`` for an ``_ANY`` form: every field that is not already
+    JSON text (a ``str``) replaced by its JSON text."""
+    return tuple(
+        field if type(field) is str else text(field) for field in fields
+    )
+
+
+def _metadata(events: list, text, kind: str, pid: int, tid: int, label):
+    """Check and append one metadata event: a ``process_name`` (tid 0)
+    or ``thread_name`` event naming track ``(pid, tid)`` ``label``."""
+    _check_event(len(events), kind, "M", pid, tid, 0, None, None)
+    events.append(_METADATA % (text(label), text(kind), pid, tid))
+
+
+def _document(events: list, text, cycles, exporter: str) -> str:
+    """The trace document holding ``events``' texts, joined once."""
+    events[0] = _HEADER % (text(cycles), text(exporter)) + events[0]
+    events[-1] += "]}\n"
+    return ",".join(events)
+
+
+# -- telemetry trace -------------------------------------------------------------------
+
 _DEPENDENCY = (
     '{"args":{"complete":%s,"expected_reads":%s,'
     '"post_write_latencies":[%s],"producer":%s,"reads":%d},'
@@ -138,17 +191,12 @@ _INSTANT_ARGS = (
     ('"port":', 4),
     ('"value":', 7),
 )
+#: The telemetry record's most frequent numbers take ``%d``; an event
+#: holding any other number goes through its template's ``_ANY`` form,
+#: whose every slot takes JSON text.
 _DEPENDENCY_ANY, _READ_ANY, _INSTANT_ANY = (
     template.replace("%d", "%s") for template in (_DEPENDENCY, _READ, _INSTANT)
 )
-
-
-def _number_texts(fields: tuple, text) -> tuple:
-    """``fields`` for an ``_ANY`` form: every field that is not already
-    JSON text (a ``str``) replaced by its JSON text."""
-    return tuple(
-        field if type(field) is str else text(field) for field in fields
-    )
 
 
 def dumps_chrome_trace(telemetry: Telemetry) -> str:
@@ -160,43 +208,27 @@ def dumps_chrome_trace(telemetry: Telemetry) -> str:
     the records and checked by :func:`validate_chrome_trace`'s per-event
     rules as it is written; the pieces are joined once.  The text is
     what ``json.dumps(document, sort_keys=True, separators=(",", ":"))``
-    writes, plus a newline: strings go through the encoder ``json.dumps``
-    uses (once per distinct string), exact ints through ``%d`` and every
-    other value through ``json.dumps`` itself."""
+    writes, plus a newline."""
     threads = telemetry.thread_names()
     controllers = telemetry.controller_names()
     thread_tid = {name: tid for tid, name in enumerate(threads, start=1)}
     controller_tid = {name: tid for tid, name in enumerate(controllers, start=1)}
-    quoted: dict[str, str] = {}
-
-    def text(value) -> str:
-        """``value``'s JSON text, as ``json.dumps`` writes it."""
-        kind = type(value)
-        if kind is str:
-            encoded = quoted.get(value)
-            if encoded is None:
-                encoded = quoted[value] = _quote(value)
-            return encoded
-        if kind is int:
-            return "%d" % value
-        return json.dumps(value, separators=(",", ":"), check_circular=False)
-
-    check = _check_event
+    text = _json_text()
     events: list[str] = []
-    append = events.append
     for pid, label in (
         (THREADS_PID, "threads"),
         (CONTROLLERS_PID, "memory controllers"),
     ):
-        check(len(events), "process_name", "M", pid, 0, 0, None, None)
-        append(_METADATA % (text(label), '"process_name"', pid, 0))
+        _metadata(events, text, "process_name", pid, 0, label)
     for pid, tids in (
         (THREADS_PID, thread_tid),
         (CONTROLLERS_PID, controller_tid),
     ):
         for name, tid in tids.items():
-            check(len(events), "thread_name", "M", pid, tid, 0, None, None)
-            append(_METADATA % (text(name), '"thread_name"', pid, tid))
+            _metadata(events, text, "thread_name", pid, tid, name)
+
+    check = _check_event
+    append = events.append
 
     # Dependency-lifecycle spans on the controller tracks.
     for span in telemetry.spans.spans:
@@ -292,9 +324,7 @@ def dumps_chrome_trace(telemetry: Telemetry) -> str:
         else:
             append(_INSTANT_ANY % (args, keys, text(cycle)))
 
-    events[0] = _HEADER % text(telemetry.cycles_observed) + events[0]
-    events[-1] += "]}\n"
-    return ",".join(events)
+    return _document(events, text, telemetry.cycles_observed, "repro.obs")
 
 
 def chrome_trace(telemetry: Telemetry) -> dict:
@@ -302,117 +332,93 @@ def chrome_trace(telemetry: Telemetry) -> dict:
     return json.loads(dumps_chrome_trace(telemetry))
 
 
-def write_chrome_trace(telemetry: Telemetry, path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(dumps_chrome_trace(telemetry))
-
-
 # -- profiler trace --------------------------------------------------------------------
 
 #: pid of the profiler's wait-state track group.
 PROFILE_PID = 3
 
-
-def profile_chrome_trace(profiler) -> dict:
-    """Chrome-trace document of the attribution timeline: one "X" slice
-    per run-length segment on per-thread tracks, plus a per-state "C"
-    counter track sampled at every segment boundary.  Deterministic:
-    segments and boundaries derive purely from the ledger."""
-    threads = sorted(profiler.ledger.timelines)
-    thread_tid = {name: tid for tid, name in enumerate(threads, start=1)}
-    events: list[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": PROFILE_PID,
-            "tid": 0,
-            "ts": 0,
-            "args": {"name": "wait-state attribution"},
-        }
-    ]
-    for name, tid in thread_tid.items():
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": PROFILE_PID,
-                "tid": tid,
-                "ts": 0,
-                "args": {"name": name},
-            }
-        )
-    boundaries: set[int] = set()
-    segments = []
-    for name in threads:
-        for segment in profiler.ledger.timelines[name]:
-            segments.append(segment)
-            boundaries.add(segment.start)
-            boundaries.add(segment.end)
-            args = {}
-            if segment.site != NO_SITE:
-                args = {"site": segment.site, "port": segment.port}
-            events.append(
-                {
-                    "name": segment.state,
-                    "cat": "wait-state",
-                    "ph": "X",
-                    "pid": PROFILE_PID,
-                    "tid": thread_tid[name],
-                    "ts": segment.start,
-                    "dur": segment.length,
-                    "args": args,
-                }
-            )
-    for boundary, counts in _state_counts(segments, boundaries):
-        events.append(
-            {
-                "name": "threads per wait state",
-                "ph": "C",
-                "pid": PROFILE_PID,
-                "tid": 0,
-                "ts": boundary,
-                "args": counts,
-            }
-        )
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "exporter": "repro.obs.profiler",
-            "cycles": profiler.cycles_observed,
-            "time_unit": "1 cycle = 1 us",
-        },
-    }
-
-
-def _state_counts(segments, boundaries):
-    """Yield ``(boundary, {state: segments covering it})`` for each
-    boundary in ascending order, where a segment covers the cycles
-    ``start <= cycle < end`` — in one sweep over the sorted segment
-    starts and ends, keeping a running count per state."""
-    starts = sorted((segment.start, segment.state) for segment in segments)
-    ends = sorted((segment.end, segment.state) for segment in segments)
-    live = {state: 0 for state in WAIT_STATES}
-    opened = closed = 0
-    for boundary in sorted(boundaries):
-        while opened < len(starts) and starts[opened][0] <= boundary:
-            live[starts[opened][1]] += 1
-            opened += 1
-        while closed < len(ends) and ends[closed][0] <= boundary:
-            live[ends[closed][1]] -= 1
-            closed += 1
-        yield boundary, dict(live)
+# A profile event's cycles come from the ledger and take JSON text; its
+# pid, tid and counts are the exporter's own ints.
+#: A wait-state slice: its args (none, or ``_SITE_ARGS``), then its keys.
+_SEGMENT = (
+    '{"args":{%s},"cat":"wait-state","dur":%s,"name":%s,"ph":"X","pid":%d,'
+    '"tid":%d,"ts":%s}'
+)
+_SITE_ARGS = '"port":%s,"site":%s'
+#: The wait states of a counter sample, in key order.
+_COUNTED = tuple(sorted(WAIT_STATES))
+_COUNTER_NAME = "threads per wait state"
+#: A counter sample: how many threads sit in each state of ``_COUNTED``.
+_COUNTER = (
+    '{"args":{' + ",".join(_quote(state) + ":%d" for state in _COUNTED)
+    + '},"name":' + _quote(_COUNTER_NAME) + ',"ph":"C","pid":%d,"tid":0,"ts":%s}'
+)
 
 
 def dumps_profile_chrome_trace(profiler) -> str:
-    document = profile_chrome_trace(profiler)
-    validate_chrome_trace(document)
-    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+    """Render the attribution timeline as trace-event JSON text: one "X"
+    slice per run-length segment on per-thread tracks, plus a per-state
+    "C" counter track sampled at every segment boundary.  Written as
+    :func:`dumps_chrome_trace` writes its trace, and deterministic:
+    segments and boundaries derive purely from the ledger."""
+    timelines = profiler.ledger.timelines
+    threads = sorted(timelines)
+    text = _json_text()
+    events: list[str] = []
+    _metadata(
+        events, text, "process_name", PROFILE_PID, 0, "wait-state attribution"
+    )
+    for tid, name in enumerate(threads, start=1):
+        _metadata(events, text, "thread_name", PROFILE_PID, tid, name)
+
+    check = _check_event
+    append = events.append
+    for tid, name in enumerate(threads, start=1):
+        for segment in timelines[name]:
+            state, start, length = segment.state, segment.start, segment.length
+            check(len(events), state, "X", PROFILE_PID, tid, start, length, None)
+            args = ""
+            if segment.site != NO_SITE:
+                args = _SITE_ARGS % (text(segment.port), text(segment.site))
+            append(
+                _SEGMENT
+                % (args, text(length), text(state), PROFILE_PID, tid, text(start))
+            )
+    for boundary, counts in _state_counts(timelines[name] for name in threads):
+        check(len(events), _COUNTER_NAME, "C", PROFILE_PID, 0, boundary, None, None)
+        append(_COUNTER % (*counts, PROFILE_PID, text(boundary)))
+    return _document(
+        events, text, profiler.cycles_observed, "repro.obs.profiler"
+    )
 
 
-def write_profile_chrome_trace(profiler, path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(dumps_profile_chrome_trace(profiler))
+def profile_chrome_trace(profiler) -> dict:
+    """The document :func:`dumps_profile_chrome_trace` writes."""
+    return json.loads(dumps_profile_chrome_trace(profiler))
+
+
+def _state_counts(timelines):
+    """Yield ``(boundary, counts)`` for each segment boundary in
+    ascending order, ``counts`` holding the number of segments covering
+    it (``start <= boundary < end``) for each state of ``_COUNTED``: one
+    sweep over the segments sorted by start and by end, keeping a
+    running count per state."""
+    segments = [segment for timeline in timelines for segment in timeline]
+    starts = sorted(segments, key=attrgetter("start"))
+    ends = sorted(segments, key=attrgetter("end"))
+    boundaries = sorted(
+        {cycle for segment in segments for cycle in (segment.start, segment.end)}
+    )
+    live = dict.fromkeys(_COUNTED, 0)
+    opened = closed = 0
+    for boundary in boundaries:
+        while opened < len(starts) and starts[opened].start <= boundary:
+            live[starts[opened].state] += 1
+            opened += 1
+        while closed < len(ends) and ends[closed].end <= boundary:
+            live[ends[closed].state] -= 1
+            closed += 1
+        yield boundary, tuple(live.values())
 
 
 # -- Prometheus ------------------------------------------------------------------------
@@ -420,11 +426,6 @@ def write_profile_chrome_trace(profiler, path: str) -> None:
 
 def prometheus_text(telemetry: Telemetry) -> str:
     return telemetry.finalize().render_prometheus()
-
-
-def write_prometheus(telemetry: Telemetry, path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(prometheus_text(telemetry))
 
 
 # -- JSON/CSV summary ------------------------------------------------------------------
@@ -475,33 +476,28 @@ def dumps_summary(telemetry: Telemetry) -> str:
     )
 
 
-def write_summary_json(telemetry: Telemetry, path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(dumps_summary(telemetry))
-
-
-def write_summary_csv(telemetry: Telemetry, path: str) -> None:
-    """Flat CSV of every metric sample: name, type, labels, value."""
+def dumps_summary_csv(telemetry: Telemetry) -> str:
+    """Flat CSV of every metric sample: name, type, labels, value, in
+    the ``csv`` module's default dialect (rows end in CRLF)."""
     registry = telemetry.finalize()
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["metric", "type", "labels", "value"])
-        for metric in registry:
-            for key, value in metric.samples():
-                labels = ";".join(
-                    f"{n}={v}" for n, v in zip(metric.label_names, key)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["metric", "type", "labels", "value"])
+    for metric in registry:
+        for key, value in metric.samples():
+            labels = ";".join(
+                f"{n}={v}" for n, v in zip(metric.label_names, key)
+            )
+            if metric.type_name == "histogram":
+                writer.writerow(
+                    [metric.name, "histogram", labels, value.total]
                 )
-                if metric.type_name == "histogram":
-                    writer.writerow(
-                        [metric.name, "histogram", labels, value.total]
-                    )
-                    writer.writerow(
-                        [f"{metric.name}_sum", "histogram", labels, value.sum]
-                    )
-                else:
-                    writer.writerow(
-                        [metric.name, metric.type_name, labels, value]
-                    )
+                writer.writerow(
+                    [f"{metric.name}_sum", "histogram", labels, value.sum]
+                )
+            else:
+                writer.writerow([metric.name, metric.type_name, labels, value])
+    return out.getvalue()
 
 
 # -- benchmark artifact ----------------------------------------------------------------

@@ -134,14 +134,3 @@ def render_flame_svg(profiler: CycleProfiler, title: str = "cycle attribution") 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def write_flame(profiler: CycleProfiler, path: str) -> None:
-    """Write a flamegraph artifact; ``.svg`` renders, anything else
-    gets folded stacks."""
-    text = (
-        render_flame_svg(profiler)
-        if path.endswith(".svg")
-        else folded_stacks(profiler)
-    )
-    with open(path, "w") as handle:
-        handle.write(text)

@@ -1,10 +1,10 @@
 """``python -m repro profile`` — the cycle-attribution profiler CLI.
 
 Compiles a hic design, runs it with the profiler attached, and prints
-the per-thread wait-state breakdown; optional exporters write the
-folded-stack/SVG flamegraph, the Chrome-trace timeline, the JSON/CSV
-breakdown, and the critical-path report.  Everything printed or written
-is byte-deterministic for a fixed design + options (the CI
+the per-thread wait-state breakdown and, optionally, the critical-path
+report; on request it writes the folded-stack/SVG flamegraph, the
+Chrome-trace timeline and the JSON/CSV breakdown.  Everything printed or
+written is byte-deterministic for a fixed design + options (the CI
 ``profile-smoke`` job ``cmp``'s the JSON against a committed golden).
 
 Examples::
@@ -91,8 +91,8 @@ def profile_main(argv: list[str] | None = None) -> int:
 def _profile(args: argparse.Namespace) -> int:
     from ..flow import build_simulation, compile_design
     from .critical_path import extract_critical_path, render_critical_path
-    from .exporters import write_profile_chrome_trace
-    from .flame import write_flame
+    from .exporters import dumps_profile_chrome_trace
+    from .flame import folded_stacks, render_flame_svg
     from .profiler import breakdown_csv, breakdown_dict, render_breakdown
 
     design = compile_design(
@@ -119,17 +119,24 @@ def _profile(args: argparse.Namespace) -> int:
         sys.stdout.write(render_critical_path(report, top=args.top))
 
     if args.breakdown_json:
-        with open(args.breakdown_json, "w") as handle:
-            handle.write(json.dumps(breakdown, sort_keys=True, indent=2) + "\n")
-        print(f"wrote breakdown JSON to {args.breakdown_json}")
+        cli.write_output(
+            args.breakdown_json,
+            json.dumps(breakdown, sort_keys=True, indent=2) + "\n",
+            "breakdown JSON",
+        )
     if args.breakdown_csv:
-        with open(args.breakdown_csv, "w") as handle:
-            handle.write(breakdown_csv(profiler))
-        print(f"wrote breakdown CSV to {args.breakdown_csv}")
+        cli.write_output(
+            args.breakdown_csv, breakdown_csv(profiler), "breakdown CSV"
+        )
     if args.flame:
-        write_flame(profiler, args.flame)
-        print(f"wrote flamegraph to {args.flame}")
+        flame = (
+            render_flame_svg if args.flame.endswith(".svg") else folded_stacks
+        )
+        cli.write_output(args.flame, flame(profiler), "flamegraph")
     if args.chrome_trace:
-        write_profile_chrome_trace(profiler, args.chrome_trace)
-        print(f"wrote profile Chrome trace to {args.chrome_trace}")
+        cli.write_output(
+            args.chrome_trace,
+            dumps_profile_chrome_trace(profiler),
+            "profile Chrome trace",
+        )
     return 0

@@ -38,8 +38,8 @@ class Telemetry:
         sim = build_simulation(design)
         telemetry = Telemetry().attach(sim)
         sim.run(1000)
-        write_chrome_trace(telemetry, "trace.json")
-        write_prometheus(telemetry, "metrics.prom")
+        trace = dumps_chrome_trace(telemetry)  # exporters return text
+        metrics = prometheus_text(telemetry)
     """
 
     def __init__(

@@ -141,8 +141,9 @@ def _scenarios(args: argparse.Namespace) -> int:
 
     if args.json:
         document = {"schema": REPORT_SCHEMA, "reports": reports}
-        with open(args.json, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote scenario report to {args.json}")
+        cli.write_output(
+            args.json,
+            json.dumps(document, indent=2, sort_keys=True) + "\n",
+            "scenario report",
+        )
     return 0

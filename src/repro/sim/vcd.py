@@ -106,7 +106,3 @@ class VcdWriter:
                 current_time = cycle
             lines.append(self._format_value(value, width, ident))
         return "\n".join(lines) + "\n"
-
-    def write(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.render())

@@ -19,7 +19,7 @@ six seeded runs, on every simulation kernel:
   through the watchdog's and the injector's seams.
 
 The exports are ``dumps_chrome_trace``, ``dumps_summary``,
-``prometheus_text``, the ``write_summary_csv`` file,
+``prometheus_text``, the ``dumps_summary_csv`` text written to a file,
 ``dumps_profile_chrome_trace`` and the ``breakdown_dict`` JSON.  Any
 change to the observability layer's internals must reproduce all of
 them byte for byte.
@@ -52,8 +52,8 @@ from repro.obs import (
     dumps_chrome_trace,
     dumps_profile_chrome_trace,
     dumps_summary,
+    dumps_summary_csv,
     prometheus_text,
-    write_summary_csv,
 )
 from repro.obs.events import EventKind
 from repro.scenarios import catalog
@@ -126,7 +126,7 @@ def export_digests(telemetry) -> dict[str, str]:
     profiler = telemetry.profiler
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp) / "summary.csv"
-        write_summary_csv(telemetry, str(csv_path))
+        csv_path.write_text(dumps_summary_csv(telemetry), newline="")
         summary_csv = csv_path.read_text()
     breakdown = json.dumps(breakdown_dict(profiler), sort_keys=True, indent=2)
     return {
@@ -209,6 +209,44 @@ def test_chrome_trace_checks_every_event_it_writes():
     with pytest.raises(ValueError) as excinfo:
         dumps_chrome_trace(telemetry)
     assert str(excinfo.value) == f"traceEvents[6]: {negative_ts}"
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_profile_trace_export_memory_is_proportional_to_its_text(run):
+    """``dumps_profile_chrome_trace`` writes each event's text and joins
+    them once.  The ledger folds its timelines before the measurement:
+    they are the profiler's own state, not the export's."""
+    profiler = RUNS[run]("wheel").profiler
+    profiler.ledger.timelines
+    tracemalloc.start()
+    try:
+        text = dumps_profile_chrome_trace(profiler)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
+
+
+def test_profile_trace_checks_every_event_it_writes():
+    """A bad segment fails the export with the index of its slice in
+    ``traceEvents``: the first thread's third segment follows the four
+    metadata events."""
+    profiler = RUNS["figure1"]("wheel").profiler
+    first = sorted(profiler.ledger.timelines)[0]
+    segment = profiler.ledger.timelines[first][2]
+    start, length = segment.start, segment.length
+    segment.start = -4
+    with pytest.raises(ValueError) as excinfo:
+        dumps_profile_chrome_trace(profiler)
+    assert str(excinfo.value) == (
+        "traceEvents[6]: ts must be a non-negative number"
+    )
+    segment.start, segment.length = start, -1
+    with pytest.raises(ValueError) as excinfo:
+        dumps_profile_chrome_trace(profiler)
+    assert str(excinfo.value) == (
+        "traceEvents[6]: X event needs non-negative dur"
+    )
 
 
 def main() -> None:

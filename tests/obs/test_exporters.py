@@ -13,16 +13,14 @@ from repro.obs.spans import ConsumerRead, DependencySpan
 from repro.obs.exporters import (
     chrome_trace,
     dumps_chrome_trace,
+    dumps_profile_chrome_trace,
     dumps_summary,
+    dumps_summary_csv,
     profile_chrome_trace,
     prometheus_text,
     summary_dict,
     validate_chrome_trace,
     write_bench_json,
-    write_chrome_trace,
-    write_prometheus,
-    write_summary_csv,
-    write_summary_json,
 )
 from tests.obs.conftest import run_forwarding
 
@@ -77,7 +75,7 @@ class TestChromeTrace:
     def test_json_round_trip(self, arbitrated_run, tmp_path):
         __, telemetry = arbitrated_run
         path = tmp_path / "trace.json"
-        write_chrome_trace(telemetry, str(path))
+        path.write_text(dumps_chrome_trace(telemetry))
         document = json.loads(path.read_text())
         validate_chrome_trace(document)
 
@@ -215,12 +213,6 @@ class TestPrometheus:
         assert 'le="+Inf"' in text
         assert "sim_cycles 400" in text
 
-    def test_write(self, arbitrated_run, tmp_path):
-        __, telemetry = arbitrated_run
-        path = tmp_path / "metrics.prom"
-        write_prometheus(telemetry, str(path))
-        assert path.read_text() == prometheus_text(telemetry)
-
 
 class TestSummary:
     def test_schema_and_sections(self, arbitrated_run):
@@ -239,14 +231,14 @@ class TestSummary:
     def test_summary_json_is_valid(self, arbitrated_run, tmp_path):
         __, telemetry = arbitrated_run
         path = tmp_path / "summary.json"
-        write_summary_json(telemetry, str(path))
+        path.write_text(dumps_summary(telemetry))
         loaded = json.loads(path.read_text())
         assert loaded["schema"] == "repro.obs.summary/1"
 
     def test_summary_csv_rows(self, arbitrated_run, tmp_path):
         __, telemetry = arbitrated_run
         path = tmp_path / "metrics.csv"
-        write_summary_csv(telemetry, str(path))
+        path.write_text(dumps_summary_csv(telemetry), newline="")
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["metric", "type", "labels", "value"]
@@ -324,3 +316,72 @@ class TestProfileCounterTrack:
             if event["ph"] == "C"
         ]
         assert track == _counter_track_oracle(timelines)
+
+
+def _profile_document_oracle(timelines, cycles):
+    """The profile trace document as a dict, built the way the exporter
+    built it before it wrote its text event by event."""
+    threads = sorted(timelines)
+    events = [_metadata("process_name", 3, 0, "wait-state attribution")]
+    events += [
+        _metadata("thread_name", 3, tid, name)
+        for tid, name in enumerate(threads, start=1)
+    ]
+    for tid, name in enumerate(threads, start=1):
+        for segment in timelines[name]:
+            args = {}
+            if segment.site != NO_SITE:
+                args = {"site": segment.site, "port": segment.port}
+            events.append(
+                {"args": args, "cat": "wait-state", "dur": segment.length,
+                 "name": segment.state, "ph": "X", "pid": 3, "tid": tid,
+                 "ts": segment.start}
+            )
+    events += [
+        {"args": counts, "name": "threads per wait state", "ph": "C",
+         "pid": 3, "tid": 0, "ts": boundary}
+        for boundary, counts in _counter_track_oracle(timelines)
+    ]
+    return {
+        "displayTimeUnit": "ms",
+        "otherData": {"cycles": cycles, "exporter": "repro.obs.profiler",
+                      "time_unit": "1 cycle = 1 us"},
+        "traceEvents": events,
+    }
+
+
+# Starts are whole or half cycles and lengths whole, so a start or end
+# that is a float never equals one that is an int: each boundary has
+# one JSON spelling.
+_text_segments = st.lists(
+    st.builds(
+        Segment,
+        thread=st.sampled_from(["t0", "t\u00e9", 'q"x']),
+        state=st.sampled_from(WAIT_STATES),
+        site=st.sampled_from([NO_SITE, "bram0", "bram\u2192"]),
+        port=st.sampled_from(["A", "C\n"]),
+        start=st.one_of(
+            st.integers(0, 60), st.integers(0, 60).map(lambda c: c + 0.5)
+        ),
+        length=st.integers(0, 25),
+    ),
+    max_size=20,
+)
+
+
+class TestProfileTraceText:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        segments=_text_segments,
+        cycles=st.one_of(st.integers(0, 2**70), st.floats(0, 1e6)),
+    )
+    def test_text_is_json_dumps_of_the_dict_document(self, segments, cycles):
+        timelines: dict = {}
+        for segment in segments:
+            timelines.setdefault(segment.thread, []).append(segment)
+        profiler = SimpleNamespace(
+            ledger=SimpleNamespace(timelines=timelines), cycles_observed=cycles
+        )
+        document = _profile_document_oracle(timelines, cycles)
+        expected = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        assert dumps_profile_chrome_trace(profiler) == expected + "\n"

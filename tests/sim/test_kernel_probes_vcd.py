@@ -236,7 +236,7 @@ class TestVcd:
         sim.kernel.add_post_cycle_hook(vcd.hook)
         sim.run(30)
         path = tmp_path / "trace.vcd"
-        vcd.write(str(path))
+        path.write_text(vcd.render())
         content = path.read_text()
         assert "$enddefinitions" in content
         assert content.count("$var") == 3

@@ -6,6 +6,7 @@ intentional change to the command line, regenerate it with
 """
 
 import ast
+import functools
 import gc
 import importlib
 import json
@@ -510,6 +511,70 @@ class TestSharedErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {path}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["{fig1}", "--verilog", "{out}"],
+            ["{fig1}", "--simulate", "50", "--vcd", "{out}"],
+            ["{fig1}", "--thread-verilog", "{file}"],
+            ["profile", "{fig1}", "--cycles", "50", "--breakdown-json", "{out}"],
+            ["profile", "{fig1}", "--cycles", "50", "--breakdown-csv", "{out}"],
+            ["profile", "{fig1}", "--cycles", "50", "--flame", "{out}"],
+            ["profile", "{fig1}", "--cycles", "50", "--chrome-trace", "{out}"],
+            ["faults", "--runs", "1", "--cycles", "50",
+             "--engine-metrics", "{out}"],
+            ["faults", "--runs", "1", "--cycles", "50",
+             "--summary-json", "{out}"],
+            ["faults", "--runs", "1", "--cycles", "50", "--report", "{out}"],
+            ["scenarios", "--scenario", "pipeline", "--cycles", "50",
+             "--json", "{out}"],
+            ["predict", "{fig1}", "--summary-json", "{out}"],
+            ["predict", "--validate", "--summary-json", "{out}"],
+        ],
+        ids=[
+            "verilog", "vcd", "thread-verilog-on-a-file",
+            "profile-breakdown-json", "profile-breakdown-csv",
+            "profile-flame", "profile-chrome-trace", "faults-engine-metrics",
+            "faults-summary-json", "faults-report", "scenarios-json",
+            "predict-summary-json", "predict-validate-summary-json",
+        ],
+    )
+    def test_unwritable_output_is_a_usage_error(
+        self, figure1_file, tmp_path, argv, monkeypatch, capsys
+    ):
+        """Every output that cannot be written ends its command with one
+        ``cannot write`` line and exit 2: a file in a missing directory,
+        or a ``--thread-verilog`` directory that is an existing file."""
+        from repro.core import Organization
+        from repro.model import cli as predict_cli
+        from repro.model.validate import DENSE_RATE
+
+        # How the report is written does not depend on the grid's size:
+        # one dense configuration keeps the --validate case short.
+        monkeypatch.setattr(
+            predict_cli, "validate", functools.partial(
+                predict_cli.validate,
+                organizations=(Organization.ARBITRATED,),
+                banks_grid=(1,),
+                rates=(DENSE_RATE,),
+            ),
+        )
+        existing = tmp_path / "file"
+        existing.write_text("")
+        path = existing if "{file}" in argv else tmp_path / "missing" / "out"
+        argv = [a.format(fig1=figure1_file, out=path, file=path)
+                for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # predict raises its usage errors
+            code = stop.code
+        assert code == 2
+        err = capsys.readouterr().err
+        # faults reports its engine on stderr before it writes
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert len(errors) == 1 and "Traceback" not in err
+        assert errors[0].startswith(f"error: cannot write {path}")
 
     @pytest.mark.parametrize(
         "extra",
