@@ -4,10 +4,11 @@ platform FPGAs* (Kulkarni & Brebner, DATE 2006).
 The package implements the paper's entire flow in Python:
 
 * :mod:`repro.hic` — the hic concurrent language front-end;
-* :mod:`repro.analysis` — use-def/lifetime analyses, dependency graphs,
-  static deadlock detection;
+* :mod:`repro.analysis` — def/use and lifetime analyses, the memory access
+  graph, channel classification, static deadlock detection;
 * :mod:`repro.synth` — behavioral synthesis of threads into cycle-accurate
-  FSMs;
+  FSMs (one state per statement, optional packing passes) and datapath
+  binding;
 * :mod:`repro.memory` — BRAM model, allocation, and the dependency list;
 * :mod:`repro.core` — the two memory organizations (arbitrated and
   event-driven statically scheduled) plus a lock-based baseline;

@@ -1,14 +1,16 @@
 """Static analyses over checked hic programs.
 
-This package implements the front-end analyses the paper relies on:
+This package implements the front-end analyses the compile flow reads:
 
-* :mod:`~repro.analysis.usedef` — use-def chains and pragma-free
-  producer/consumer inference;
-* :mod:`~repro.analysis.lifetime` — variable live ranges and memory-size
-  analysis;
-* :mod:`~repro.analysis.depgraph` — the inter-thread dependency graph;
+* :mod:`~repro.analysis.usedef` — per-statement def/use sets over a
+  thread's linearized statement order, read by the analyses below (the
+  pragma inference itself is :mod:`repro.hic.autopragma`);
+* :mod:`~repro.analysis.lifetime` — variable live ranges, the
+  register-sharing oracle of datapath binding;
 * :mod:`~repro.analysis.memgraph` — the memory access graph that drives
   memory allocation, and the operation order graph (built on first read);
+* :mod:`~repro.analysis.channels` — the channel classifier that proves a
+  dependency a FIFO stream (``channel_synthesis="fifo"``);
 * :mod:`~repro.analysis.deadlock` — static deadlock detection over the
   producer/consumer happens-before relation.
 """
@@ -18,18 +20,8 @@ from .deadlock import (
     Event,
     assert_deadlock_free,
     check_deadlock,
-    wait_chain_depth,
 )
-from .depgraph import DepEdge, DependencyGraph
-from .lifetime import (
-    LiveRange,
-    StorageRequirement,
-    ThreadLifetimes,
-    dependency_footprint,
-    storage_requirements,
-    thread_lifetimes,
-    total_bits,
-)
+from .lifetime import LiveRange, ThreadLifetimes, thread_lifetimes
 from .memgraph import (
     AccessKind,
     MemOperation,
@@ -42,7 +34,6 @@ from .usedef import (
     ThreadUseDef,
     analyze_thread,
     linearize,
-    use_def_chains,
 )
 
 __all__ = [
@@ -50,16 +41,9 @@ __all__ = [
     "Event",
     "assert_deadlock_free",
     "check_deadlock",
-    "wait_chain_depth",
-    "DepEdge",
-    "DependencyGraph",
     "LiveRange",
-    "StorageRequirement",
     "ThreadLifetimes",
-    "dependency_footprint",
-    "storage_requirements",
     "thread_lifetimes",
-    "total_bits",
     "AccessKind",
     "MemOperation",
     "MemoryAccessGraph",
@@ -69,5 +53,4 @@ __all__ = [
     "ThreadUseDef",
     "analyze_thread",
     "linearize",
-    "use_def_chains",
 ]

@@ -12,7 +12,8 @@ FIFO with full/empty handshakes synchronizes it at strictly lower cost
 synthesis).
 
 This pass inspects a checked program — dependencies, scopes, and the
-use-def chains of each thread — and classifies every dependency as either
+def/use sets of each thread's linearized statements — and classifies
+every dependency as either
 
 * ``FIFO``     — lowerable to a plain FIFO channel
   (:class:`repro.memory.fifo.FifoChannelController`), or

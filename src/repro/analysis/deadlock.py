@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hic import ast
-from ..hic.pragmas import Dependency
 from ..hic.semantic import CheckedProgram
 
 
@@ -153,39 +152,3 @@ def assert_deadlock_free(checked: CheckedProgram) -> None:
     report = check_deadlock(checked)
     if report.deadlocked:
         raise ValueError(report.explain())
-
-
-def wait_chain_depth(dependencies: list[Dependency]) -> dict[str, int]:
-    """Longest producer→consumer chain ending at each thread.
-
-    Used by the controller advisor: deep chains amplify the arbitrated
-    organization's non-deterministic latency.
-    """
-    # Build thread-level adjacency.
-    adjacency: dict[str, set[str]] = {}
-    threads: set[str] = set()
-    for dep in dependencies:
-        threads.add(dep.producer_thread)
-        for ref in dep.consumers:
-            threads.add(ref.thread)
-            adjacency.setdefault(dep.producer_thread, set()).add(ref.thread)
-
-    depth: dict[str, int] = {}
-
-    def visit(node: str, visiting: set[str]) -> int:
-        if node in depth:
-            return depth[node]
-        if node in visiting:
-            return 0  # cycle; deadlock check reports it separately
-        visiting.add(node)
-        best = 0
-        for prev, nexts in adjacency.items():
-            if node in nexts:
-                best = max(best, visit(prev, visiting) + 1)
-        visiting.discard(node)
-        depth[node] = best
-        return best
-
-    for thread in threads:
-        visit(thread, set())
-    return depth

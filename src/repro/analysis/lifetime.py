@@ -1,10 +1,11 @@
-"""Variable lifetime analysis and memory-size estimation.
+"""Variable lifetime analysis.
 
-Section 3 of the paper: "the user makes memory allocation decisions based on
-the memory size analysis and a partial order of operations".  This module
-computes, per thread, each variable's live range over the linearized
-statement order, the thread's total storage requirement in bits, and the
-interference relation used to decide which variables could share storage.
+This module computes, per thread, each variable's live range over the
+linearized statement order.  Register binding
+(:func:`repro.synth.binding.bind_thread` with ``share_registers=True``)
+lets two variables share one register when their ranges do not overlap.
+The memory-size analysis of the paper's section 3 is the allocator's
+(:mod:`repro.memory.allocation`), over each symbol's ``storage_bits``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hic import ast
-from ..hic.semantic import CheckedProgram, Symbol, SymbolKind
-from .usedef import ThreadUseDef, analyze_thread
+from .usedef import analyze_thread
 
 
 @dataclass(frozen=True)
@@ -40,28 +40,8 @@ class ThreadLifetimes:
     thread_name: str
     ranges: dict[str, LiveRange]
 
-    def interfering_pairs(self) -> list[tuple[str, str]]:
-        """Pairs of variables whose live ranges overlap (cannot share storage)."""
-        names = sorted(self.ranges)
-        pairs: list[tuple[str, str]] = []
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                if self.ranges[a].overlaps(self.ranges[b]):
-                    pairs.append((a, b))
-        return pairs
 
-    def disjoint_pairs(self) -> list[tuple[str, str]]:
-        """Pairs of variables that could share storage."""
-        names = sorted(self.ranges)
-        return [
-            (a, b)
-            for i, a in enumerate(names)
-            for b in names[i + 1 :]
-            if not self.ranges[a].overlaps(self.ranges[b])
-        ]
-
-
-def thread_lifetimes(thread: ast.Thread, facts: ThreadUseDef | None = None) -> ThreadLifetimes:
+def thread_lifetimes(thread: ast.Thread) -> ThreadLifetimes:
     """Compute live ranges for every variable touched by a thread.
 
     A variable's range starts at its first definition (or first use, for
@@ -76,8 +56,7 @@ def thread_lifetimes(thread: ast.Thread, facts: ThreadUseDef | None = None) -> T
     their range conservatively spans the whole body.  This is what makes
     the range safe as a register-sharing oracle.
     """
-    if facts is None:
-        facts = analyze_thread(thread)
+    facts = analyze_thread(thread)
     names = facts.all_defs | facts.all_uses
     last_index = len(facts.statements) - 1 if facts.statements else 0
     ranges: dict[str, LiveRange] = {}
@@ -109,55 +88,3 @@ def thread_lifetimes(thread: ast.Thread, facts: ThreadUseDef | None = None) -> T
                 end = max(end, max(last_def_indices))
         ranges[name] = LiveRange(name, start, end)
     return ThreadLifetimes(thread.name, ranges)
-
-
-@dataclass(frozen=True)
-class StorageRequirement:
-    """Storage demanded by one variable of one thread."""
-
-    thread: str
-    variable: str
-    bits: int
-    is_shared_endpoint: bool
-
-    @property
-    def words18k(self) -> float:
-        """Fraction of an 18 Kb BRAM this variable occupies."""
-        return self.bits / (18 * 1024)
-
-
-def storage_requirements(checked: CheckedProgram) -> list[StorageRequirement]:
-    """Memory-size analysis: the bits each declared variable needs.
-
-    Shared imports (``SymbolKind.SHARED``) are excluded — their storage is
-    accounted for once, in the producing thread.
-    """
-    shared = checked.shared_variables()
-    requirements: list[StorageRequirement] = []
-    for thread_name, scope in sorted(checked.scopes.items()):
-        for name, symbol in sorted(scope.symbols.items()):
-            if symbol.kind in (SymbolKind.SHARED, SymbolKind.CONSTANT):
-                continue
-            requirements.append(
-                StorageRequirement(
-                    thread=thread_name,
-                    variable=name,
-                    bits=symbol.storage_bits,
-                    is_shared_endpoint=(thread_name, name) in shared,
-                )
-            )
-    return requirements
-
-
-def total_bits(checked: CheckedProgram) -> int:
-    """Total storage requirement of the whole program, in bits."""
-    return sum(req.bits for req in storage_requirements(checked))
-
-
-def dependency_footprint(checked: CheckedProgram) -> dict[str, int]:
-    """Bits of storage guarded per dependency (the producer variable)."""
-    footprint: dict[str, int] = {}
-    for dep in checked.dependencies:
-        symbol: Symbol = checked.symbol(dep.producer_thread, dep.producer_var)
-        footprint[dep.dep_id] = symbol.storage_bits
-    return footprint

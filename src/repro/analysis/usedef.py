@@ -159,12 +159,6 @@ class ThreadUseDef:
             uses |= info.uses
         return uses
 
-    def definitions_of(self, name: str) -> list[StatementInfo]:
-        return [info for info in self.statements if name in info.defs]
-
-    def uses_of(self, name: str) -> list[StatementInfo]:
-        return [info for info in self.statements if name in info.uses]
-
     def first_def_index(self, name: str) -> int | None:
         for info in self.statements:
             if name in info.defs:
@@ -178,43 +172,7 @@ class ThreadUseDef:
                 last = info.index
         return last
 
-    def access_count(self, name: str, loop_weight: int = 4) -> int:
-        """Weighted number of accesses (loop bodies weighted by depth)."""
-        count = 0
-        for info in self.statements:
-            if name in info.defs or name in info.uses:
-                count += loop_weight ** info.loop_depth
-        return count
-
 
 def analyze_thread(thread: ast.Thread) -> ThreadUseDef:
     """Compute use/def facts for one thread."""
     return ThreadUseDef(thread.name, linearize(thread))
-
-
-def use_def_chains(thread: ast.Thread) -> dict[tuple[int, str], list[int]]:
-    """Map each (statement index, used variable) to its possible defining
-    statement indices within the thread.
-
-    A conservative structured-program approximation: every definition whose
-    index precedes the use reaches it, plus — for uses inside loops — any
-    later definition at greater-or-equal loop depth (a back-edge definition).
-    """
-    infos = linearize(thread)
-    chains: dict[tuple[int, str], list[int]] = {}
-    for use_info in infos:
-        for name in use_info.uses:
-            reaching = [
-                def_info.index
-                for def_info in infos
-                if name in def_info.defs
-                and (
-                    def_info.index < use_info.index
-                    or (
-                        use_info.loop_depth > 0
-                        and def_info.loop_depth >= use_info.loop_depth
-                    )
-                )
-            ]
-            chains[(use_info.index, name)] = reaching
-    return chains

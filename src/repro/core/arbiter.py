@@ -49,10 +49,6 @@ class RoundRobinArbiter:
                 return client
         return None
 
-    def reset(self) -> None:
-        self._pointer = 0
-        self.grant_history.clear()
-
     @property
     def width(self) -> int:
         """Number of request lines (sizing input for the area model)."""

@@ -242,11 +242,3 @@ class ArbitratedController(MemoryController):
             return False
         entry.outstanding = 1
         return True
-
-    def reset(self) -> None:
-        super().reset()
-        self.deplist.reset()
-        self._arb_c.reset()
-        self._arb_d.reset()
-        self._arb_a.reset()
-        self.override_count = 0

@@ -285,9 +285,9 @@ class MemoryController(abc.ABC):
     def _perform(self, request: MemRequest) -> MemResult:
         """Execute a granted access against the BRAM."""
         if request.write:
-            self.bram.write(request.address, request.data, self.cycle, request.port)
+            self.bram.write(request.address, request.data)
             return _WRITE_GRANT
-        value = self.bram.read(request.address, self.cycle, request.port)
+        value = self.bram.read(request.address)
         return _new(MemResult, (True, value))
 
     def force_unblock(self, request: MemRequest, cycle: int) -> bool:
@@ -356,15 +356,6 @@ class MemoryController(abc.ABC):
         catching ``self.cycle`` up is exactly the skipped no-op work.
         """
         self.cycle = cycle
-
-    def reset(self) -> None:
-        self._pending.clear()
-        self._issue_cycle.clear()
-        self.latency_samples.clear()
-        self._leave_ungranted({}, 0)
-        self.blocked_by_client = {}
-        self.cycle = 0
-        self.classify_epoch += 1
 
     # -- statistics -----------------------------------------------------------------
 

@@ -143,8 +143,3 @@ class EventDrivenController(MemoryController):
         self.classify_epoch += 1
         self.selection.advance(cycle)
         return True
-
-    def reset(self) -> None:
-        super().reset()
-        self.selection.reset()
-        self.events.clear()

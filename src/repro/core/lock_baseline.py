@@ -159,7 +159,7 @@ class LockBaselineController(MemoryController):
             if job.request.write:
                 # Producer: wait until the previous round is fully consumed.
                 if entry.outstanding == 0:
-                    self.bram.write(address, job.request.data, cycle, "L")
+                    self.bram.write(address, job.request.data)
                     entry.outstanding = entry.dependency_number
                     self.classify_epoch += 1
                     job.phase = _JobPhase.RELEASE
@@ -177,7 +177,7 @@ class LockBaselineController(MemoryController):
                     job.phase = _JobPhase.BACKOFF
             else:
                 if entry.outstanding > 0:
-                    job.result_data = self.bram.read(address, cycle, "L")
+                    job.result_data = self.bram.read(address)
                     entry.outstanding -= 1
                     if entry.outstanding == 0:
                         # Guard predicates only see the 1 -> 0 boundary.
@@ -244,12 +244,3 @@ class LockBaselineController(MemoryController):
         quiescent.
         """
         return cycle + 1 if self._ungranted else None
-
-    def reset(self) -> None:
-        super().reset()
-        self.deplist.reset()
-        self._arbiter.reset()
-        self._jobs.clear()
-        for address in self._locks:
-            self._locks[address] = None
-        self.stats = LockStats()

@@ -131,7 +131,3 @@ class SelectionLogic:
         self.event_log.append((cycle, slot.describe()))
         self._position = (self._position + 1) % len(self.schedule.slots)
         return self.current
-
-    def reset(self) -> None:
-        self._position = 0
-        self.event_log.clear()

@@ -150,9 +150,3 @@ class Crossbar:
             if not progressed:
                 break
         return picked
-
-    def reset(self) -> None:
-        for queue in self._queues.values():
-            queue.clear()
-        self._rr_last.clear()
-        self.stats = CrossbarStats()

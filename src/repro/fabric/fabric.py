@@ -91,15 +91,13 @@ class FabricMemoryView:
         bank = self._policy.bank_name(self._policy.bank_for(address))
         return self._banks[bank], self._policy.local_address(address)
 
-    def read(self, address: int, cycle: int = 0, port: str = "A") -> int:
+    def read(self, address: int) -> int:
         bram, local = self._locate(address)
-        return bram.read(local, cycle, port)
+        return bram.read(local)
 
-    def write(
-        self, address: int, data: int, cycle: int = 0, port: str = "A"
-    ) -> None:
+    def write(self, address: int, data: int) -> None:
         bram, local = self._locate(address)
-        bram.write(local, data, cycle, port)
+        bram.write(local, data)
 
     def peek(self, address: int) -> int:
         bram, local = self._locate(address)
@@ -550,15 +548,6 @@ class MemoryFabric(MemoryController):
                 "gated_cycles": self.router.stats.gated_cycles,
             },
         }
-
-    def reset(self) -> None:
-        super().reset()
-        for bank in self.banks.values():
-            bank.reset()
-        self.crossbar.reset()
-        self.router.reset()
-        self._tracked.clear()
-        self.bank_stats = {name: FabricBankStats() for name in self.banks}
 
 
 def build_fabric(

@@ -52,11 +52,6 @@ class RoutedDependency:
     #: an arm notification is still travelling to the home bank
     arm_in_flight: bool = False
 
-    def reset(self) -> None:
-        self.outstanding = 0
-        self.reserved = 0
-        self.arm_in_flight = False
-
 
 @dataclass
 class RouterStats:
@@ -239,10 +234,3 @@ class DependencyRouter:
                 else:
                     budget[dep_id] -= 1
         return violations
-
-    def reset(self) -> None:
-        for entry in self.entries.values():
-            entry.reset()
-        self._in_flight.clear()
-        self.stats = RouterStats()
-        self.events.clear()

@@ -31,7 +31,6 @@ from .analysis.channels import (
     fifo_lowered_variables,
 )
 from .analysis.deadlock import assert_deadlock_free
-from .analysis.depgraph import DependencyGraph
 from .analysis.memgraph import build_memory_graphs
 from .core.advisor import Organization, build_controller
 from .core.controller import MemoryController
@@ -163,11 +162,6 @@ class CompiledDesign:
     def hierarchy(self) -> str:
         return self.top.hierarchy()
 
-    def dependency_graph(self) -> DependencyGraph:
-        return DependencyGraph.build(
-            self.checked.dependencies, self.checked.program.thread_names()
-        )
-
     def model_parameters(self, **overrides):
         """Extract the analytical performance model's compile-time
         parameters (:class:`repro.model.ModelParameters`) from this
@@ -251,8 +245,9 @@ def compile_design(
         channel_decisions = classify_channels(checked)
         fifo_channels = fifo_lowered_variables(channel_decisions)
 
-    # The §2 mapping inputs: the memory access graph guides affinity-aware
-    # BRAM packing (co-locate variables the same threads touch).
+    # The §2 mapping input: the fabric's ``range`` policy places each
+    # thread's variables by the access graph's weighted counts; the
+    # single-address packer groups by owning thread and does not read it.
     access_graph, __ = build_memory_graphs(checked)
     memory_map = allocate(
         checked,

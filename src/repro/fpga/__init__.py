@@ -32,7 +32,6 @@ from .packing import (
 from .timing import (
     PAPER_TARGET_MHZ,
     TimingReport,
-    compare_organizations,
     estimate_timing,
 )
 
@@ -54,6 +53,5 @@ __all__ = [
     "pack",
     "PAPER_TARGET_MHZ",
     "TimingReport",
-    "compare_organizations",
     "estimate_timing",
 ]

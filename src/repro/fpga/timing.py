@@ -115,13 +115,3 @@ def estimate_fabric_timing(
     ]
     crossbar = estimate_timing(crossbar_module, device, target_mhz)
     return FabricTimingReport(banks=banks, crossbar=crossbar)
-
-
-def compare_organizations(
-    arbitrated: Module, event_driven: Module, device: Device = XC2VP20
-) -> dict[str, TimingReport]:
-    """Timing of both organizations for the same scenario (E3)."""
-    return {
-        "arbitrated": estimate_timing(arbitrated, device),
-        "event_driven": estimate_timing(event_driven, device),
-    }

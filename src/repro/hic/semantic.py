@@ -121,15 +121,6 @@ class CheckedProgram:
     def symbol(self, thread_name: str, var_name: str) -> Symbol:
         return self.scope(thread_name).symbols[var_name]
 
-    def shared_variables(self) -> set[tuple[str, str]]:
-        """All ``(thread, variable)`` endpoints touched by dependencies."""
-        endpoints: set[tuple[str, str]] = set()
-        for dep in self.dependencies:
-            endpoints.add((dep.producer_thread, dep.producer_var))
-            for ref in dep.consumers:
-                endpoints.add((ref.thread, ref.variable))
-        return endpoints
-
 
 class _ThreadChecker:
     """Type checker/scoper for a single thread body."""

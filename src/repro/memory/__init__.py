@@ -24,8 +24,6 @@ from .bram import (
     BRAM_BITS,
     NATIVE_PORTS,
     BlockRam,
-    PortAccess,
-    aspect_ratio_for_width,
 )
 from .deplist import DependencyEntry, DependencyList
 from .offchip import (
@@ -49,8 +47,6 @@ __all__ = [
     "BRAM_BITS",
     "NATIVE_PORTS",
     "BlockRam",
-    "PortAccess",
-    "aspect_ratio_for_width",
     "DependencyEntry",
     "DependencyList",
     "DEFAULT_DEPTH",

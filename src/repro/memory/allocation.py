@@ -185,10 +185,10 @@ def allocate(
 
     Args:
         checked: The semantically checked program.
-        access: Optional access graph (reserved for finer-grained affinity
-            policies; the current packer uses the owning thread as the
-            affinity unit, which matches the graph's dominant structure
-            since shared variables are stored with their producer).
+        access: Optional access graph, read only by the fabric's
+            ``range`` policy (its weighted access counts balance the
+            threads across banks).  The single-address packer groups
+            variables by owning thread and does not read it.
         force_single_bram: Place all BRAM-resident data in one BRAM (the
             paper's evaluation measures a *single* BRAM wrapper; this knob
             reproduces that setup).  Raises ``ValueError`` if it cannot fit.

@@ -31,31 +31,6 @@ ASPECT_RATIOS: tuple[tuple[int, int], ...] = (
 NATIVE_PORTS = 2
 
 
-def aspect_ratio_for_width(data_width: int) -> tuple[int, int]:
-    """The narrowest aspect ratio whose width fits ``data_width`` bits.
-
-    Raises ``ValueError`` if the width exceeds the widest port (36 bits) —
-    wider data must be split across words by the allocator.
-    """
-    for depth, width in ASPECT_RATIOS:
-        if width >= data_width:
-            return depth, width
-    raise ValueError(
-        f"data width {data_width} exceeds the widest BRAM port (36 bits)"
-    )
-
-
-@dataclass
-class PortAccess:
-    """One port-level transaction, for tracing and contention accounting."""
-
-    cycle: int
-    port: str
-    address: int
-    write: bool
-    data: int
-
-
 @dataclass
 class BlockRam:
     """Behavioural model of one 18 Kb dual-ported BRAM.
@@ -69,8 +44,6 @@ class BlockRam:
     depth: int = 512
     width: int = 36
     _words: list[int] = field(default_factory=list, repr=False)
-    _trace: list[PortAccess] = field(default_factory=list, repr=False)
-    trace_enabled: bool = False
 
     def __post_init__(self) -> None:
         if self.depth * self.width > BRAM_BITS:
@@ -96,30 +69,25 @@ class BlockRam:
                 f"(depth {self.depth})"
             )
 
-    def read(self, address: int, cycle: int = 0, port: str = "A") -> int:
+    def read(self, address: int) -> int:
         """Synchronous read: returns the word currently stored."""
         self._check_address(address)
-        value = self._words[address]
-        if self.trace_enabled:
-            self._trace.append(PortAccess(cycle, port, address, False, value))
-        return value
+        return self._words[address]
 
-    def write(self, address: int, data: int, cycle: int = 0, port: str = "A") -> None:
+    def write(self, address: int, data: int) -> None:
         """Synchronous write of ``data`` (truncated to the port width)."""
         self._check_address(address)
         self._words[address] = data & self.mask
-        if self.trace_enabled:
-            self._trace.append(PortAccess(cycle, port, address, True, data & self.mask))
 
     def peek(self, address: int) -> int:
-        """Debug read without trace side effects."""
+        """Debug read, outside any port transaction."""
         self._check_address(address)
         return self._words[address]
 
     def flip_bit(self, address: int, bit: int) -> int:
         """Fault-injection seam: flip one stored bit (an SEU model — no
-        port transaction, no trace entry, exactly as a particle strike
-        bypasses the port logic).  Returns the corrupted word."""
+        port transaction, exactly as a particle strike bypasses the port
+        logic).  Returns the corrupted word."""
         self._check_address(address)
         if not 0 <= bit < self.width:
             raise ValueError(
@@ -138,13 +106,6 @@ class BlockRam:
             raise ValueError("too many words for this BRAM")
         for i, word in enumerate(words):
             self._words[i] = word & self.mask
-
-    @property
-    def trace(self) -> list[PortAccess]:
-        return list(self._trace)
-
-    def clear_trace(self) -> None:
-        self._trace.clear()
 
     def utilization(self, used_words: int) -> float:
         """Fraction of the BRAM's bits occupied by ``used_words`` words."""

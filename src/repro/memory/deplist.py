@@ -50,9 +50,6 @@ class DependencyEntry:
     #: Zero means "no valid data": consumers block, producer may write.
     outstanding: int = 0
 
-    def reset(self) -> None:
-        self.outstanding = 0
-
 
 @dataclass
 class DependencyList:
@@ -94,10 +91,6 @@ class DependencyList:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def reset(self) -> None:
-        for entry in self.entries:
-            entry.reset()
 
     def clone(self) -> "DependencyList":
         """A fresh runtime instance of this configuration.

@@ -131,15 +131,15 @@ class FifoChannelController(MemoryController):
         could_push = not self.full
         results: dict[str, MemResult] = {}
         # Pops before pushes: the freed slot is reusable by this cycle's
-        # push once the ring wraps (head/tail are monotone either way;
-        # the order only fixes the BRAM access cycle stamps).
+        # push once the ring wraps (head/tail are monotone either way,
+        # so the order changes no stored or returned value).
         for request in sorted(requests):
             self._check_protocol(request, cycle)
             if request.write:
                 if not could_push or request.client in results:
                     continue
                 slot = self.tail % self.depth
-                self.bram.write(slot, request.data, cycle, request.port)
+                self.bram.write(slot, request.data)
                 self.tail += 1
                 self.pushed_values.append(request.data)
                 self.classify_epoch += 1
@@ -157,7 +157,7 @@ class FifoChannelController(MemoryController):
                 if not could_pop or request.client in results:
                     continue
                 slot = self.head % self.depth
-                value = self.bram.read(slot, cycle, request.port)
+                value = self.bram.read(slot)
                 self.head += 1
                 self.popped_values.append(value)
                 self.classify_epoch += 1
@@ -194,20 +194,13 @@ class FifoChannelController(MemoryController):
         if request.write and self.full:
             self.head += 1
         elif not request.write and self.empty:
-            self.bram.write(self.tail % self.depth, 0, cycle, request.port)
+            self.bram.write(self.tail % self.depth, 0)
             self.tail += 1
             self.pushed_values.append(0)
         else:
             return False
         self.classify_epoch += 1
         return True
-
-    def reset(self) -> None:
-        super().reset()
-        self.head = 0
-        self.tail = 0
-        self.pushed_values.clear()
-        self.popped_values.clear()
 
     # -- verification helpers ----------------------------------------------------------
 

@@ -49,11 +49,11 @@ class OffchipMemory:
                 f"(depth {self.depth})"
             )
 
-    def read(self, address: int, cycle: int = 0, port: str = "X") -> int:
+    def read(self, address: int) -> int:
         self._check_address(address)
         return self._words.get(address, 0)
 
-    def write(self, address: int, data: int, cycle: int = 0, port: str = "X") -> None:
+    def write(self, address: int, data: int) -> None:
         self._check_address(address)
         self._words[address] = data & self.mask
 
@@ -116,8 +116,3 @@ class OffchipController(MemoryController):
         if self._ungranted:
             return cycle + 1
         return None
-
-    def reset(self) -> None:
-        super().reset()
-        self._current = None
-        self._finish_cycle = 0

@@ -121,6 +121,8 @@ def predict_main(argv: Optional[list] = None) -> int:
             )
             return 2
         return _run_predict(args)
+    except cli.UsageError as stop:
+        return stop.code
     except ControllerError as error:
         # Structured parameter/controller failure: name the field, keep
         # the exit code distinct from compile errors.

@@ -22,7 +22,7 @@ from collections import defaultdict
 
 from ..core.controller import LatencySample, MemRequest
 from .events import EventKind, TraceEvent
-from .metrics import DEFAULT_BUCKETS, MetricsRegistry
+from .metrics import MetricsRegistry
 from .spans import SpanAssembler
 
 #: Trace verbosity: "deps" records dependency-lifecycle events only;
@@ -46,7 +46,6 @@ class Telemetry:
         self,
         *,
         trace_level: str = "deps",
-        wait_buckets: tuple = DEFAULT_BUCKETS,
         profile: bool = False,
     ):
         if trace_level not in TRACE_LEVELS:
@@ -65,7 +64,6 @@ class Telemetry:
             from .profiler import CycleProfiler
 
             self.profiler = CycleProfiler()
-        self.wait_buckets = tuple(wait_buckets)
         #: the event record: one tuple per event, in TraceEvent field
         #: order (see :meth:`event_records`)
         self._records: list[tuple] = []
@@ -497,7 +495,6 @@ class Telemetry:
             "sim_dependency_wait_cycles",
             "Blocked wait of guarded (dependency-tagged) accesses",
             labels=("bram", "dep_id", "client"),
-            buckets=self.wait_buckets,
         )
         for (bram, dep_id, client), values in sorted(self._waits.items()):
             waits.observe_many(values, bram=bram, dep_id=dep_id, client=client)
@@ -506,7 +503,6 @@ class Telemetry:
             "sim_grant_wait_cycles",
             "Blocked wait of all granted requests, per port",
             labels=("bram", "port"),
-            buckets=self.wait_buckets,
         )
         for (bram, port), values in sorted(self._grant_waits.items()):
             grant_waits.observe_many(values, bram=bram, port=port)

@@ -40,7 +40,7 @@ from .primitives import (
     RoundRobinArbiterMacro,
     clog2,
 )
-from .fsm_verilog import emit_testbench, emit_thread_verilog
+from .fsm_verilog import emit_thread_verilog
 from .verilog import VerilogEmitter, emit_verilog
 
 __all__ = [
@@ -77,6 +77,5 @@ __all__ = [
     "clog2",
     "VerilogEmitter",
     "emit_verilog",
-    "emit_testbench",
     "emit_thread_verilog",
 ]

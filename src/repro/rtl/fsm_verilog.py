@@ -381,27 +381,3 @@ def _render_transitions(state, renderer: _ExprRenderer, indent: str) -> list[str
         pad = indent + "  " * (level - 1)
         lines.append(f"{pad}end")
     return lines
-
-
-def emit_testbench(module_name: str, cycles: int = 1000) -> str:
-    """A minimal self-checking testbench skeleton for an emitted design."""
-    return f"""\
-`timescale 1ns / 1ps
-module tb_{module_name};
-  reg clk = 1'b0;
-  reg rst = 1'b1;
-  always #4 clk = ~clk;  // 125 MHz, the paper's target clock
-
-  {module_name} dut (.clk(clk), .rst(rst));
-
-  initial begin
-    $dumpfile("tb_{module_name}.vcd");
-    $dumpvars(0, tb_{module_name});
-    repeat (4) @(posedge clk);
-    rst = 1'b0;
-    repeat ({cycles}) @(posedge clk);
-    $display("tb_{module_name}: ran {cycles} cycles");
-    $finish;
-  end
-endmodule
-"""

@@ -7,7 +7,7 @@
 * :mod:`~repro.sim.executor` — FSM thread interpreters with exact 32-bit
   arithmetic and interface models;
 * :mod:`~repro.sim.vcd` — VCD trace writing for waveform inspection;
-* :mod:`~repro.sim.probes` — latency/throughput/determinism measurement.
+* :mod:`~repro.sim.probes` — latency and determinism measurement.
 """
 
 from .executor import (
@@ -25,7 +25,6 @@ from .wheel import FastKernel
 from .probes import (
     ConsumerLatencyProbe,
     ConsumerLatencySummary,
-    ThroughputProbe,
     determinism_report,
 )
 from .vcd import VcdWriter
@@ -44,7 +43,6 @@ __all__ = [
     "FastKernel",
     "ConsumerLatencyProbe",
     "ConsumerLatencySummary",
-    "ThroughputProbe",
     "determinism_report",
     "VcdWriter",
 ]

@@ -7,9 +7,9 @@ wheel kernel — its base class, unchanged, which still skips
 provably idle stretches — whenever byte-equivalence cannot be
 guaranteed cheaply:
 
-* an observer (telemetry/profiler), post-cycle hook (watchdog, probes),
-  controller tap/observer, or BRAM trace is attached — those seams see
-  *intra*-cycle state the flattened code does not materialize;
+* an observer (telemetry/profiler), post-cycle hook (watchdog, probes)
+  or controller tap/observer is attached — those seams see *intra*-cycle
+  state the flattened code does not materialize;
 * a pre-cycle hook is not marked ``mutates_only_rx`` (the traffic
   injector is; a fault injector is not);
 * ``run`` is called with an ``until`` predicate (evaluated per cycle);
@@ -51,9 +51,6 @@ def _controller_untapped(controller) -> bool:
     if controller.request_taps:
         return False
     if controller.observer is not None or controller.submit_observer is not None:
-        return False
-    bram = getattr(controller, "bram", None)
-    if bram is not None and getattr(bram, "trace_enabled", False):
         return False
     banks = getattr(controller, "banks", None)
     if banks is not None:
@@ -124,7 +121,3 @@ class CompiledKernel(FastKernel):
         return super().run(
             cycles, until=until, max_wall_seconds=max_wall_seconds
         )
-
-    def reset(self) -> None:
-        super().reset()
-        self.cycles_compiled = 0

@@ -171,9 +171,3 @@ class SimulationKernel:
                 for name, controller in self.controllers.items()
             },
         )
-
-    def reset(self) -> None:
-        """Reset controllers (executor state is rebuilt by the caller)."""
-        self.cycle = 0
-        for controller in self.controllers.values():
-            controller.reset()

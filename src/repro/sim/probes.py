@@ -5,18 +5,16 @@ quantities the paper discusses:
 
 * :class:`ConsumerLatencyProbe` — per-consumer wait distribution after each
   producer write (the §3.1 non-determinism vs the §3.2 guarantee);
-* :class:`ThroughputProbe` — messages forwarded per cycle;
 * :func:`determinism_report` — summarizes whether post-write latencies are
   fixed, per dependency and consumer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import mean, pstdev
 
 from ..core.controller import ControllerStats, MemoryController
-from .executor import TxInterface
 
 
 @dataclass
@@ -113,28 +111,6 @@ class ConsumerLatencyProbe:
             if s.port in self.guarded_ports and s.dep_id is not None
         ]
         return ControllerStats.from_waits(waits)
-
-
-@dataclass
-class ThroughputProbe:
-    """Messages emitted per cycle on the monitored egress interfaces."""
-
-    interfaces: list[TxInterface] = field(default_factory=list)
-
-    def total_messages(self) -> int:
-        return sum(tx.count for tx in self.interfaces)
-
-    def throughput(self, cycles: int) -> float:
-        if cycles <= 0:
-            return 0.0
-        return self.total_messages() / cycles
-
-    def latencies(self) -> list[int]:
-        """Egress timestamps, for end-to-end latency deltas."""
-        stamps = sorted(
-            cycle for tx in self.interfaces for cycle, __ in tx.messages
-        )
-        return [b - a for a, b in zip(stamps, stamps[1:])]
 
 
 @dataclass

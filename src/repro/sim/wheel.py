@@ -86,8 +86,8 @@ class FastKernel(SimulationKernel):
     def _read_advances(self) -> None:
         """Re-read the advance counters.
 
-        Called after every executed cycle, after each compiled span and
-        at :meth:`reset`, so that after a step ``_held`` says exactly
+        Called at construction, after every executed cycle and after each
+        compiled span, so that after a step ``_held`` says exactly
         whether no executor advanced in that cycle."""
         advances = [
             executor.stats.advances for executor in self._executor_order
@@ -191,9 +191,3 @@ class FastKernel(SimulationKernel):
                 if target is not None:
                     self._skip_to(target)
         return self._result()
-
-    def reset(self) -> None:
-        super().reset()
-        self._read_advances()
-        self.cycles_executed = 0
-        self.cycles_skipped = 0

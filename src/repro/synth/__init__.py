@@ -1,9 +1,13 @@
 """Behavioral synthesis: hic threads to cycle-accurate FSMs.
 
-* :mod:`~repro.synth.schedule` — dataflow graphs with ASAP/ALAP/list
-  scheduling (the classic behavioral-synthesis steps the paper cites);
-* :mod:`~repro.synth.fsm` — FSMD construction with per-state memory-access
-  micro-ops, the synchronization points the memory controllers guard;
+* :mod:`~repro.synth.fsm` — FSMD construction, one state per statement,
+  with per-state memory-access micro-ops: the synchronization points the
+  memory controllers guard;
+* :mod:`~repro.synth.optimize` — the optional FSM passes (dead states,
+  pass-through states, compute-state packing under the per-cycle
+  resource budget);
+* :mod:`~repro.synth.schedule` — the operations' resource classes and
+  that per-cycle budget, read by packing and binding;
 * :mod:`~repro.synth.binding` — datapath resource binding, feeding the
   FPGA area model.
 """
@@ -26,7 +30,6 @@ from .fsm import (
     ThreadFsm,
     Transition,
     TransmitOp,
-    message_words,
     synthesize_program,
     synthesize_thread,
 )
@@ -36,15 +39,7 @@ from .optimize import (
     optimize_fsm,
     pack_compute_states,
 )
-from .schedule import (
-    DEFAULT_RESOURCES,
-    DataflowGraph,
-    DfgNode,
-    build_expr_dfg,
-    build_statement_dfg,
-    expression_depth,
-    op_class,
-)
+from .schedule import DEFAULT_RESOURCES, op_class
 
 __all__ = [
     "collapse_passthrough_states",
@@ -66,14 +61,8 @@ __all__ = [
     "ThreadFsm",
     "Transition",
     "TransmitOp",
-    "message_words",
     "synthesize_program",
     "synthesize_thread",
     "DEFAULT_RESOURCES",
-    "DataflowGraph",
-    "DfgNode",
-    "build_expr_dfg",
-    "build_statement_dfg",
-    "expression_depth",
     "op_class",
 ]

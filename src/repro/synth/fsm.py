@@ -618,11 +618,6 @@ def _message_field_offset(field_name: str) -> int:
     return names.index(field_name)
 
 
-def message_words() -> int:
-    """BRAM words a message occupies (field-per-word layout)."""
-    return len(MESSAGE_FIELDS)
-
-
 def _target_as_expr(target: ast.LValue) -> ast.Expr:
     """The target re-read as an expression (for compound assignment)."""
     return target

@@ -9,10 +9,10 @@ tighten the machines the way a behavioral synthesis backend would:
   collapses empty pass-through states;
 * :func:`pack_compute_states` — merges chains of register-only compute
   states whose combined operations fit the datapath's resource budget in
-  one cycle (operator chaining), using the list scheduler's resource
-  classes.  Memory-access, receive/transmit, and branching states are
-  never merged: the paper's discipline keeps each memory access in its own
-  known state.
+  one cycle (operator chaining), using the resource classes of
+  :mod:`repro.synth.schedule`.  Memory-access, receive/transmit, and
+  branching states are never merged: the paper's discipline keeps each
+  memory access in its own known state.
 
 Both passes preserve the observable dataflow: merged computes execute in
 original order within the single cycle, matching sequential chaining of

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
-    assert_deadlock_free,
-    check_deadlock,
-    wait_chain_depth,
-)
+from repro.analysis import assert_deadlock_free, check_deadlock
 from repro.hic import analyze
 
 
@@ -60,22 +56,3 @@ class TestDeadlockDetection:
 
     def test_assert_helper_passes(self, figure1_checked):
         assert_deadlock_free(figure1_checked)
-
-
-class TestWaitChainDepth:
-    def test_figure1_depths(self, figure1_checked):
-        depth = wait_chain_depth(figure1_checked.dependencies)
-        assert depth["t1"] == 0
-        assert depth["t2"] == 1
-        assert depth["t3"] == 1
-
-    def test_pipeline_depths(self, pipeline_checked):
-        depth = wait_chain_depth(pipeline_checked.dependencies)
-        assert depth["stage1"] == 0
-        assert depth["stage2"] == 1
-        assert depth["stage3"] == 2
-
-    def test_cycle_terminates(self, deadlock_source):
-        checked = analyze(deadlock_source)
-        depth = wait_chain_depth(checked.dependencies)
-        assert set(depth) == {"ta", "tb"}

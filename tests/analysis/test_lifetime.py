@@ -1,12 +1,9 @@
-"""Unit tests for lifetime analysis and memory-size estimation."""
+"""Unit tests for lifetime analysis and for the storage sizes the
+allocator reads (``Symbol.storage_bits``)."""
 
-from repro.analysis import (
-    dependency_footprint,
-    storage_requirements,
-    thread_lifetimes,
-    total_bits,
-)
+from repro.analysis import thread_lifetimes
 from repro.hic import analyze, parse
+from repro.memory import allocate
 
 
 def lifetimes_of(source):
@@ -33,12 +30,7 @@ class TestLiveRanges:
         lt = lifetimes_of(
             "thread t () { int a, b, c; a = 1; c = a; b = 2; c = b; }"
         )
-        pairs = lt.disjoint_pairs()
-        assert ("a", "b") in pairs
-
-    def test_interfering_pairs(self):
-        lt = lifetimes_of("thread t () { int x, y; x = 1; y = x; y = y + x; }")
-        assert ("x", "y") in lt.interfering_pairs()
+        assert not lt.ranges["a"].overlaps(lt.ranges["b"])
 
     def test_span(self):
         lt = lifetimes_of("thread t () { int x, y; x = 1; y = 2; y = x; }")
@@ -48,48 +40,19 @@ class TestLiveRanges:
 class TestStorage:
     def test_scalar_bits(self):
         checked = analyze("thread t () { int x; char c; x = c; }")
-        reqs = {r.variable: r for r in storage_requirements(checked)}
-        assert reqs["x"].bits == 32
-        assert reqs["c"].bits == 8
+        assert checked.symbol("t", "x").storage_bits == 32
+        assert checked.symbol("t", "c").storage_bits == 8
 
     def test_array_bits(self):
         checked = analyze("thread t () { int a[16], i; i = a[0]; }")
-        reqs = {r.variable: r for r in storage_requirements(checked)}
-        assert reqs["a"].bits == 16 * 32
+        assert checked.symbol("t", "a").storage_bits == 16 * 32
 
     def test_message_bits(self):
         checked = analyze("thread t () { message m; m.ttl = 1; }")
-        reqs = {r.variable: r for r in storage_requirements(checked)}
-        assert reqs["m"].bits == 160
+        assert checked.symbol("t", "m").storage_bits == 160
 
     def test_shared_import_not_double_counted(self, figure1_checked):
-        reqs = storage_requirements(figure1_checked)
-        x1_entries = [r for r in reqs if r.variable == "x1"]
-        assert len(x1_entries) == 1
-        assert x1_entries[0].thread == "t1"
-
-    def test_shared_endpoint_flag(self, figure1_checked):
-        reqs = {
-            (r.thread, r.variable): r for r in storage_requirements(figure1_checked)
-        }
-        assert reqs[("t1", "x1")].is_shared_endpoint
-        assert not reqs[("t1", "xtmp")].is_shared_endpoint
-
-    def test_total_bits(self, figure1_checked):
-        # 7 distinct int variables across the three threads.
-        assert total_bits(figure1_checked) == 7 * 32
-
-    def test_words18k_fraction(self):
-        checked = analyze("thread t () { int a[576]; a[0] = 1; }")
-        req = storage_requirements(checked)[0]
-        assert req.words18k == (576 * 32) / (18 * 1024)
-
-
-class TestDependencyFootprint:
-    def test_figure1_footprint(self, figure1_checked):
-        footprint = dependency_footprint(figure1_checked)
-        assert footprint == {"mt1": 32}
-
-    def test_pipeline_footprint(self, pipeline_checked):
-        footprint = dependency_footprint(pipeline_checked)
-        assert set(footprint) == {"d1", "d2"}
+        # t2 and t3 import x1; only its producer t1 stores it.
+        placements = allocate(figure1_checked).placements
+        x1_entries = [key for key in placements if key[1] == "x1"]
+        assert x1_entries == [("t1", "x1")]

@@ -1,6 +1,6 @@
 """Unit tests for use-def analysis."""
 
-from repro.analysis import analyze_thread, linearize, use_def_chains
+from repro.analysis import analyze_thread, linearize
 from repro.hic import parse
 
 
@@ -97,42 +97,3 @@ class TestThreadUseDef:
         assert facts.first_def_index("x") == 0
         assert facts.last_use_index("x") == 2
         assert facts.first_def_index("nothere") is None
-
-    def test_access_count_weights_loops(self):
-        facts = analyze_thread(
-            thread_of("thread t () { int i, s; s = 0; while (i) { s = s + 1; } }")
-        )
-        # s accessed once at depth 0 (weight 1) and once at depth 1 (weight 4)
-        assert facts.access_count("s") == 1 + 4
-
-    def test_definitions_and_uses_of(self):
-        facts = analyze_thread(
-            thread_of("thread t () { int x, y; x = 1; y = x; }")
-        )
-        assert len(facts.definitions_of("x")) == 1
-        assert len(facts.uses_of("x")) == 1
-
-
-class TestUseDefChains:
-    def test_straight_line_chain(self):
-        thread = thread_of("thread t () { int x, y; x = 1; y = x; }")
-        chains = use_def_chains(thread)
-        assert chains[(1, "x")] == [0]
-
-    def test_multiple_reaching_defs(self):
-        thread = thread_of(
-            "thread t () { int x, y, c; x = 1; if (c) { x = 2; } y = x; }"
-        )
-        chains = use_def_chains(thread)
-        use_key = [k for k in chains if k[1] == "x" and k[0] > 1]
-        defs = chains[use_key[-1]]
-        assert len(defs) == 2
-
-    def test_loop_back_edge_definition_reaches(self):
-        thread = thread_of(
-            "thread t () { int i; while (i < 4) { i = i + 1; } }"
-        )
-        chains = use_def_chains(thread)
-        # The use of i inside the loop body sees the back-edge definition.
-        in_loop = [(k, v) for k, v in chains.items() if k[1] == "i" and v]
-        assert any(any(d >= k[0] for d in v) for k, v in in_loop)

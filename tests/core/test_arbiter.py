@@ -51,13 +51,6 @@ class TestRoundRobin:
         arb.grant({"b"})
         assert arb.grant_history == ["a", "b"]
 
-    def test_reset(self):
-        arb = RoundRobinArbiter(["a", "b"])
-        arb.grant({"b"})
-        arb.reset()
-        assert arb.grant_history == []
-        assert arb.grant({"a", "b"}) == "a"
-
     def test_width(self):
         assert RoundRobinArbiter(["a", "b", "c"]).width == 3
 

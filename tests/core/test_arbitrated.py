@@ -172,16 +172,6 @@ class TestArbitration:
         samples = controller.latency_samples
         assert {s.port for s in samples} == {"D", "C"}
 
-    def test_reset(self):
-        controller, __ = make_controller(consumers=1)
-        controller.submit(write_req(1))
-        controller.arbitrate(0)
-        controller.reset()
-        assert controller.latency_samples == []
-        # Guard disarmed after reset: consumer blocks again.
-        controller.submit(read_req("c0"))
-        assert "c0" not in controller.arbitrate(0)
-
 
 class TestPortARoundRobin:
     """Regression: the port-A arbiter used to be constructed but never

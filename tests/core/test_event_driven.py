@@ -138,12 +138,3 @@ class TestConfigAndReset:
     def test_select_bits(self):
         controller, __ = make_controller(consumers=8)
         assert controller.schedule.select_bits == 4  # 9 slots
-
-    def test_reset_restarts_schedule(self):
-        controller, __ = make_controller()
-        controller.submit(write_req(1))
-        controller.arbitrate(0)
-        controller.reset()
-        assert controller.events == []
-        controller.submit(write_req(2))
-        assert controller.arbitrate(0)["prod"].granted

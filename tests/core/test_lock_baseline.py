@@ -129,13 +129,3 @@ class TestAccounting:
         controller.submit(MemRequest("c0", "G", 99, False, dep_id="d0"))
         with pytest.raises(KeyError):
             controller.arbitrate(0)
-
-    def test_reset_clears_state(self):
-        controller, __ = make_controller()
-        run_until_granted(
-            controller,
-            {"prod": MemRequest("prod", "G", 0, True, data=1, dep_id="d0")},
-        )
-        controller.reset()
-        assert controller.stats.useful_accesses == 0
-        assert controller.latency_samples == []

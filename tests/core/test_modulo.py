@@ -92,13 +92,6 @@ class TestSelectionLogic:
         logic.advance(cycle=3)
         assert logic.event_log == [(3, "slot0:producer:p0(d0)")]
 
-    def test_reset(self):
-        logic = SelectionLogic(two_dep_schedule())
-        logic.advance()
-        logic.reset()
-        assert logic.current.index == 0
-        assert logic.event_log == []
-
     def test_empty_schedule_logic(self):
         logic = SelectionLogic(ModuloSchedule.build([]))
         assert logic.current is None

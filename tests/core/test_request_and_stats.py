@@ -154,16 +154,6 @@ def _figure1_sim(kernel):
 class TestBlockedView:
     """``blocked`` is built on first read after each ``arbitrate``."""
 
-    def test_empty_after_reset(self):
-        sim = _figure1_sim("wheel")
-        controller = sim.controllers["bram0"]
-        sim.run(200, until=lambda kernel: controller.blocked)
-        assert controller.blocked
-        sim.kernel.reset()
-        assert controller.blocked == []
-        assert controller.blocked_count == 0
-        assert controller.blocked_by_client == {}
-
     def test_a_second_read_returns_the_same_list(self):
         sim = _figure1_sim("reference")
         controller = sim.controllers["bram0"]

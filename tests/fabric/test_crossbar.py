@@ -96,13 +96,6 @@ class TestStatsAndValidation:
         assert xbar.stats.queue_wait_cycles == 1
         assert xbar.stats.per_bank_delivered == {0: 2}
 
-    def test_reset_clears_everything(self):
-        xbar = Crossbar(num_banks=1, link_latency=0)
-        xbar.push(0, request("a"), cycle=0)
-        xbar.reset()
-        assert xbar.occupancy(0) == 0
-        assert xbar.stats.forwarded == 0
-
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -159,17 +159,6 @@ class TestFabricProgress:
         assert set(stats["banks"]) == {"bank0", "bank1"}
         assert stats["crossbar"]["forwarded"] >= stats["crossbar"]["delivered"]
 
-    def test_reset_restores_a_clean_fabric(self, figure1_source):
-        design, sim = run_fabric(
-            figure1_source, Organization.ARBITRATED, banks=2
-        )
-        fabric = sim.controllers["fabric"]
-        fabric.reset()
-        assert fabric.latency_samples == []
-        assert fabric.crossbar.stats.forwarded == 0
-        stats = fabric.fabric_stats()
-        assert all(b["routed"] == 0 for b in stats["banks"].values())
-
 
 class TestCompileValidation:
     def test_force_single_bram_is_incompatible(self, figure1_source):

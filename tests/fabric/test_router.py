@@ -136,7 +136,7 @@ class TestRecoverySeams:
 
 
 class TestMisc:
-    def test_stats_and_reset(self):
+    def test_stats(self):
         router = DependencyRouter(notify_latency=0)
         router.add(entry(dn=1))
         router.on_write_released("mt1", 0)
@@ -147,10 +147,6 @@ class TestMisc:
         stats = router.stats
         assert (stats.writes_routed, stats.reads_routed) == (1, 1)
         assert stats.notifications_sent == stats.notifications_applied == 1
-        router.reset()
-        assert router.stats.writes_routed == 0
-        assert router.events == []
-        assert router.entries["mt1"].outstanding == 0
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):

@@ -196,13 +196,6 @@ class TestStructuralRules:
 
 
 class TestSharedVariables:
-    def test_shared_endpoints(self, figure1_checked):
-        assert figure1_checked.shared_variables() == {
-            ("t1", "x1"),
-            ("t2", "y1"),
-            ("t3", "z1"),
-        }
-
     def test_pipeline_dependencies(self, pipeline_checked):
         assert len(pipeline_checked.dependencies) == 2
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import build_memory_graphs
 from repro.hic import analyze
+from repro.hic.types import MESSAGE_FIELDS
 from repro.memory import (
     WORDS_PER_BRAM,
     Residency,
@@ -11,7 +12,6 @@ from repro.memory import (
     dependencies_per_bram,
 )
 from repro.memory.allocation import symbol_words
-from repro.synth import message_words
 from tests.conftest import make_fanout_source
 
 
@@ -54,7 +54,7 @@ class TestWordLayout:
     def test_message_field_per_word(self):
         checked = analyze("thread t () { message m; m.ttl = 1; }")
         mm = allocate(checked)
-        assert mm.placement("t", "m").words == message_words()
+        assert mm.placement("t", "m").words == len(MESSAGE_FIELDS)
 
     def test_symbol_words_rejects_wide_array_elements(self):
         checked = analyze("type wide : 40;\nthread t () { int x; x = 1; }")

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.memory import (
-    ASPECT_RATIOS,
-    BRAM_BITS,
-    BlockRam,
-    aspect_ratio_for_width,
-)
+from repro.memory import ASPECT_RATIOS, BRAM_BITS, BlockRam
 
 
 class TestAspectRatios:
@@ -15,19 +10,6 @@ class TestAspectRatios:
         for depth, width in ASPECT_RATIOS:
             assert depth * width == 16 * 1024 or depth * width == BRAM_BITS
             assert depth * width <= BRAM_BITS
-
-    def test_ratio_for_narrow_width(self):
-        assert aspect_ratio_for_width(1) == (16384, 1)
-
-    def test_ratio_for_32_bits(self):
-        assert aspect_ratio_for_width(32) == (512, 36)
-
-    def test_ratio_for_9_bits(self):
-        assert aspect_ratio_for_width(9) == (2048, 9)
-
-    def test_too_wide_raises(self):
-        with pytest.raises(ValueError):
-            aspect_ratio_for_width(37)
 
 
 class TestBlockRam:
@@ -74,31 +56,6 @@ class TestBlockRam:
         bram = BlockRam("b0")
         with pytest.raises(ValueError):
             bram.load([0] * 513)
-
-    def test_trace_records_accesses(self):
-        bram = BlockRam("b0", trace_enabled=True)
-        bram.write(1, 42, cycle=3, port="D")
-        bram.read(1, cycle=4, port="C")
-        trace = bram.trace
-        assert len(trace) == 2
-        assert trace[0].write and trace[0].port == "D"
-        assert not trace[1].write and trace[1].cycle == 4
-
-    def test_trace_disabled_by_default(self):
-        bram = BlockRam("b0")
-        bram.write(1, 42)
-        assert bram.trace == []
-
-    def test_clear_trace(self):
-        bram = BlockRam("b0", trace_enabled=True)
-        bram.write(1, 42)
-        bram.clear_trace()
-        assert bram.trace == []
-
-    def test_peek_has_no_trace_side_effect(self):
-        bram = BlockRam("b0", trace_enabled=True)
-        bram.peek(0)
-        assert bram.trace == []
 
     def test_utilization(self):
         bram = BlockRam("b0")

@@ -96,10 +96,3 @@ class TestGuardProtocol:
     def test_unguarded_read_is_defensively_granted(self, figure1_checked):
         deplist = build_figure1_list(figure1_checked)
         assert deplist.consumer_read_allowed(400)
-
-    def test_reset_clears_counters(self, figure1_checked):
-        deplist = build_figure1_list(figure1_checked)
-        address = deplist.entries[0].base_address
-        deplist.note_producer_write(address)
-        deplist.reset()
-        assert not deplist.consumer_read_allowed(address)

@@ -82,13 +82,6 @@ class TestOffchipController:
         with pytest.raises(ValueError):
             OffchipController(OffchipMemory("x0"), latency=0)
 
-    def test_reset(self):
-        controller = OffchipController(OffchipMemory("x0"))
-        controller.submit(MemRequest("t", "A", 0, False))
-        controller.arbitrate(0)
-        controller.reset()
-        assert controller.latency_samples == []
-
 
 class TestSpillAllocation:
     def test_big_array_spills_when_allowed(self):

@@ -8,7 +8,6 @@ from repro.flow import compile_design
 from repro.net import forwarding_source
 from repro.rtl.fsm_verilog import (
     VERILOG_KEYWORDS,
-    emit_testbench,
     emit_thread_verilog,
     sanitize,
 )
@@ -212,14 +211,6 @@ class TestDeclaredNames:
         design = compile_design(source, optimize=optimize)
         for thread in design.fsms:
             assert_declares_each_name_once(design.thread_verilog(thread))
-
-
-class TestTestbench:
-    def test_testbench_skeleton(self):
-        text = emit_testbench("figure1", cycles=500)
-        assert "module tb_figure1;" in text
-        assert "repeat (500)" in text
-        assert "always #4 clk" in text  # 125 MHz
 
 
 class TestOptimizedEmission:

@@ -244,11 +244,3 @@ class TestFallback:
         assert sim.kernel.cycles_compiled == 200
         assert sim.kernel.cycles_interpreted == 0
         assert hook.injected > 0
-
-    def test_reset_zeroes_path_counters(self):
-        sim = build_simulation(_design(), kernel="compiled")
-        sim.run(10)
-        sim.kernel.reset()
-        assert sim.kernel.cycles_compiled == 0
-        assert sim.kernel.cycles_interpreted == 0
-        assert sim.kernel.cycle == 0

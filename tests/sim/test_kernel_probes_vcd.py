@@ -7,7 +7,6 @@ from repro.flow import build_simulation, compile_design
 from repro.net import forwarding_functions, forwarding_source
 from repro.sim import (
     ConsumerLatencyProbe,
-    ThroughputProbe,
     VcdWriter,
     determinism_report,
 )
@@ -98,32 +97,6 @@ class TestProbes:
         sim = build_simulation(design)
         probe = ConsumerLatencyProbe(sim.controllers["bram0"])
         assert determinism_report(probe) == "no guarded accesses observed"
-
-    def test_throughput_probe(self):
-        design = compile_design(forwarding_source(2))
-        sim = build_simulation(design, functions=forwarding_functions())
-        for __ in range(5):
-            sim.inject(
-                "eth_in",
-                {"dst_addr": 0x0A000001, "ttl": 9, "length": 64},
-            )
-        sim.run(300)
-        probe = ThroughputProbe(interfaces=[sim.tx["eth_out"]])
-        assert probe.total_messages() == 5
-        assert 0 < probe.throughput(300) < 1
-        assert len(probe.latencies()) == 4
-
-    def test_throughput_zero_cycles(self):
-        assert ThroughputProbe().throughput(0) == 0.0
-
-    def test_throughput_probe_zero_messages(self):
-        design = compile_design(forwarding_source(2))
-        sim = build_simulation(design, functions=forwarding_functions())
-        sim.run(50)  # no traffic injected -> nothing forwarded
-        probe = ThroughputProbe(interfaces=[sim.tx["eth_out"]])
-        assert probe.total_messages() == 0
-        assert probe.throughput(50) == 0.0
-        assert probe.latencies() == []
 
     def test_controller_stats_from_empty_waits(self):
         from repro.core.controller import ControllerStats

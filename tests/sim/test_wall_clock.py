@@ -54,7 +54,6 @@ class TestWallClockValve:
             simulation.run(10, max_wall_seconds=-1.0)
 
     def test_default_is_unbounded(self, simulation):
-        simulation.kernel.reset()
         simulation.run(50)  # no budget: must not raise
 
 

@@ -76,16 +76,6 @@ class TestFastKernelMechanics:
         # Cycle 20 was executed, not skipped over.
         assert kernel.cycles_executed >= 3
 
-    def test_reset_clears_counters_and_parks(self):
-        kernel = make_idle_kernel()
-        kernel.run(30)
-        kernel.reset()
-        assert kernel.cycle == 0
-        assert kernel.cycles_executed == 0
-        assert kernel.cycles_skipped == 0
-        kernel.run(30)
-        assert kernel.cycles_executed + kernel.cycles_skipped == 30
-
     def test_single_stepping_never_skips(self):
         kernel = make_idle_kernel()
         for __ in range(10):

@@ -1,26 +1,6 @@
-"""Unit tests for behavioral-synthesis scheduling."""
+"""Unit tests for the operations' resource classes."""
 
-from repro.hic import parse
-from repro.synth import (
-    DataflowGraph,
-    build_expr_dfg,
-    build_statement_dfg,
-    expression_depth,
-    op_class,
-)
-
-
-def assigns_of(source):
-    program = parse(source)
-    return [
-        stmt
-        for stmt in program.threads[0].statements()
-    ]
-
-
-def expr_of(text):
-    program = parse(f"thread t () {{ int a, b, c, d; a = {text}; }}")
-    return program.threads[0].statements()[0].value
+from repro.synth import op_class
 
 
 class TestOpClass:
@@ -30,105 +10,3 @@ class TestOpClass:
         assert op_class("==") == "cmp"
         assert op_class("&&") == "cmp"
         assert op_class("<<") == "alu"
-
-
-class TestExpressionDepth:
-    def test_leaf_has_zero_depth(self):
-        assert expression_depth(expr_of("b")) == 0
-
-    def test_single_op(self):
-        assert expression_depth(expr_of("b + c")) == 1
-
-    def test_chain_depth(self):
-        assert expression_depth(expr_of("b + c + d")) == 2
-
-    def test_balanced_tree_depth(self):
-        assert expression_depth(expr_of("(a + b) + (c + d)")) == 2
-
-    def test_call_counts_as_level(self):
-        assert expression_depth(expr_of("f(b + c)")) == 2
-
-    def test_conditional(self):
-        assert expression_depth(expr_of("b ? c : d")) == 1
-
-
-class TestAsapAlap:
-    def test_asap_levels(self):
-        graph = DataflowGraph()
-        build_expr_dfg(graph, expr_of("b + c + d"))
-        levels = sorted(graph.asap().values())
-        assert levels == [0, 1]
-
-    def test_alap_no_slack_on_critical_path(self):
-        graph = DataflowGraph()
-        build_expr_dfg(graph, expr_of("b + c + d"))
-        asap = graph.asap()
-        alap = graph.alap(length=2)
-        # Both ops are on the critical path: ALAP == ASAP.
-        assert asap == alap
-
-    def test_alap_slack_off_critical_path(self):
-        graph = DataflowGraph()
-        build_expr_dfg(graph, expr_of("(b + c + d) + (a + b)"))
-        asap = graph.asap()
-        alap = graph.alap()
-        slack = {i: alap[i] - asap[i] for i in asap}
-        assert any(s > 0 for s in slack.values())
-        assert all(s >= 0 for s in slack.values())
-
-
-class TestListScheduling:
-    def test_respects_resource_limits(self):
-        graph = DataflowGraph()
-        build_expr_dfg(graph, expr_of("(a + b) + (c + d) + (a + c) + (b + d)"))
-        schedule = graph.list_schedule({"alu": 1, "mul": 1, "cmp": 1,
-                                        "mem": 1, "call": 1})
-        per_cycle = {}
-        for idx, cycle in schedule.items():
-            per_cycle.setdefault(cycle, []).append(idx)
-        assert all(len(ops) <= 1 for ops in per_cycle.values())
-
-    def test_respects_dependencies(self):
-        graph = DataflowGraph()
-        build_expr_dfg(graph, expr_of("a + b + c"))
-        schedule = graph.list_schedule()
-        ops = graph.op_nodes()
-        first, second = ops[0], ops[1]
-        assert schedule[first.index] < schedule[second.index]
-
-    def test_more_resources_shorten_schedule(self):
-        graph = DataflowGraph()
-        build_expr_dfg(graph, expr_of("(a + b) + (c + d) + (a + c) + (b + d)"))
-        narrow = graph.schedule_length({"alu": 1, "mul": 1, "cmp": 1,
-                                        "mem": 1, "call": 1})
-        wide = graph.schedule_length({"alu": 4, "mul": 1, "cmp": 1,
-                                      "mem": 1, "call": 1})
-        assert wide < narrow
-
-    def test_empty_graph(self):
-        graph = DataflowGraph()
-        assert graph.list_schedule() == {}
-        assert graph.schedule_length() == 0
-        assert graph.depth() == 0
-
-
-class TestStatementChaining:
-    def test_def_use_chain_across_statements(self):
-        stmts = assigns_of("thread t () { int a, b, c; a = b + 1; c = a + 2; }")
-        graph = build_statement_dfg(stmts)
-        schedule = graph.list_schedule()
-        cycles = sorted(schedule.values())
-        # Second add depends on first: two distinct cycles.
-        assert cycles[0] < cycles[-1]
-
-    def test_independent_statements_can_share_cycle(self):
-        stmts = assigns_of("thread t () { int a, b, c, d; a = b + 1; c = d + 2; }")
-        graph = build_statement_dfg(stmts)
-        schedule = graph.list_schedule({"alu": 2, "mul": 1, "cmp": 1,
-                                        "mem": 1, "call": 1})
-        assert len(set(schedule.values())) == 1
-
-    def test_compound_assignment_reads_previous_def(self):
-        stmts = assigns_of("thread t () { int a, b; a = b + 1; a += 2; }")
-        graph = build_statement_dfg(stmts)
-        assert graph.schedule_length() == 2

@@ -222,15 +222,6 @@ thread b () {
         assert channel.force_unblock(channel.blocked[0].request, 2)
         assert not channel.full  # the oldest datum was dropped
 
-    def test_reset_restores_empty_channel(self):
-        channel, dep = make_channel()
-        channel.submit(push_request(dep, 9))
-        channel.arbitrate(0)
-        channel.reset()
-        assert channel.empty
-        assert channel.head == channel.tail == 0
-        assert channel.pushed_values == []
-
     def test_default_depth(self):
         channel, __ = make_channel(depth=DEFAULT_FIFO_DEPTH)
         assert channel.depth == DEFAULT_FIFO_DEPTH

@@ -275,9 +275,7 @@ class TestCliPredict:
         assert "source" in capsys.readouterr().err
 
     def test_missing_file_reported(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["predict", "/nonexistent/file.hic"])
-        assert excinfo.value.code == 2
+        assert main(["predict", "/nonexistent/file.hic"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
 
@@ -434,9 +432,7 @@ class TestSharedErrors:
     """Every command reports the shared failures the same way."""
 
     def test_predict_validate_missing_file(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["predict", "--validate", "/nonexistent/file.hic"])
-        assert excinfo.value.code == 2
+        assert main(["predict", "--validate", "/nonexistent/file.hic"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read /nonexistent/file.hic")
 
@@ -565,11 +561,7 @@ class TestSharedErrors:
         path = existing if "{file}" in argv else tmp_path / "missing" / "out"
         argv = [a.format(fig1=figure1_file, out=path, file=path)
                 for a in argv]
-        try:
-            code = main(argv)
-        except SystemExit as stop:  # predict raises its usage errors
-            code = stop.code
-        assert code == 2
+        assert main(argv) == 2
         err = capsys.readouterr().err
         # faults reports its engine on stderr before it writes
         errors = [line for line in err.splitlines() if "error" in line]

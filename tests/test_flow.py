@@ -114,11 +114,6 @@ class TestCompileDesign:
         text = design.hierarchy()
         assert "arbitrated_wrapper" in text
 
-    def test_dependency_graph_access(self, figure1_source):
-        design = compile_design(figure1_source)
-        graph = design.dependency_graph()
-        assert graph.successors("t1") == ["t2", "t3"]
-
     def test_deplist_entries_parameter(self, figure1_source):
         small = compile_design(figure1_source, deplist_entries=2)
         large = compile_design(figure1_source, deplist_entries=16)

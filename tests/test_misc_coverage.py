@@ -7,7 +7,6 @@ from repro.flow import build_simulation, compile_design
 from repro.fpga import estimate_design
 from repro.hic import TokenKind, tokenize
 from repro.hic.errors import HicSyntaxError
-from repro.memory import BlockRam
 from repro.net import Route, format_ip, ip
 from repro.rtl import Module, PortDirection, Register, WrapperParams
 from repro.rtl.generate import generate_arbitrated_wrapper, generate_design
@@ -91,20 +90,6 @@ class TestExecutorErrorPaths:
         with pytest.raises(KeyError, match="not BRAM-resident"):
             executor._load_message("x")
 
-    def test_kernel_reset_clears_controllers(self, tmp_path):
-        design = compile_design(
-            "thread a () { int p, t;"
-            " #consumer{d,[b,v]}\n p = f(t); }"
-            "thread b () { int v;"
-            " #producer{d,[a,p]}\n v = g(p); }"
-        )
-        sim = build_simulation(design)
-        sim.run(100)
-        assert sim.controllers["bram0"].latency_samples
-        sim.kernel.reset()
-        assert sim.controllers["bram0"].latency_samples == []
-        assert sim.kernel.cycle == 0
-
 
 class TestNetlistEdges:
     def test_grandchild_modules_deduplicated(self):
@@ -127,16 +112,6 @@ class TestOrganizationEnum:
             "event_driven",
             "lock_baseline",
         }
-
-
-class TestBramPortAccounting:
-    def test_distinct_ports_in_trace(self):
-        bram = BlockRam("b", trace_enabled=True)
-        bram.write(0, 1, cycle=0, port="D")
-        bram.read(0, cycle=1, port="C")
-        bram.read(0, cycle=2, port="A")
-        ports = [access.port for access in bram.trace]
-        assert ports == ["D", "C", "A"]
 
 
 class TestRequestKey:
