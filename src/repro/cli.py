@@ -14,6 +14,7 @@ error, 3 checkpoint stop (``faults --stop-after``), 130 interrupted.
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib
 import os
 import sys
@@ -240,9 +241,10 @@ def run_command(
     """``body(args)``'s exit code, or the code of the error it raised:
     2 for a shared option out of range, an unreadable source or an
     unwritable output, 1 for a design, compile or simulation error (with
-    one ``error:`` line)."""
+    one ``error:`` line).  The options and outputs are checked first."""
     try:
         check_ranges(args)
+        check_outputs(args)
         return body(args)
     except UsageError as stop:
         return stop.code
@@ -292,6 +294,56 @@ def compile_options(args: argparse.Namespace) -> dict:
         if hasattr(args, dest):
             options[keyword] = getattr(args, dest)
     return options
+
+
+#: dests of the options that name an output file, in every command that
+#: declares one (``--thread-verilog`` names a directory of them)
+_OUTPUT_FILES = (
+    "verilog", "vcd", "trace_json", "metrics", "summary_json", "summary_csv",
+    "breakdown_json", "breakdown_csv", "flame", "chrome_trace",
+    "engine_metrics", "report", "journal", "json",
+)
+
+
+def check_outputs(args: argparse.Namespace) -> None:
+    """Refuse, before a command starts its work, an output it could not
+    write: each output file it was given needs an existing writable
+    directory and must not be a directory itself, and a
+    ``--thread-verilog`` directory must be one or be creatable.  As in
+    :func:`write_output`, which still reports a write that fails later,
+    an unwritable output is a usage error."""
+    paths = (getattr(args, dest, None) for dest in _OUTPUT_FILES)
+    problems = [(path, _file_errno(path)) for path in paths if path]
+    directory = getattr(args, "thread_verilog", None)
+    if directory:
+        problems.append((directory, _directory_errno(directory)))
+    for path, code in problems:
+        if code:
+            error = OSError(code, os.strerror(code), path)
+            print(f"error: cannot write {path}: {error}", file=sys.stderr)
+            raise UsageError
+
+
+def _file_errno(path: str) -> int:
+    """The errno that writing the file ``path`` would fail with, or 0."""
+    if os.path.isdir(path):
+        return errno.EISDIR
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        return errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    target = path if os.path.exists(path) else parent
+    return 0 if os.access(target, os.W_OK) else errno.EACCES
+
+
+def _directory_errno(path: str) -> int:
+    """The errno that making the directory ``path`` (and any missing
+    parents) and writing into it would fail with, or 0."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing) and existing != os.path.dirname(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        return errno.ENOTDIR
+    return 0 if os.access(existing, os.W_OK | os.X_OK) else errno.EACCES
 
 
 def write_output(

@@ -74,7 +74,7 @@ class FabricConfig:
 class FabricMemoryView:
     """BlockRam-compatible view of the fabric's logical address space.
 
-    Executor-side message DMA and debug peeks address the fabric logically;
+    Executor-side message DMA and snapshots address the fabric logically;
     this view shards each word access to the owning bank's physical BRAM.
     """
 
@@ -99,10 +99,6 @@ class FabricMemoryView:
         bram, local = self._locate(address)
         bram.write(local, data)
 
-    def peek(self, address: int) -> int:
-        bram, local = self._locate(address)
-        return bram.peek(local)
-
     @property
     def width(self) -> int:
         return next(iter(self._banks.values())).width
@@ -113,7 +109,7 @@ class FabricMemoryView:
         bram.flip_bit(local, bit)
 
     def snapshot(self) -> tuple[int, ...]:
-        return tuple(self.peek(a) for a in range(self.depth))
+        return tuple(self.read(a) for a in range(self.depth))
 
 
 @dataclass

@@ -14,6 +14,12 @@ outside comments and string/character literals any other character is an
 error.  Pragmas are tokenized as
 ordinary punctuation (``#`` HASH followed by an identifier and a braced
 argument list) so that the parser can treat them uniformly with statements.
+
+:func:`scan` emits one plain ``(kind, text, line, column)`` record per
+token, and the parser reads those records; :func:`tokenize` is the public
+view of the same records as :class:`Token` values, each with its
+:class:`SourceLocation`.  The parser builds a location only for a token
+that starts an AST node or a diagnostic, about one token in three.
 """
 
 from __future__ import annotations
@@ -67,6 +73,10 @@ KEYWORDS = frozenset(
 )
 
 
+#: One token as :func:`scan` emits it: ``(kind, text, line, column)``.
+TokenRecord = tuple[TokenKind, str, int, int]
+
+
 class Token(NamedTuple):
     """A single lexical token with its source location."""
 
@@ -79,20 +89,33 @@ class Token(NamedTuple):
         """Integer value of an INT token (supports 0x/0b/0o prefixes)."""
         if self.kind is not TokenKind.INT:
             raise ValueError(f"not an integer token: {self!r}")
-        return int(self.text, 0)
+        return literal_value(self.kind, self.text)
 
     @property
     def char_value(self) -> int:
         """Ordinal value of a CHAR token."""
         if self.kind is not TokenKind.CHAR:
             raise ValueError(f"not a char token: {self!r}")
-        body = self.text[1:-1]
-        if body.startswith("\\"):
-            return ord(_ESCAPES[body[1]])
-        return ord(body)
+        return literal_value(self.kind, self.text)
 
     def __str__(self) -> str:
-        return f"{self.kind.value}({self.text!r})"
+        return describe(self.kind, self.text)
+
+
+def describe(kind: TokenKind, text: str) -> str:
+    """A token as diagnostics name it: ``ident('x')``."""
+    return f"{kind.value}({text!r})"
+
+
+def literal_value(kind: TokenKind, text: str) -> int:
+    """The value of an INT literal (0x/0b/0o prefixes too) or the ordinal
+    of a CHAR literal, from the token's text."""
+    if kind is TokenKind.INT:
+        return int(text, 0)
+    body = text[1:-1]
+    if body[0] == "\\":
+        return ord(_ESCAPES[body[1]])
+    return ord(body)
 
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", "'": "'", '"': '"'}
@@ -125,15 +148,25 @@ _GROUP_KINDS = [None] + [
 ]
 _WORD = _TOKEN.groupindex["word"]
 
-#: Builds a record without the Python-level ``__new__`` that
-#: ``NamedTuple`` generates: with two records per token, that call took a
-#: fifth of the lexer's time.
+#: Builds a ``NamedTuple`` without the Python-level ``__new__`` that it
+#: generates: with two of them per token, that call took a fifth of
+#: ``tokenize``'s time.
 _record = tuple.__new__
 
 
-def _error_message(source: str, start: int) -> str:
-    """Why no token can start at ``start``."""
+def _is_integer(text: str) -> bool:
+    try:
+        int(text, 0)
+    except ValueError:
+        return False
+    return True
+
+
+def _error_message(source: str, start: int, text: str) -> str:
+    """Why no token can start at ``start``, where ``text`` matched."""
     ch = source[start]
+    if "0" <= ch <= "9":
+        return f"malformed integer literal {text!r}"
     if source.startswith("/*", start):
         return "unterminated block comment"
     if ch == '"':
@@ -148,9 +181,16 @@ def _error_message(source: str, start: int) -> str:
     return f"unexpected character {ch!r}"
 
 
-def tokenize(source: str, filename: str = "<hic>") -> list[Token]:
-    """Scan ``source`` into its tokens, ending with a single EOF token."""
-    tokens: list[Token] = []
+def scan(source: str, filename: str = "<hic>") -> list[TokenRecord]:
+    """Scan ``source`` into one ``(kind, text, line, column)`` record per
+    token, ending with a single EOF record.  ``filename`` only names the
+    location of a lexical error."""
+    records = []
+    # The loop runs once per token: reading these from locals rather than
+    # globals and attributes takes a sixth off its time.
+    append = records.append
+    keywords, kinds, word = KEYWORDS, _GROUP_KINDS, _WORD
+    keyword, ident, integer = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.INT
     end = len(source)
     # Lines are counted at newline positions: ``newline`` is the next one
     # not yet counted (-1 stands for the start of the text, ``end`` for
@@ -168,19 +208,23 @@ def tokenize(source: str, filename: str = "<hic>") -> list[Token]:
             if newline < 0:
                 newline = end
         text = match.group()
-        location = _record(SourceLocation, (line, start - line_start + 1, filename))
-        if group == _WORD:
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+        if group == word:
+            kind = keyword if text in keywords else ident
         else:
-            kind = _GROUP_KINDS[group]
-            if kind is None:
-                raise HicSyntaxError(_error_message(source, start), location)
-            if kind is TokenKind.INT:
-                try:
-                    int(text, 0)
-                except ValueError:
-                    raise HicSyntaxError(
-                        f"malformed integer literal {text!r}", location
-                    ) from None
-        tokens.append(_record(Token, (kind, text, location)))
-    return tokens
+            kind = kinds[group]
+            if kind is None or kind is integer and not _is_integer(text):
+                column = start - line_start + 1
+                raise HicSyntaxError(
+                    _error_message(source, start, text),
+                    _record(SourceLocation, (line, column, filename)),
+                )
+        append((kind, text, line, start - line_start + 1))
+    return records
+
+
+def tokenize(source: str, filename: str = "<hic>") -> list[Token]:
+    """Scan ``source`` into its tokens, ending with a single EOF token."""
+    return [
+        _record(Token, (kind, text, _record(SourceLocation, (line, column, filename))))
+        for kind, text, line, column in scan(source, filename)
+    ]

@@ -26,6 +26,11 @@ needs the set of type names to disambiguate declarations from assignments).
 Binary operators are parsed by precedence climbing over ``_PRECEDENCE``.
 Nesting deeper than the interpreter's recursion limit allows is a located
 "nesting too deep" syntax error.
+
+The parser reads the scanner's plain ``(kind, text, line, column)``
+records (:func:`repro.hic.lexer.scan`) by position, and builds a
+:class:`SourceLocation` only for a token that starts an AST node or a
+diagnostic.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from __future__ import annotations
 from typing import Optional
 
 from . import ast
-from .errors import HicSyntaxError
-from .lexer import Token, TokenKind, tokenize
+from .errors import HicSyntaxError, SourceLocation
+from .lexer import TokenKind, TokenRecord, describe, literal_value, scan
 from .types import BitsType, HicType, TypeTable, UnionType
 
 #: Binary operator precedence, loosest first (C-like).
@@ -60,6 +65,10 @@ _ASSIGN_OPS = frozenset("= += -= *= /= %= &= |= ^= <<= >>=".split())
 #: Token kinds whose text ``_check``/``_accept`` match.
 _CHECKED_KINDS = (TokenKind.PUNCT, TokenKind.KEYWORD)
 
+#: Builds a ``SourceLocation`` without the Python-level ``__new__`` that
+#: ``NamedTuple`` generates (as the lexer does).
+_record = tuple.__new__
+
 
 def _check_target(target: ast.Expr) -> None:
     """Refuse an assignment target not rooted in a variable."""
@@ -74,97 +83,103 @@ class Parser:
     """Parses a token stream into a :class:`repro.hic.ast.Program`."""
 
     def __init__(self, source: str, filename: str = "<hic>"):
-        self._tokens = tokenize(source, filename)
+        self._filename = filename
+        #: per token, its ``(kind, text, line, column)`` record
+        self._records = scan(source, filename)
         #: per token, its text if it is punctuation or a keyword, else None
         self._texts = [
-            token.text if token.kind in _CHECKED_KINDS else None
-            for token in self._tokens
+            text if kind in _CHECKED_KINDS else None
+            for kind, text, __, __ in self._records
         ]
         self._pos = 0
         self.types = TypeTable()
 
     # -- token-stream helpers -----------------------------------------------------
 
-    def _peek(self) -> Token:
-        return self._tokens[self._pos]
+    def _location(self, record: TokenRecord) -> SourceLocation:
+        """Where ``record``'s token starts."""
+        return _record(SourceLocation, (record[2], record[3], self._filename))
 
-    def _advance(self) -> Token:
-        token = self._tokens[self._pos]
-        if token.kind is not TokenKind.EOF:
+    def _expected(self, what: str) -> HicSyntaxError:
+        """``expected <what>, found <the next token>``, located there."""
+        record = self._records[self._pos]
+        return HicSyntaxError(
+            f"expected {what}, found {describe(record[0], record[1])}",
+            self._location(record),
+        )
+
+    def _advance(self) -> TokenRecord:
+        record = self._records[self._pos]
+        if record[0] is not TokenKind.EOF:
             self._pos += 1
-        return token
+        return record
 
     def _check(self, text: str) -> bool:
         return self._texts[self._pos] == text
 
-    def _accept(self, text: str) -> Optional[Token]:
+    def _accept(self, text: str) -> Optional[TokenRecord]:
         if self._texts[self._pos] != text:
             return None
         self._pos += 1
-        return self._tokens[self._pos - 1]
+        return self._records[self._pos - 1]
 
-    def _expect(self, text: str) -> Token:
-        token = self._tokens[self._pos]
+    def _expect(self, text: str) -> TokenRecord:
         if self._texts[self._pos] != text:
-            raise HicSyntaxError(f"expected {text!r}, found {token}", token.location)
+            raise self._expected(repr(text))
         self._pos += 1
-        return token
+        return self._records[self._pos - 1]
 
-    def _expect_ident(self) -> Token:
-        token = self._tokens[self._pos]
-        if token.kind is not TokenKind.IDENT:
-            raise HicSyntaxError(
-                f"expected identifier, found {token}", token.location
-            )
+    def _expect_ident(self) -> TokenRecord:
+        record = self._records[self._pos]
+        if record[0] is not TokenKind.IDENT:
+            raise self._expected("identifier")
         self._pos += 1
-        return token
+        return record
 
-    def _expect_int(self) -> Token:
-        token = self._peek()
-        if token.kind is not TokenKind.INT:
-            raise HicSyntaxError(
-                f"expected integer literal, found {token}", token.location
-            )
-        return self._advance()
+    def _expect_int(self) -> int:
+        """The value of the next token, an integer literal."""
+        record = self._records[self._pos]
+        if record[0] is not TokenKind.INT:
+            raise self._expected("integer literal")
+        self._pos += 1
+        return literal_value(TokenKind.INT, record[1])
 
     def _parse_type_name(self) -> HicType:
-        token = self._advance()
-        if token.kind not in (TokenKind.KEYWORD, TokenKind.IDENT):
-            raise HicSyntaxError(f"expected type name, found {token}", token.location)
+        record = self._records[self._pos]
+        if record[0] not in (TokenKind.KEYWORD, TokenKind.IDENT):
+            raise self._expected("type name")
+        self._pos += 1
         try:
-            return self.types.lookup(token.text)
+            return self.types.lookup(record[1])
         except KeyError:
-            raise HicSyntaxError(f"unknown type {token.text!r}", token.location)
+            raise HicSyntaxError(f"unknown type {record[1]!r}", self._location(record))
 
     # -- top level ------------------------------------------------------------------
 
     def parse_program(self) -> ast.Program:
-        program = ast.Program(location=self._peek().location)
+        program = ast.Program(location=self._location(self._records[0]))
         try:
-            while self._peek().kind is not TokenKind.EOF:
+            while self._records[self._pos][0] is not TokenKind.EOF:
                 if self._check("type"):
                     self._parse_type_decl()
                 elif self._check("thread"):
                     program.threads.append(self._parse_thread())
-                elif self._peek().kind is TokenKind.HASH:
+                elif self._records[self._pos][0] is TokenKind.HASH:
                     self._parse_top_pragma(program)
                 else:
-                    raise HicSyntaxError(
-                        f"expected 'thread', 'type', or pragma at top level, "
-                        f"found {self._peek()}",
-                        self._peek().location,
-                    )
+                    raise self._expected("'thread', 'type', or pragma at top level")
         except RecursionError:
             # Blocks, parentheses and unary operators nest by recursion.
-            raise HicSyntaxError("nesting too deep", self._peek().location) from None
+            raise HicSyntaxError(
+                "nesting too deep", self._location(self._records[self._pos])
+            ) from None
         return program
 
     def _parse_type_decl(self) -> None:
         self._expect("type")
         name = self._expect_ident()
         if self._accept(":"):
-            width = self._expect_int()
-            declared: HicType = BitsType(name.text, width.int_value)
+            declared: HicType = BitsType(name[1], self._expect_int())
         else:
             self._expect("=")
             self._expect("union")
@@ -173,67 +188,63 @@ class Parser:
             while self._accept(","):
                 members.append(self._parse_type_name())
             self._expect(")")
-            declared = UnionType(name.text, tuple(members))
+            declared = UnionType(name[1], tuple(members))
         self._expect(";")
         try:
             self.types.declare(declared)
         except KeyError as exc:
-            raise HicSyntaxError(str(exc), name.location)
+            raise HicSyntaxError(str(exc), self._location(name))
 
     def _parse_top_pragma(self, program: ast.Program) -> None:
-        hash_token = self._advance()
+        location = self._location(self._advance())  # the HASH
         keyword = self._expect_ident()
-        if keyword.text == "interface":
+        if keyword[1] == "interface":
             self._expect("{")
-            name = self._expect_ident()
+            name = self._expect_ident()[1]
             self._expect(",")
-            kind = self._expect_ident()
+            kind = self._expect_ident()[1]
             self._expect("}")
-            program.interfaces.append(
-                ast.InterfacePragma(name.text, kind.text, hash_token.location)
-            )
-        elif keyword.text == "constant":
+            program.interfaces.append(ast.InterfacePragma(name, kind, location))
+        elif keyword[1] == "constant":
             self._expect("{")
-            name = self._expect_ident()
+            name = self._expect_ident()[1]
             self._expect(",")
             negative = bool(self._accept("-"))
-            value = self._expect_int().int_value
+            value = self._expect_int()
             if negative:
                 value = -value
             self._expect("}")
-            program.constants.append(
-                ast.ConstantPragma(name.text, value, hash_token.location)
-            )
+            program.constants.append(ast.ConstantPragma(name, value, location))
         else:
             raise HicSyntaxError(
-                f"pragma #{keyword.text} is not allowed at top level "
+                f"pragma #{keyword[1]} is not allowed at top level "
                 "(only #interface and #constant)",
-                keyword.location,
+                self._location(keyword),
             )
 
     def _parse_thread(self) -> ast.Thread:
-        start = self._expect("thread")
-        name = self._expect_ident()
+        location = self._location(self._expect("thread"))
+        name = self._expect_ident()[1]
         self._expect("(")
         params: list[str] = []
         if not self._check(")"):
-            params.append(self._expect_ident().text)
+            params.append(self._expect_ident()[1])
             while self._accept(","):
-                params.append(self._expect_ident().text)
+                params.append(self._expect_ident()[1])
         self._expect(")")
         body = self._parse_block()
-        return ast.Thread(name.text, params, body, start.location)
+        return ast.Thread(name, params, body, location)
 
     # -- statements -------------------------------------------------------------------
 
     def _parse_block(self) -> ast.Block:
-        start = self._expect("{")
-        block = ast.Block(location=start.location)
+        location = self._location(self._expect("{"))
+        block = ast.Block(location=location)
         pending_pragmas: list[ast.DependencyPragma] = []
         while self._texts[self._pos] != "}":
-            kind = self._tokens[self._pos].kind
+            kind = self._records[self._pos][0]
             if kind is TokenKind.EOF:
-                raise HicSyntaxError("unterminated block", start.location)
+                raise HicSyntaxError("unterminated block", location)
             if kind is TokenKind.HASH:
                 pending_pragmas.append(self._parse_dep_pragma())
                 continue
@@ -256,54 +267,52 @@ class Parser:
         return block
 
     def _parse_dep_pragma(self) -> ast.DependencyPragma:
-        hash_token = self._advance()  # the HASH
+        location = self._location(self._advance())  # the HASH
         keyword = self._expect_ident()
-        if keyword.text not in ("producer", "consumer"):
+        if keyword[1] not in ("producer", "consumer"):
             raise HicSyntaxError(
-                f"unknown statement pragma #{keyword.text}", keyword.location
+                f"unknown statement pragma #{keyword[1]}", self._location(keyword)
             )
         self._expect("{")
-        dep_id = self._expect_ident().text
+        dep_id = self._expect_ident()[1]
         links: list[ast.DependencyLink] = []
         while self._accept(","):
             self._expect("[")
-            thread = self._expect_ident().text
+            thread = self._expect_ident()[1]
             self._expect(",")
-            variable = self._expect_ident().text
+            variable = self._expect_ident()[1]
             self._expect("]")
             links.append(ast.DependencyLink(thread, variable))
         self._expect("}")
         if not links:
             raise HicSyntaxError(
-                f"pragma #{keyword.text} needs at least one [thread, var] link",
-                keyword.location,
+                f"pragma #{keyword[1]} needs at least one [thread, var] link",
+                self._location(keyword),
             )
-        if keyword.text == "producer":
-            return ast.ProducerPragma(dep_id, links, hash_token.location)
-        return ast.ConsumerPragma(dep_id, links, hash_token.location)
+        if keyword[1] == "producer":
+            return ast.ProducerPragma(dep_id, links, location)
+        return ast.ConsumerPragma(dep_id, links, location)
 
     def _parse_statement(self) -> ast.Stmt:
         text = self._texts[self._pos]
         if text is None:  # an identifier, a literal or the end of the input
-            token = self._tokens[self._pos]
-            if token.kind is TokenKind.IDENT and token.text in self.types:
+            record = self._records[self._pos]
+            if record[0] is TokenKind.IDENT and record[1] in self.types:
                 return self._parse_var_decl()
             return self._parse_assign_or_expr()
         return _STATEMENT_PARSERS.get(text, Parser._parse_assign_or_expr)(self)
 
     def _parse_var_decl(self) -> ast.VarDecl:
-        start = self._peek()
+        location = self._location(self._records[self._pos])
         var_type = self._parse_type_name()
         names: list[str] = []
         sizes: list[int] = []
         while True:
-            names.append(self._expect_ident().text)
+            names.append(self._expect_ident()[1])
             if self._accept("["):
-                size = self._expect_int().int_value
+                size = self._expect_int()
                 if size <= 0:
-                    raise HicSyntaxError(
-                        "array size must be positive", start.location
-                    )
+                    raise HicSyntaxError("array size must be positive", location)
                 sizes.append(size)
                 self._expect("]")
             else:
@@ -311,10 +320,10 @@ class Parser:
             if not self._accept(","):
                 break
         self._expect(";")
-        return ast.VarDecl(names, var_type, sizes, start.location)
+        return ast.VarDecl(names, var_type, sizes, location)
 
     def _parse_if(self) -> ast.If:
-        start = self._expect("if")
+        location = self._location(self._expect("if"))
         self._expect("(")
         cond = self._parse_expr()
         self._expect(")")
@@ -326,10 +335,10 @@ class Parser:
                 else_body = ast.Block([nested], nested.location)
             else:
                 else_body = self._parse_block()
-        return ast.If(cond, then_body, else_body, start.location)
+        return ast.If(cond, then_body, else_body, location)
 
     def _parse_case(self) -> ast.Case:
-        start = self._expect("case")
+        location = self._location(self._expect("case"))
         self._expect("(")
         selector = self._parse_expr()
         self._expect(")")
@@ -341,33 +350,32 @@ class Parser:
                 self._expect(":")
                 if default is not None:
                     raise HicSyntaxError(
-                        "case statement has more than one default arm",
-                        start.location,
+                        "case statement has more than one default arm", location
                     )
                 default = self._parse_block()
             else:
-                arm_start = self._expect("of")
+                arm_location = self._location(self._expect("of"))
                 values = [self._parse_expr()]
                 while self._accept(","):
                     values.append(self._parse_expr())
                 self._expect(":")
                 body = self._parse_block()
-                arms.append(ast.CaseArm(values, body, arm_start.location))
+                arms.append(ast.CaseArm(values, body, arm_location))
         self._expect("}")
         if not arms and default is None:
-            raise HicSyntaxError("empty case statement", start.location)
-        return ast.Case(selector, arms, default, start.location)
+            raise HicSyntaxError("empty case statement", location)
+        return ast.Case(selector, arms, default, location)
 
     def _parse_while(self) -> ast.While:
-        start = self._expect("while")
+        location = self._location(self._expect("while"))
         self._expect("(")
         cond = self._parse_expr()
         self._expect(")")
         body = self._parse_block()
-        return ast.While(cond, body, start.location)
+        return ast.While(cond, body, location)
 
     def _parse_for(self) -> ast.For:
-        start = self._expect("for")
+        location = self._location(self._expect("for"))
         self._expect("(")
         init: Optional[ast.Assign] = None
         if not self._check(";"):
@@ -382,68 +390,66 @@ class Parser:
             step = self._parse_bare_assign()
         self._expect(")")
         body = self._parse_block()
-        return ast.For(init, cond, step, body, start.location)
+        return ast.For(init, cond, step, body, location)
 
     def _parse_receive(self) -> ast.Receive:
-        start = self._expect("receive")
+        location = self._location(self._expect("receive"))
         self._expect("(")
-        target_token = self._expect_ident()
-        target = ast.Name(target_token.text, target_token.location)
+        target = self._expect_ident()
         self._expect(",")
-        interface = self._expect_ident().text
+        interface = self._expect_ident()[1]
         self._expect(")")
         self._expect(";")
-        return ast.Receive(target, interface, start.location)
+        return ast.Receive(
+            ast.Name(target[1], self._location(target)), interface, location
+        )
 
     def _parse_transmit(self) -> ast.Transmit:
-        start = self._expect("transmit")
+        location = self._location(self._expect("transmit"))
         self._expect("(")
         source = self._parse_expr()
         self._expect(",")
-        interface = self._expect_ident().text
+        interface = self._expect_ident()[1]
         self._expect(")")
         self._expect(";")
-        return ast.Transmit(source, interface, start.location)
+        return ast.Transmit(source, interface, location)
 
     def _parse_return(self) -> ast.Return:
-        start = self._expect("return")
+        location = self._location(self._expect("return"))
         value = None if self._check(";") else self._parse_expr()
         self._expect(";")
-        return ast.Return(value, start.location)
+        return ast.Return(value, location)
 
     def _parse_break(self) -> ast.Break:
-        start = self._expect("break")
+        location = self._location(self._expect("break"))
         self._expect(";")
-        return ast.Break(start.location)
+        return ast.Break(location)
 
     def _parse_continue(self) -> ast.Continue:
-        start = self._expect("continue")
+        location = self._location(self._expect("continue"))
         self._expect(";")
-        return ast.Continue(start.location)
+        return ast.Continue(location)
 
     def _parse_bare_assign(self) -> ast.Assign:
         """An assignment without the trailing semicolon (for-loop headers)."""
         target = self._parse_primary()
         _check_target(target)
-        op_token = self._peek()
-        if op_token.text not in _ASSIGN_OPS:
-            raise HicSyntaxError(
-                f"expected assignment operator, found {op_token}",
-                op_token.location,
-            )
-        self._advance()
+        op = self._texts[self._pos]
+        if op not in _ASSIGN_OPS:
+            raise self._expected("assignment operator")
+        self._pos += 1
         value = self._parse_expr()
-        return ast.Assign(target, value, op_token.text, location=target.location)
+        return ast.Assign(target, value, op, location=target.location)
 
     def _parse_assign_or_expr(self) -> ast.Stmt:
         expr = self._parse_expr()
-        op_token = self._peek()
-        if self._texts[self._pos] in _ASSIGN_OPS:
+        op = self._texts[self._pos]
+        if op in _ASSIGN_OPS:
             _check_target(expr)
-            self._advance()
+            self._pos += 1
             value = self._parse_expr()
             self._expect(";")
-            return ast.Assign(expr, value, op_token.text, location=expr.location)
+            return ast.Assign(expr, value, op, location=expr.location)
         self._expect(";")
         return ast.ExprStmt(expr, expr.location)
 
@@ -466,41 +472,49 @@ class Parser:
         left = self._parse_unary()
         level = _BINARY_LEVEL.get(self._texts[self._pos])
         while level is not None and level >= min_level:
-            op = self._advance().text
+            op = self._texts[self._pos]
+            self._pos += 1
             right = self._parse_binary(level + 1)
             left = ast.Binary(op, left, right, left.location)
             level = _BINARY_LEVEL.get(self._texts[self._pos])
         return left
 
     def _parse_unary(self) -> ast.Expr:
-        if self._texts[self._pos] in ("-", "!", "~"):
-            token = self._advance()
-            return ast.Unary(token.text, self._parse_unary(), token.location)
+        op = self._texts[self._pos]
+        if op in ("-", "!", "~"):
+            location = self._location(self._records[self._pos])
+            self._pos += 1
+            return ast.Unary(op, self._parse_unary(), location)
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expr:
-        token = self._tokens[self._pos]
-        if token.kind is TokenKind.IDENT:
+        record = self._records[self._pos]
+        kind = record[0]
+        if kind is TokenKind.IDENT:
             self._pos += 1
             if self._texts[self._pos] == "(":
-                return self._parse_postfix(self._parse_call(token))
-            return self._parse_postfix(ast.Name(token.text, token.location))
-        if token.kind is TokenKind.INT:
-            self._advance()
-            return ast.IntLiteral(token.int_value, token.location)
-        if token.kind is TokenKind.CHAR:
-            self._advance()
-            return ast.CharLiteral(token.char_value, token.location)
-        if self._check("true") or self._check("false"):
-            self._advance()
-            return ast.BoolLiteral(token.text == "true", token.location)
-        if self._accept("("):
+                return self._parse_postfix(self._parse_call(record))
+            return self._parse_postfix(ast.Name(record[1], self._location(record)))
+        if kind is TokenKind.INT:
+            self._pos += 1
+            value = literal_value(kind, record[1])
+            return ast.IntLiteral(value, self._location(record))
+        if kind is TokenKind.CHAR:
+            self._pos += 1
+            value = literal_value(kind, record[1])
+            return ast.CharLiteral(value, self._location(record))
+        text = self._texts[self._pos]
+        if text == "true" or text == "false":
+            self._pos += 1
+            return ast.BoolLiteral(text == "true", self._location(record))
+        if text == "(":
+            self._pos += 1
             expr = self._parse_expr()
             self._expect(")")
             return self._parse_postfix(expr)
-        raise HicSyntaxError(f"expected expression, found {token}", token.location)
+        raise self._expected("expression")
 
-    def _parse_call(self, callee: Token) -> ast.Call:
+    def _parse_call(self, callee: TokenRecord) -> ast.Call:
         self._expect("(")
         args: list[ast.Expr] = []
         if not self._check(")"):
@@ -508,7 +522,7 @@ class Parser:
             while self._accept(","):
                 args.append(self._parse_expr())
         self._expect(")")
-        return ast.Call(callee.text, args, callee.location)
+        return ast.Call(callee[1], args, self._location(callee))
 
     def _parse_postfix(self, expr: ast.Expr) -> ast.Expr:
         while True:
@@ -516,7 +530,7 @@ class Parser:
             if text == ".":
                 self._pos += 1
                 field_name = self._expect_ident()
-                expr = ast.FieldAccess(expr, field_name.text, field_name.location)
+                expr = ast.FieldAccess(expr, field_name[1], self._location(field_name))
             elif text == "[":
                 self._pos += 1
                 index = self._parse_expr()

@@ -79,11 +79,6 @@ class BlockRam:
         self._check_address(address)
         self._words[address] = data & self.mask
 
-    def peek(self, address: int) -> int:
-        """Debug read, outside any port transaction."""
-        self._check_address(address)
-        return self._words[address]
-
     def flip_bit(self, address: int, bit: int) -> int:
         """Fault-injection seam: flip one stored bit (an SEU model — no
         port transaction, exactly as a particle strike bypasses the port

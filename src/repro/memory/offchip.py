@@ -57,10 +57,6 @@ class OffchipMemory:
         self._check_address(address)
         self._words[address] = data & self.mask
 
-    def peek(self, address: int) -> int:
-        self._check_address(address)
-        return self._words.get(address, 0)
-
 
 class OffchipController(MemoryController):
     """In-order single-port controller for an external memory bank.

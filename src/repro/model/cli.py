@@ -111,6 +111,7 @@ def _predict_parser() -> argparse.ArgumentParser:
 def predict_main(argv: Optional[list] = None) -> int:
     args = _predict_parser().parse_args(argv)
     try:
+        cli.check_outputs(args)
         if args.validate:
             return _run_validate(args)
         if args.source is None:

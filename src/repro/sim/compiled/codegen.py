@@ -880,7 +880,7 @@ class _Codegen:
             )
         else:
             items = ", ".join(
-                f"{f!r}: brm_c{j}.peek({base + idx})"
+                f"{f!r}: brm_c{j}.read({base + idx})"
                 for idx, f in enumerate(fields)
             )
         return [f"txm_x{k}.append((cycle, {{{items}}}))"]

@@ -476,7 +476,7 @@ class ThreadExecutor:
         placement = self._message_placement(var)
         bram = self._controllers[placement.bram].bram
         return {
-            field_name: bram.peek(placement.base_address + index)
+            field_name: bram.read(placement.base_address + index)
             for index, field_name in enumerate(MESSAGE_FIELDS)
         }
 

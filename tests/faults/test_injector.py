@@ -46,9 +46,9 @@ class TestSeu:
         ).attach(kernel)
         kernel.step()
         kernel.step()
-        assert controller.bram.peek(3) == 0  # pre-hook of cycle 2 not yet run
+        assert controller.bram.read(3) == 0  # pre-hook of cycle 2 not yet run
         kernel.step()
-        assert controller.bram.peek(3) == 32
+        assert controller.bram.read(3) == 32
         assert injector.log == [(2, "seu@2: flip bram0[3] bit 5")]
 
     def test_flip_is_an_xor(self):
@@ -58,7 +58,7 @@ class TestSeu:
             [SeuBitFlip(at_cycle=0, bram="bram0", address=0, bit=5)]
         ).attach(kernel)
         kernel.step()
-        assert controller.bram.peek(0) == 0
+        assert controller.bram.read(0) == 0
 
     def test_registered_in_kernel_context(self):
         kernel, __ = make_rig()

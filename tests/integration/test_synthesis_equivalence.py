@@ -244,7 +244,7 @@ def assert_equivalent(source: str, rounds: int = 1, max_cycles: int = 3000):
     for name, values in reference.arrays.items():
         placement = mm.placement(thread.name, name)
         for i, expected in enumerate(values):
-            actual = bram.peek(placement.base_address + i)
+            actual = bram.read(placement.base_address + i)
             assert actual == expected, f"{name}[{i}]"
 
 

@@ -50,7 +50,7 @@ class TestBlockRam:
     def test_load_preset(self):
         bram = BlockRam("b0")
         bram.load([1, 2, 3])
-        assert [bram.peek(i) for i in range(3)] == [1, 2, 3]
+        assert [bram.read(i) for i in range(3)] == [1, 2, 3]
 
     def test_load_too_many_words(self):
         bram = BlockRam("b0")

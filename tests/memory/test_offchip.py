@@ -31,7 +31,6 @@ class TestOffchipMemory:
         memory = OffchipMemory("x0")
         memory.write(1000, 77)
         assert memory.read(1000) == 77
-        assert memory.peek(1000) == 77
 
     def test_uninitialized_reads_zero(self):
         assert OffchipMemory("x0").read(42) == 0

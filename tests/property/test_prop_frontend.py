@@ -1,7 +1,9 @@
 """Property tests: front-end robustness.
 
 The lexer and parser must be total: any input either parses or raises a
-located ``HicError`` — never an unhandled exception.  Token texts are
+located ``HicError`` — never an unhandled exception.  ``tokenize`` is the
+public view of the records the parser reads: the same tokens at the same
+places, or the same lexical error.  Token texts are
 self-delimiting: re-lexing them joined by single spaces gives the same
 tokens.  Valid programs generated from the grammar must round-trip
 through analysis.  Each thread's node list is a fresh pre-order walk,
@@ -13,15 +15,23 @@ import dataclasses
 import string
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hic import HicError, analyze, ast, parse, tokenize
+from repro.hic import HicError, Parser, analyze, ast, parse, tokenize
 from repro.hic.errors import HicSyntaxError
 from repro.synth.schedule import expression_operations, op_class
 
 
+_ARBITRARY_TEXT = st.text(max_size=200)
+_TOKEN_SOUP = st.text(
+    alphabet=string.ascii_letters + string.digits + " \n\t(){}[];,=+-*/<>!&|#'\"",
+    max_size=300,
+)
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.text(max_size=200))
+@given(_ARBITRARY_TEXT)
 def test_lexer_total_over_arbitrary_text(text):
     try:
         tokens = tokenize(text)
@@ -31,12 +41,7 @@ def test_lexer_total_over_arbitrary_text(text):
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    st.text(
-        alphabet=string.ascii_letters + string.digits + " \n\t(){}[];,=+-*/<>!&|#'\"",
-        max_size=300,
-    )
-)
+@given(_TOKEN_SOUP)
 def test_parser_total_over_token_soup(text):
     try:
         parse(text)
@@ -60,8 +65,28 @@ _PIECES = st.one_of(
 )
 
 
+_PIECE_TEXT = st.lists(_PIECES, max_size=40).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_ARBITRARY_TEXT, _TOKEN_SOUP, _PIECE_TEXT))
+def test_tokenize_is_a_view_of_the_records_the_parser_reads(text):
+    try:
+        tokens = tokenize(text)
+    except HicSyntaxError as error:
+        with pytest.raises(HicSyntaxError) as parsed:
+            parse(text)
+        assert parsed.value.message == error.message
+        assert parsed.value.location == error.location
+        return
+    assert [
+        (token.kind, token.text, token.location.line, token.location.column)
+        for token in tokens
+    ] == Parser(text)._records
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_PIECES, max_size=40).map("".join))
+@given(_PIECE_TEXT)
 def test_relexing_space_joined_token_texts_round_trips(text):
     try:
         tokens = tokenize(text)

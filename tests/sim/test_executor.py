@@ -141,7 +141,7 @@ class TestMemoryExecution:
         from repro.hic.types import MESSAGE_FIELDS
 
         ttl_word = placement.base_address + list(MESSAGE_FIELDS).index("ttl")
-        assert bram.peek(ttl_word) == 64
+        assert bram.read(ttl_word) == 64
 
     def test_shared_value_flows_between_threads(self, figure1_source):
         sim = run_design(figure1_source, cycles=100)

@@ -6,7 +6,6 @@ intentional change to the command line, regenerate it with
 """
 
 import ast
-import functools
 import gc
 import importlib
 import json
@@ -512,6 +511,7 @@ class TestSharedErrors:
         "argv",
         [
             ["{fig1}", "--verilog", "{out}"],
+            ["{fig1}", "--verilog", "{dir}"],
             ["{fig1}", "--simulate", "50", "--vcd", "{out}"],
             ["{fig1}", "--thread-verilog", "{file}"],
             ["profile", "{fig1}", "--cycles", "50", "--breakdown-json", "{out}"],
@@ -523,50 +523,75 @@ class TestSharedErrors:
             ["faults", "--runs", "1", "--cycles", "50",
              "--summary-json", "{out}"],
             ["faults", "--runs", "1", "--cycles", "50", "--report", "{out}"],
+            ["faults", "--runs", "1", "--cycles", "50", "--journal", "{out}"],
             ["scenarios", "--scenario", "pipeline", "--cycles", "50",
              "--json", "{out}"],
             ["predict", "{fig1}", "--summary-json", "{out}"],
             ["predict", "--validate", "--summary-json", "{out}"],
         ],
         ids=[
-            "verilog", "vcd", "thread-verilog-on-a-file",
+            "verilog", "verilog-on-a-directory", "vcd",
+            "thread-verilog-on-a-file",
             "profile-breakdown-json", "profile-breakdown-csv",
             "profile-flame", "profile-chrome-trace", "faults-engine-metrics",
-            "faults-summary-json", "faults-report", "scenarios-json",
-            "predict-summary-json", "predict-validate-summary-json",
+            "faults-summary-json", "faults-report", "faults-journal",
+            "scenarios-json", "predict-summary-json",
+            "predict-validate-summary-json",
         ],
     )
     def test_unwritable_output_is_a_usage_error(
         self, figure1_file, tmp_path, argv, monkeypatch, capsys
     ):
-        """Every output that cannot be written ends its command with one
-        ``cannot write`` line and exit 2: a file in a missing directory,
-        or a ``--thread-verilog`` directory that is an existing file."""
-        from repro.core import Organization
-        from repro.model import cli as predict_cli
-        from repro.model.validate import DENSE_RATE
+        """Every output that cannot be written stops its command before
+        any work, with one ``cannot write`` line and exit 2: a file in a
+        missing directory, a file that is a directory, or a
+        ``--thread-verilog`` directory that is an existing file."""
+        from repro.hic.parser import Parser
 
-        # How the report is written does not depend on the grid's size:
-        # one dense configuration keeps the --validate case short.
-        monkeypatch.setattr(
-            predict_cli, "validate", functools.partial(
-                predict_cli.validate,
-                organizations=(Organization.ARBITRATED,),
-                banks_grid=(1,),
-                rates=(DENSE_RATE,),
-            ),
-        )
+        def tripwire(*args, **kwargs):
+            raise AssertionError("the command parsed a design first")
+
+        # Every command's work starts by parsing a design.
+        monkeypatch.setattr(Parser, "__init__", tripwire)
         existing = tmp_path / "file"
         existing.write_text("")
-        path = existing if "{file}" in argv else tmp_path / "missing" / "out"
-        argv = [a.format(fig1=figure1_file, out=path, file=path)
+        path = {
+            "{file}": existing, "{dir}": tmp_path
+        }.get(argv[-1], tmp_path / "missing" / "out")
+        argv = [a.format(fig1=figure1_file, out=path, file=path, dir=path)
                 for a in argv]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        # faults reports its engine on stderr before it writes
-        errors = [line for line in err.splitlines() if "error" in line]
-        assert len(errors) == 1 and "Traceback" not in err
-        assert errors[0].startswith(f"error: cannot write {path}")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_every_path_option_but_the_inputs_is_a_checked_output(self):
+        from repro.cli import _OUTPUT_FILES
+
+        named = {
+            action.dest
+            for prog in PARSERS
+            for action in build_parser(prog)._actions
+            if action.metavar in ("FILE", "DIR")
+        }
+        inputs = {"source", "resume"}
+        assert named - inputs == {*_OUTPUT_FILES, "thread_verilog"}
+
+    def test_checking_outputs_creates_nothing(self, tmp_path):
+        from argparse import Namespace
+
+        from repro.cli import UsageError, check_outputs
+
+        existing = tmp_path / "file"
+        existing.write_text("")
+        check_outputs(Namespace(
+            verilog=None, vcd=str(existing), report=str(tmp_path / "new"),
+            thread_verilog=str(tmp_path / "made" / "later"),
+        ))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        with pytest.raises(UsageError):
+            check_outputs(Namespace(thread_verilog=str(existing / "below")))
 
     @pytest.mark.parametrize(
         "extra",
