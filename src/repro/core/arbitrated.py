@@ -69,45 +69,56 @@ class ArbitratedController(MemoryController):
     ) -> dict[str, MemResult]:
         results: dict[str, MemResult] = {}
 
-        by_port: dict[str, list[MemRequest]] = {"A": [], "B": [], "C": [], "D": []}
+        port_a: list[MemRequest] = []
+        port_b: list[MemRequest] = []
+        port_c: list[MemRequest] = []
+        port_d: list[MemRequest] = []
         for request in requests:
-            if request.port not in by_port:
+            port = request.port
+            if port == "A":
+                port_a.append(request)
+            elif port == "C":
+                port_c.append(request)
+            elif port == "D":
+                port_d.append(request)
+            elif port == "B":
+                port_b.append(request)
+            else:
                 raise UnknownPortError(
-                    f"unknown wrapper port {request.port!r}",
+                    f"unknown wrapper port {port!r}",
                     bram=self.bram.name,
                     client=request.client,
                     cycle=cycle,
                 )
-            by_port[request.port].append(request)
 
         # Physical port 0: direct port-A access.  The design-time schedule
         # should not double-book it; if it does, serve one per cycle,
         # round-robin so no client is starved by a lexicographic tie-break.
-        if by_port["A"]:
-            requesting = {r.client for r in by_port["A"]}
-            for client in sorted(requesting - set(self._arb_a.clients)):
-                self._arb_a.clients.append(client)
+        if port_a:
+            requesting = {r.client for r in port_a}
+            clients = self._arb_a.clients
+            if not requesting.issubset(clients):
+                clients.extend(sorted(requesting.difference(clients)))
             winner = self._arb_a.grant(requesting)
-            chosen = next(r for r in by_port["A"] if r.client == winner)
+            chosen = next(r for r in port_a if r.client == winner)
             results[chosen.client] = self._perform(chosen)
 
         # Physical port 1: priority D > C > B among *grantable* requests.
+        deplist = self.deplist
         d_allowed = [
             r
-            for r in by_port["D"]
-            if self.deplist.producer_write_allowed(r.address, r.client, r.dep_id)
+            for r in port_d
+            if deplist.producer_write_allowed(r.address, r.client, r.dep_id)
         ]
         c_allowed = [
             r
-            for r in by_port["C"]
-            if self.deplist.consumer_read_allowed(r.address, r.client, r.dep_id)
+            for r in port_c
+            if deplist.consumer_read_allowed(r.address, r.client, r.dep_id)
         ]
         # Port B is only served when ports C and D are idle (no requests at
         # all, granted or blocked): "as long as there are no current
         # requests on port C or D".
-        b_allowed = (
-            by_port["B"] if not by_port["C"] and not by_port["D"] else []
-        )
+        b_allowed = port_b if not port_c and not port_d else []
 
         port_classes: set[str] = set()
         if d_allowed:
@@ -138,7 +149,7 @@ class ArbitratedController(MemoryController):
                     cycle,
                     entry.outstanding if entry is not None else 0,
                 )
-            if by_port["C"]:
+            if port_c:
                 # A waiting (blocked) port-C read was overridden (§3.1).
                 self.override_count += 1
                 if self.observer is not None:

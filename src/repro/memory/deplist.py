@@ -61,6 +61,20 @@ class DependencyList:
     #: changes — i.e. on :meth:`corrupt` — so entry-resolution caches
     #: can tell when CAM matches may have moved
     config_version: int = 0
+    #: the CAM memo: the entries guarding an address, and those of them
+    #: a thread writes or reads, as of ``_memo_version``
+    _guarding: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _writers: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _readers: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _memo_version: int = field(
+        default=0, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(
@@ -105,6 +119,18 @@ class DependencyList:
         )
 
     # -- the CAM match ------------------------------------------------------------
+    #
+    # The configuration moves only through ``corrupt``, so each lookup
+    # below is a function of (address) or (address, thread) until
+    # ``config_version`` moves: the memo keeps the candidate tuples and
+    # the runtime counters are read fresh on every call.
+
+    def _forget(self) -> None:
+        """Drop the memo after the configuration moved."""
+        self._guarding.clear()
+        self._writers.clear()
+        self._readers.clear()
+        self._memo_version = self.config_version
 
     def match(self, address: int) -> DependencyEntry | None:
         """CAM lookup: the first entry guarding ``address``, or None.
@@ -114,14 +140,19 @@ class DependencyList:
         :meth:`match_for_write` / :meth:`match_for_read` when the
         requesting thread is known to pick the right one.
         """
-        for entry in self.entries:
-            if entry.base_address == address:
-                return entry
-        return None
+        found = self.matches(address)
+        return found[0] if found else None
 
-    def matches(self, address: int) -> list[DependencyEntry]:
-        """All entries guarding ``address``."""
-        return [e for e in self.entries if e.base_address == address]
+    def matches(self, address: int) -> tuple[DependencyEntry, ...]:
+        """All entries guarding ``address``, in list order."""
+        if self._memo_version != self.config_version:
+            self._forget()
+        found = self._guarding.get(address)
+        if found is None:
+            found = self._guarding[address] = tuple(
+                e for e in self.entries if e.base_address == address
+            )
+        return found
 
     def match_for_write(
         self,
@@ -135,11 +166,16 @@ class DependencyList:
         write ("we store the associated dependency number in each producer
         thread"), so a tagged write selects its entry directly; untagged
         writes fall back to the writer's identity."""
-        candidates = [
-            e
-            for e in self.matches(address)
-            if e.producer_thread == producer_thread
-        ]
+        key = (address, producer_thread)
+        if self._memo_version != self.config_version:
+            self._forget()
+        candidates = self._writers.get(key)
+        if candidates is None:
+            candidates = self._writers[key] = tuple(
+                e
+                for e in self.matches(address)
+                if e.producer_thread == producer_thread
+            )
         if dep_id is not None:
             for entry in candidates:
                 if entry.dep_id == dep_id:
@@ -156,11 +192,16 @@ class DependencyList:
         """The entry a given consumer's read draws from: a tagged read
         selects its entry; otherwise the entry listing the reader among
         its consumers (preferring an armed one)."""
-        candidates = [
-            e
-            for e in self.matches(address)
-            if consumer_thread in e.consumer_threads
-        ]
+        key = (address, consumer_thread)
+        if self._memo_version != self.config_version:
+            self._forget()
+        candidates = self._readers.get(key)
+        if candidates is None:
+            candidates = self._readers[key] = tuple(
+                e
+                for e in self.matches(address)
+                if consumer_thread in e.consumer_threads
+            )
         if dep_id is not None:
             for entry in candidates:
                 if entry.dep_id == dep_id:

@@ -2,8 +2,11 @@
 
 The compiled simulation backend flattens every expression a thread FSM
 evaluates into a Python source fragment.  The emitted fragments must be
-**bit-identical** to :meth:`repro.sim.executor.ThreadExecutor.evaluate`,
-including every 32-bit two's-complement corner:
+**bit-identical** to the interpreter's decoded closures
+(:func:`repro.sim.executor.decode_expr`), including every 32-bit
+two's-complement corner; ``tests/property/test_prop_expressions.py``
+checks both against a reference written out independently, node by
+node, on every kernel:
 
 * results are always masked into ``[0, 2**32)`` (the emit invariant —
   every fragment this module produces evaluates to such an int, so

@@ -10,6 +10,17 @@ environment) and walks its FSM under the two-phase protocol of
   absorb read data and take a transition; blocked executors stay put (the
   hardware analogue: the FSM state register holds).
 
+Nothing in a state changes after synthesis, so an executor decodes each
+state once, the first time it runs it, into a plan (:class:`StatePlan`):
+the state's micro-ops tagged by kind, every expression (a computed value,
+an address offset, a write's data, a transition guard) as a closure over
+the register file built by :func:`decode_expr`, the memory op whose grant
+phase 2 checks, the transitions as ``(guard, target, closes_round)`` and
+the state's :class:`HoldClass`.  A cycle runs the plan; no expression
+tree is walked after a state's first visit.  Plans hold the register
+file, the function table and the controllers, never the executor, so a
+finished run is freed by reference counting.
+
 Expression evaluation is exact two's-complement 32-bit arithmetic, with
 hic's combinational functions (``f``, ``g``, ``h``, the forwarding lookup,
 …) resolved through a caller-supplied function table.
@@ -36,6 +47,9 @@ from ..synth.fsm import (
 )
 
 MASK32 = (1 << 32) - 1
+#: the sign bit: ``(a ^ _SIGN) < (b ^ _SIGN)`` orders 32-bit words by
+#: their signed values
+_SIGN = 1 << 31
 
 
 @dataclass
@@ -223,6 +237,244 @@ class ExecutorStats:
         return 1.0 - self.stall_cycles / self.cycles
 
 
+# -- the decoder -------------------------------------------------------------------
+
+
+def decode_expr(
+    expr: ast.Expr, env: dict[str, int], functions: dict[str, Callable[..., int]]
+) -> Callable[[], int]:
+    """A closure that evaluates a rewritten (register-only) expression to
+    32 bits against the register file ``env``.
+
+    * a register read masks to 32 bits (a read grant leaves the raw, up
+      to 36-bit BRAM word in its destination);
+    * ``+``, ``-``, ``*`` and ``<<`` wrap modulo 2**32, comparisons are
+      signed;
+    * ``/`` and ``%`` truncate through float division, as ``int(sl /
+      sr)``; a zero divisor gives ``0xFFFFFFFF`` and 0;
+    * ``&&`` and ``||`` short-circuit;
+    * a call evaluates its arguments, then looks its function up in
+      ``functions``, memoizing :func:`default_intrinsic` on a miss.
+
+    Decoding never raises: an expression that cannot be evaluated (an
+    unrewritten field access, an unknown operator) decodes to a closure
+    that raises its ``TypeError`` or ``ValueError`` when it runs, after
+    evaluating the operands that come first.
+    """
+    if isinstance(expr, ast.IntLiteral):
+        value = expr.value & MASK32
+        return lambda: value
+    if isinstance(expr, ast.CharLiteral):
+        value = expr.value & 0xFF
+        return lambda: value
+    if isinstance(expr, ast.BoolLiteral):
+        value = int(expr.value)
+        return lambda: value
+    if isinstance(expr, ast.Name):
+        ident = expr.ident
+        get = env.get
+        return lambda: get(ident, 0) & MASK32
+    if isinstance(expr, ast.Unary):
+        return _decode_unary(
+            expr.op, decode_expr(expr.operand, env, functions)
+        )
+    if isinstance(expr, ast.Binary):
+        return _decode_binary(
+            expr.op,
+            decode_expr(expr.left, env, functions),
+            decode_expr(expr.right, env, functions),
+        )
+    if isinstance(expr, ast.Conditional):
+        cond = decode_expr(expr.cond, env, functions)
+        then_value = decode_expr(expr.then_value, env, functions)
+        else_value = decode_expr(expr.else_value, env, functions)
+        return lambda: then_value() if cond() else else_value()
+    if isinstance(expr, ast.Call):
+        return _decode_call(
+            expr.callee,
+            [decode_expr(arg, env, functions) for arg in expr.args],
+            functions,
+        )
+    message = f"cannot evaluate {type(expr).__name__} at simulation time"
+
+    def unevaluable():
+        raise TypeError(message)
+
+    return unevaluable
+
+
+def _decode_unary(op: str, operand: Callable[[], int]) -> Callable[[], int]:
+    if op == "-":
+        return lambda: (-operand()) & MASK32
+    if op == "!":
+        return lambda: 0 if operand() else 1
+    if op == "~":
+        return lambda: (~operand()) & MASK32
+
+    def unknown():
+        operand()
+        raise ValueError(f"unknown unary operator {op!r}")
+
+    return unknown
+
+
+def _decode_binary(
+    op: str, left: Callable[[], int], right: Callable[[], int]
+) -> Callable[[], int]:
+    # Operands are words in [0, 2**32): a ring operation on them agrees
+    # with the signed one modulo 2**32 and a comparison orders them by
+    # biasing the sign bit, so only / and % convert to signed values.
+    if op == "&&":
+        return lambda: 1 if left() and right() else 0
+    if op == "||":
+        return lambda: 1 if left() or right() else 0
+    if op == "+":
+        return lambda: (left() + right()) & MASK32
+    if op == "-":
+        return lambda: (left() - right()) & MASK32
+    if op == "*":
+        return lambda: (left() * right()) & MASK32
+    if op == "/":
+
+        def divide():
+            sl = to_signed(left())
+            sr = to_signed(right())
+            if sr == 0:
+                return MASK32  # hardware divide-by-zero convention
+            return int(sl / sr) & MASK32
+
+        return divide
+    if op == "%":
+
+        def modulo():
+            sl = to_signed(left())
+            sr = to_signed(right())
+            if sr == 0:
+                return 0
+            return (sl - int(sl / sr) * sr) & MASK32
+
+        return modulo
+    if op == "<<":
+        return lambda: (left() << (right() & 31)) & MASK32
+    if op == ">>":
+        return lambda: left() >> (right() & 31)
+    if op == "&":
+        return lambda: left() & right()
+    if op == "|":
+        return lambda: left() | right()
+    if op == "^":
+        return lambda: left() ^ right()
+    if op == "==":
+        return lambda: 1 if left() == right() else 0
+    if op == "!=":
+        return lambda: 1 if left() != right() else 0
+    if op == "<":
+        return lambda: 1 if (left() ^ _SIGN) < (right() ^ _SIGN) else 0
+    if op == "<=":
+        return lambda: 1 if (left() ^ _SIGN) <= (right() ^ _SIGN) else 0
+    if op == ">":
+        return lambda: 1 if (left() ^ _SIGN) > (right() ^ _SIGN) else 0
+    if op == ">=":
+        return lambda: 1 if (left() ^ _SIGN) >= (right() ^ _SIGN) else 0
+
+    def unknown():
+        left()
+        right()
+        raise ValueError(f"unknown binary operator {op!r}")
+
+    return unknown
+
+
+def _decode_call(
+    callee: str,
+    args: list[Callable[[], int]],
+    functions: dict[str, Callable[..., int]],
+) -> Callable[[], int]:
+    def call():
+        values = [arg() for arg in args]
+        fn = functions.get(callee)
+        if fn is None:
+            fn = functions[callee] = default_intrinsic(callee)
+        return fn(*values) & MASK32
+
+    return call
+
+
+def _decode_access(
+    op, controller: MemoryController, client: str, port: str,
+    env: dict[str, int], functions: dict[str, Callable[..., int]],
+) -> Callable[[], None]:
+    """A closure that submits ``op``'s request to ``controller``.
+
+    A stalled thread re-asserts the same request lines every cycle, so
+    the closure keeps the last request it built and submits it again
+    while its address and data are unchanged: no re-construction, and
+    observers see a stable identity across stall cycles.
+    """
+    write = isinstance(op, MemWriteOp)
+    base = op.base_address
+    dep_id = op.dep_id
+    offset = (
+        None
+        if op.offset_expr is None
+        else decode_expr(op.offset_expr, env, functions)
+    )
+    data = decode_expr(op.value_expr, env, functions) if write else None
+    last = None
+
+    def submit():
+        nonlocal last
+        address = base if offset is None else base + to_signed(offset())
+        value = 0 if data is None else data()
+        request = last
+        if (
+            request is None
+            or request.address != address
+            or request.data != value
+        ):
+            request = last = MemRequest(
+                client=client,
+                port=port,
+                address=address,
+                write=write,
+                data=value,
+                dep_id=dep_id,
+            )
+        controller.submit(request)
+
+    return submit
+
+
+#: micro-op kinds of a :class:`StatePlan` (anything else raises in phase 1)
+_COMPUTE, _READ, _WRITE, _RECEIVE, _TRANSMIT = range(5)
+
+#: the grants of a controller that arbitrated nothing (never written)
+_NO_RESULTS: dict[str, MemResult] = {}
+
+
+class StatePlan:
+    """One FSM state, decoded for the cycle to run directly.
+
+    ``ops`` holds one ``(kind, operand, run)`` triple per micro-op: a
+    compute op's destination and value closure, a memory op and its
+    submit closure, a receive or transmit op (``run`` unused).
+    ``mem_bram`` is the controller of the state's first memory op, whose
+    grant phase 2 checks (``None`` without one); ``transitions`` are
+    ``(guard, target, closes_round)`` with ``guard`` a closure or
+    ``None``.  ``hold`` is the state's :class:`HoldClass`, classified
+    when the wheel first asks (:meth:`ThreadExecutor.hold_class`).
+    """
+
+    __slots__ = ("state", "ops", "mem_bram", "transitions", "hold")
+
+    def __init__(self, state, ops, mem_bram, transitions):
+        self.state = state
+        self.ops = ops
+        self.mem_bram = mem_bram
+        self.transitions = transitions
+        self.hold: Optional[HoldClass] = None
+
+
 class ThreadExecutor:
     """Cycle-level interpreter for one synthesized thread FSM."""
 
@@ -237,7 +489,6 @@ class ThreadExecutor:
         tx_interfaces: Optional[dict[str, TxInterface]] = None,
         guarded_port_override: Optional[dict[str, str]] = None,
     ):
-        self._checked = checked
         self._map = memory_map
         self.fsm = fsm
         self._controllers = controllers
@@ -253,193 +504,94 @@ class ThreadExecutor:
             self.env[name] = to_unsigned(value)
         self.state_name = fsm.initial
         self.stats = ExecutorStats()
-        #: per-state :class:`HoldClass` cache for :meth:`holds`
-        self._hold_classes: dict[str, HoldClass] = {}
+        #: state name -> :class:`StatePlan`, decoded on first visit
+        self._plans: dict[str, StatePlan] = {}
         #: architectural state at the last completed round — the
         #: phase-insensitive snapshot golden-trace comparison diffs
         self.last_round_env: Optional[dict[str, int]] = None
         self._waiting_read: Optional[MemReadOp] = None
-        #: last request constructed per micro-op (keyed by op identity):
-        #: a stalled thread re-asserts the same request lines every
-        #: cycle, so reusing the frozen object skips re-construction —
-        #: and gives observers a stable identity across stall cycles
-        self._req_cache: dict[int, MemRequest] = {}
-        self._op_index = 0
         self._blocked = False
 
-    # -- expression evaluation ------------------------------------------------------
+    # -- decoding ---------------------------------------------------------------------
 
-    def evaluate(self, expr: ast.Expr) -> int:
-        """Evaluate a rewritten (register-only) expression to 32 bits."""
-        if isinstance(expr, ast.IntLiteral):
-            return to_unsigned(expr.value)
-        if isinstance(expr, ast.CharLiteral):
-            return expr.value & 0xFF
-        if isinstance(expr, ast.BoolLiteral):
-            return int(expr.value)
-        if isinstance(expr, ast.Name):
-            return to_unsigned(self.env.get(expr.ident, 0))
-        if isinstance(expr, ast.Unary):
-            operand = self.evaluate(expr.operand)
-            if expr.op == "-":
-                return to_unsigned(-to_signed(operand))
-            if expr.op == "!":
-                return int(operand == 0)
-            if expr.op == "~":
-                return to_unsigned(~operand)
-            raise ValueError(f"unknown unary operator {expr.op!r}")
-        if isinstance(expr, ast.Binary):
-            return self._eval_binary(expr)
-        if isinstance(expr, ast.Conditional):
-            if self.evaluate(expr.cond):
-                return self.evaluate(expr.then_value)
-            return self.evaluate(expr.else_value)
-        if isinstance(expr, ast.Call):
-            args = [self.evaluate(a) for a in expr.args]
-            fn = self._functions.get(expr.callee)
-            if fn is None:
-                fn = default_intrinsic(expr.callee)
-                self._functions[expr.callee] = fn
-            return to_unsigned(fn(*args))
-        raise TypeError(
-            f"cannot evaluate {type(expr).__name__} at simulation time"
+    def _decode(self, name: str) -> StatePlan:
+        """Decode state ``name`` into its :class:`StatePlan` (once)."""
+        state = self.fsm.states[name]
+        env = self.env
+        functions = self._functions
+        client = self.fsm.thread
+        ops = []
+        mem_bram = None
+        for op in state.ops:
+            if isinstance(op, ComputeOp):
+                ops.append(
+                    (_COMPUTE, op.dest, decode_expr(op.expr, env, functions))
+                )
+            elif isinstance(op, (MemReadOp, MemWriteOp)):
+                if mem_bram is None:
+                    mem_bram = op.bram
+                port = op.port
+                if op.dep_id is not None:
+                    port = self._port_override.get(port, port)
+                submit = _decode_access(
+                    op, self._controllers[op.bram], client, port, env,
+                    functions,
+                )
+                kind = _WRITE if isinstance(op, MemWriteOp) else _READ
+                ops.append((kind, op, submit))
+            elif isinstance(op, ReceiveOp):
+                ops.append((_RECEIVE, op, None))
+            elif isinstance(op, TransmitOp):
+                ops.append((_TRANSMIT, op, None))
+            else:
+                ops.append((None, op, None))
+        transitions = tuple(
+            (
+                None
+                if transition.guard is None
+                else decode_expr(transition.guard, env, functions),
+                transition.target,
+                transition.target == self.fsm.initial,
+            )
+            for transition in state.transitions
         )
-
-    def _eval_binary(self, expr: ast.Binary) -> int:
-        op = expr.op
-        left = self.evaluate(expr.left)
-        if op == "&&":
-            return int(bool(left) and bool(self.evaluate(expr.right)))
-        if op == "||":
-            return int(bool(left) or bool(self.evaluate(expr.right)))
-        right = self.evaluate(expr.right)
-        sl, sr = to_signed(left), to_signed(right)
-        if op == "+":
-            return to_unsigned(sl + sr)
-        if op == "-":
-            return to_unsigned(sl - sr)
-        if op == "*":
-            return to_unsigned(sl * sr)
-        if op == "/":
-            if sr == 0:
-                return MASK32  # hardware divide-by-zero convention
-            return to_unsigned(int(sl / sr))
-        if op == "%":
-            if sr == 0:
-                return 0
-            return to_unsigned(sl - int(sl / sr) * sr)
-        if op == "<<":
-            return to_unsigned(left << (right & 31))
-        if op == ">>":
-            return to_unsigned(left >> (right & 31))
-        if op == "&":
-            return left & right
-        if op == "|":
-            return left | right
-        if op == "^":
-            return left ^ right
-        if op == "==":
-            return int(left == right)
-        if op == "!=":
-            return int(left != right)
-        if op == "<":
-            return int(sl < sr)
-        if op == "<=":
-            return int(sl <= sr)
-        if op == ">":
-            return int(sl > sr)
-        if op == ">=":
-            return int(sl >= sr)
-        raise ValueError(f"unknown binary operator {op!r}")
+        plan = self._plans[name] = StatePlan(
+            state, tuple(ops), mem_bram, transitions
+        )
+        return plan
 
     # -- cycle protocol ---------------------------------------------------------------
 
-    @property
-    def state(self):
-        return self.fsm.states[self.state_name]
-
     def phase1(self, cycle: int) -> None:
         """Do register work or submit this state's memory/interface request."""
-        self.stats.cycles += 1
-        self.stats.state_visits[self.state_name] = (
-            self.stats.state_visits.get(self.state_name, 0) + 1
-        )
+        stats = self.stats
+        stats.cycles += 1
+        name = self.state_name
+        visits = stats.state_visits
+        visits[name] = visits.get(name, 0) + 1
         self._blocked = False
-        state = self.state
-        ops = state.ops
+        plan = self._plans.get(name) or self._decode(name)
+        ops = plan.ops
         if not ops:
             return
 
-        for op in ops:
-            if isinstance(op, ComputeOp):
-                self.env[op.dest] = self.evaluate(op.expr)
-            elif isinstance(op, MemReadOp):
-                self._submit_read(op)
-            elif isinstance(op, MemWriteOp):
-                self._submit_write(op)
-            elif isinstance(op, ReceiveOp):
-                self._try_receive(op, cycle)
-            elif isinstance(op, TransmitOp):
-                self._do_transmit(op, cycle)
+        env = self.env
+        for kind, operand, run in ops:
+            if kind == _COMPUTE:
+                env[operand] = run()
+            elif kind == _READ:
+                run()
+                self._waiting_read = operand
+                self._blocked = True  # resolved in phase 2 if granted
+            elif kind == _WRITE:
+                run()
+                self._blocked = True
+            elif kind == _RECEIVE:
+                self._try_receive(operand, cycle)
+            elif kind == _TRANSMIT:
+                self._do_transmit(operand, cycle)
             else:  # pragma: no cover
-                raise TypeError(f"unknown micro-op {type(op).__name__}")
-
-    def _address_of(self, op) -> int:
-        address = op.base_address
-        if op.offset_expr is not None:
-            address += to_signed(self.evaluate(op.offset_expr))
-        return address
-
-    def _port_for(self, op) -> str:
-        if op.dep_id is not None:
-            return self._port_override.get(op.port, op.port)
-        return op.port
-
-    def _submit_read(self, op: MemReadOp) -> None:
-        controller = self._controllers[op.bram]
-        port = self._port_for(op)
-        address = self._address_of(op)
-        request = self._req_cache.get(id(op))
-        if (
-            request is None
-            or request.port != port
-            or request.address != address
-        ):
-            request = MemRequest(
-                client=self.fsm.thread,
-                port=port,
-                address=address,
-                write=False,
-                dep_id=op.dep_id,
-            )
-            self._req_cache[id(op)] = request
-        controller.submit(request)
-        self._waiting_read = op
-        self._blocked = True  # resolved in phase 2 if granted
-
-    def _submit_write(self, op: MemWriteOp) -> None:
-        controller = self._controllers[op.bram]
-        port = self._port_for(op)
-        address = self._address_of(op)
-        data = self.evaluate(op.value_expr)
-        request = self._req_cache.get(id(op))
-        if (
-            request is None
-            or request.port != port
-            or request.address != address
-            or request.data != data
-        ):
-            request = MemRequest(
-                client=self.fsm.thread,
-                port=port,
-                address=address,
-                write=True,
-                data=data,
-                dep_id=op.dep_id,
-            )
-            self._req_cache[id(op)] = request
-        controller.submit(request)
-        self._blocked = True
+                raise TypeError(f"unknown micro-op {type(operand).__name__}")
 
     def _try_receive(self, op: ReceiveOp, cycle: int) -> None:
         rx = self._rx.get(op.interface)
@@ -484,32 +636,30 @@ class ThreadExecutor:
 
     def phase2(self, results: dict[str, dict[str, MemResult]]) -> None:
         """Absorb grants and advance the state register."""
-        state = self.state
+        name = self.state_name
+        plan = self._plans.get(name) or self._decode(name)
         if self._blocked:
-            granted = False
-            if state.memory_ops:
-                op = state.memory_ops[0]
-                result = results.get(op.bram, {}).get(self.fsm.thread)
-                if result is not None and result.granted:
-                    granted = True
-                    if self._waiting_read is not None:
-                        self.env[self._waiting_read.dest] = result.data
-            if not granted:
+            bram = plan.mem_bram
+            result = (
+                None
+                if bram is None
+                else results.get(bram, _NO_RESULTS).get(self.fsm.thread)
+            )
+            if result is None or not result.granted:
                 self.stats.stall_cycles += 1
                 self._waiting_read = None
                 return
+            if self._waiting_read is not None:
+                self.env[self._waiting_read.dest] = result.data
         self._waiting_read = None
-        self._advance()
-
-    def _advance(self) -> None:
-        state = self.state
-        for transition in state.transitions:
-            if transition.guard is None or self.evaluate(transition.guard):
-                if transition.target == self.fsm.initial:
-                    self.stats.rounds_completed += 1
+        for guard, target, closes_round in plan.transitions:
+            if guard is None or guard():
+                stats = self.stats
+                if closes_round:
+                    stats.rounds_completed += 1
                     self.last_round_env = dict(self.env)
-                self.state_name = transition.target
-                self.stats.advances += 1
+                self.state_name = target
+                stats.advances += 1
                 return
         # A state with no matching transition holds (terminal wait state).
         self.stats.stall_cycles += 1
@@ -517,11 +667,13 @@ class ThreadExecutor:
     # -- holding (read by the wheel's skip decision, see repro.sim.wheel) --------
 
     def hold_class(self) -> HoldClass:
-        """The (cached) hold classification of the current state."""
-        hold = self._hold_classes.get(self.state_name)
+        """The hold classification of the current state, kept in its
+        plan after the first time it is asked for."""
+        name = self.state_name
+        plan = self._plans.get(name) or self._decode(name)
+        hold = plan.hold
         if hold is None:
-            hold = _classify_state(self.state)
-            self._hold_classes[self.state_name] = hold
+            hold = plan.hold = _classify_state(plan.state)
         return hold
 
     def holds(self) -> bool:
@@ -548,7 +700,7 @@ class ThreadExecutor:
         Mirrors the per-cycle increments the reference kernel performs
         for a held state: every shape that holds stalls every cycle (a
         blocked "mem"/"recv" state stalls in phase 2, a "terminal"
-        state stalls in ``_advance``).
+        state stalls when no transition fires).
         """
         self.stats.cycles += count
         self.stats.stall_cycles += count

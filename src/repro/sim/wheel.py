@@ -40,22 +40,26 @@ registers) is byte-identical to the reference kernel's.
 from __future__ import annotations
 
 import time
+from operator import attrgetter
 from typing import Optional
 
 from ..core.controller import MemResult, MemoryController
 from .executor import ThreadExecutor
 from .kernel import SimulationKernel, SimulationResult
 
+_ADVANCES = attrgetter("advances")
+
 
 class FastKernel(SimulationKernel):
     """The ``wheel`` kernel: cycle-equivalent, idle stretches skipped.
 
     :meth:`step` is the reference cycle, counted, followed by a re-read
-    of every executor's advance counter, so external single-stepping
-    stays exact and "no executor advanced in the last executed cycle"
-    is known after any step.  The skipping happens inside :meth:`run`
-    between steps, and only when ``until`` is ``None`` (an ``until``
-    predicate may inspect per-cycle state).
+    of the executors' advance total, so external single-stepping stays
+    exact and "no executor advanced in the last executed cycle" is known
+    after any step.  The skipping happens inside :meth:`run` between
+    steps, only after a step in which no executor advanced, and only
+    when ``until`` is ``None`` (an ``until`` predicate may inspect
+    per-cycle state).
     """
 
     def __init__(
@@ -67,9 +71,11 @@ class FastKernel(SimulationKernel):
         #: introspection counters (benchmarks and tests read these)
         self.cycles_executed = 0
         self.cycles_skipped = 0
-        #: every executor's ``stats.advances`` as last read, and whether
-        #: none of them moved since the read before
-        self._advances: list[int] = []
+        #: every executor's statistics, in tick order
+        self._stats = [executor.stats for executor in self._executor_order]
+        #: the sum of their ``advances`` as last read, and whether it did
+        #: not move since the read before
+        self._advances = -1
         self._held = False
         self._read_advances()
         self._wakers: Optional[list] = []
@@ -84,14 +90,13 @@ class FastKernel(SimulationKernel):
         return results
 
     def _read_advances(self) -> None:
-        """Re-read the advance counters.
+        """Re-read the advance total.
 
         Called at construction, after every executed cycle and after each
         compiled span, so that after a step ``_held`` says exactly
-        whether no executor advanced in that cycle."""
-        advances = [
-            executor.stats.advances for executor in self._executor_order
-        ]
+        whether no executor advanced in that cycle: each counter only
+        grows, so an unchanged total means none of them moved."""
+        advances = sum(map(_ADVANCES, self._stats))
         self._held = advances == self._advances
         self._advances = advances
 
@@ -120,12 +125,11 @@ class FastKernel(SimulationKernel):
 
     def _skip_target(self, last_cycle: int) -> Optional[int]:
         """The next cycle that must actually execute, or ``None`` if
-        skipping is not currently provable.  ``self.cycle`` is the next
+        skipping is not currently provable.  Asked only after a step in
+        which no executor advanced.  ``self.cycle`` is the next
         unexecuted cycle; wake queries are posed at ``self.cycle - 1``,
         the cycle all component state currently reflects.  The run's
         final cycle is never skipped."""
-        if not self._held:
-            return None
         for executor in self._executor_order:
             if not executor.holds():
                 return None
@@ -186,7 +190,7 @@ class FastKernel(SimulationKernel):
             if deadline is not None and time.monotonic() >= deadline:
                 self._raise_wall_timeout(max_wall_seconds)
             # Per-cycle predicates may inspect any state: never skip.
-            if until is None and self.cycle < end:
+            if self._held and until is None and self.cycle < end:
                 target = self._skip_target(last_cycle)
                 if target is not None:
                     self._skip_to(target)

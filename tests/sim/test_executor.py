@@ -1,17 +1,22 @@
 """Unit tests for the FSM thread executor."""
 
+import re
+from collections import Counter
+
 import pytest
 
 from repro.core import Organization
-from repro.flow import build_simulation, compile_design
-from repro.hic import parse
+from repro.flow import SIMULATION_KERNELS, build_simulation, compile_design
+from repro.hic import ast
 from repro.sim import (
     RxInterface,
+    ThreadExecutor,
     TxInterface,
     default_intrinsic,
     to_signed,
     to_unsigned,
 )
+from repro.synth.fsm import ComputeOp, MemReadOp, State, ThreadFsm, Transition
 
 
 def run_design(source, cycles=100, functions=None,
@@ -202,3 +207,105 @@ class TestStats:
         sim = run_design("thread t () { int x; x = 1; }", cycles=10)
         visits = sim.executors["t"].stats.state_visits
         assert sum(visits.values()) == 10
+
+
+class TestDecodedStates:
+    """What decoding each state once must keep from walking the
+    expression trees every cycle."""
+
+    @pytest.mark.parametrize("kernel", SIMULATION_KERNELS)
+    @pytest.mark.parametrize(
+        "expr,error,message",
+        [
+            (
+                ast.FieldAccess(ast.Name("m"), "ttl"),
+                TypeError,
+                "cannot evaluate FieldAccess at simulation time",
+            ),
+            (
+                ast.Binary("**", ast.Name("x"), ast.IntLiteral(2)),
+                ValueError,
+                "unknown binary operator '**'",
+            ),
+        ],
+        ids=["field-access", "unknown-operator"],
+    )
+    def test_an_unevaluable_expression_raises_when_its_state_runs(
+        self, kernel, expr, error, message
+    ):
+        """The error comes when the expression runs: not when the
+        simulation is built, not behind a short-circuit that skips it,
+        and after the state's earlier ops (the compiled kernel's code
+        generator refuses the design, so it runs the wheel)."""
+        skipped = ast.Binary("&&", ast.IntLiteral(0), expr)
+        design = compile_design("thread t () { int x, y, z; }")
+        design.fsms["t"] = ThreadFsm(
+            thread="t",
+            initial="s0",
+            states={
+                "s0": State("s0", transitions=[Transition(None, "s1")]),
+                "s1": State(
+                    "s1",
+                    ops=[ComputeOp("x", skipped)],
+                    transitions=[Transition(None, "s2")],
+                ),
+                "s2": State(
+                    "s2",
+                    ops=[ComputeOp("z", ast.IntLiteral(7)), ComputeOp("y", expr)],
+                    transitions=[Transition(None, "s0")],
+                ),
+            },
+        )
+        sim = build_simulation(design, kernel=kernel)
+        sim.run(2)
+        env = sim.executors["t"].env
+        assert env["x"] == 0
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            sim.run(1)
+        assert sim.kernel.cycle == 2
+        assert env["z"] == 7
+
+    @pytest.mark.parametrize("kernel", SIMULATION_KERNELS)
+    def test_a_register_holding_a_raw_bram_word_reads_as_32_bits(
+        self, kernel
+    ):
+        """A read grant leaves the BRAM's 36-bit word in its destination
+        register unmasked; an expression reading it sees 32 bits."""
+        design = compile_design("thread t () { int a[4], x; x = a[0] >> 1; }")
+        (dest,) = {
+            op.dest
+            for state in design.fsms["t"].states.values()
+            for op in state.ops
+            if isinstance(op, MemReadOp)
+        }
+        sim = build_simulation(design, kernel=kernel)
+        word = (1 << 35) | 5
+        address = design.memory_map.placement("t", "a").base_address
+        sim.controllers["bram0"].bram.write(address, word)
+        sim.run(4)
+        env = sim.executors["t"].env
+        assert env[dest] == word
+        assert env["x"] == 2
+
+    @pytest.mark.parametrize("kernel", ["reference", "wheel"])
+    def test_a_run_decodes_each_visited_state_once(
+        self, kernel, figure1_source, monkeypatch
+    ):
+        decoded = Counter()
+        decode = ThreadExecutor._decode
+
+        def counting_decode(executor, name):
+            decoded[executor.fsm.thread, name] += 1
+            return decode(executor, name)
+
+        monkeypatch.setattr(ThreadExecutor, "_decode", counting_decode)
+        sim = build_simulation(compile_design(figure1_source), kernel=kernel)
+        assert not decoded  # building the simulation decodes nothing
+        sim.run(2000)
+        visited = {
+            (thread, state)
+            for thread, executor in sim.executors.items()
+            for state in executor.stats.state_visits
+        }
+        assert len(visited) > 3
+        assert decoded == Counter(dict.fromkeys(visited, 1))
