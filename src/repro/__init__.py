@@ -4,8 +4,8 @@ platform FPGAs* (Kulkarni & Brebner, DATE 2006).
 The package implements the paper's entire flow in Python:
 
 * :mod:`repro.hic` — the hic concurrent language front-end;
-* :mod:`repro.analysis` — def/use and lifetime analyses, the memory access
-  graph, channel classification, static deadlock detection;
+* :mod:`repro.analysis` — def/use analysis, the memory access graph,
+  channel classification, static deadlock detection;
 * :mod:`repro.synth` — behavioral synthesis of threads into cycle-accurate
   FSMs (one state per statement, optional packing passes) and datapath
   binding;
@@ -29,7 +29,8 @@ Quick start::
 
     design = compile_design(forwarding_source(4),
                             organization=Organization.ARBITRATED)
-    print(design.area_report("bram0").table_row())   # (LUT, FF, Slices)
+    area = design.area_report("bram0")
+    print(area.luts, area.ffs, area.slices)   # the paper's table columns
     sim = build_simulation(design, functions=forwarding_functions())
     sim.run(1000)
 """

@@ -5,8 +5,6 @@ This package implements the front-end analyses the compile flow reads:
 * :mod:`~repro.analysis.usedef` — per-statement def/use sets over a
   thread's linearized statement order, read by the analyses below (the
   pragma inference itself is :mod:`repro.hic.autopragma`);
-* :mod:`~repro.analysis.lifetime` — variable live ranges, the
-  register-sharing oracle of datapath binding;
 * :mod:`~repro.analysis.memgraph` — the memory access graph that drives
   memory allocation, and the operation order graph (built on first read);
 * :mod:`~repro.analysis.channels` — the channel classifier that proves a
@@ -21,7 +19,6 @@ from .deadlock import (
     assert_deadlock_free,
     check_deadlock,
 )
-from .lifetime import LiveRange, ThreadLifetimes, thread_lifetimes
 from .memgraph import (
     AccessKind,
     MemOperation,
@@ -29,28 +26,18 @@ from .memgraph import (
     OperationOrderGraph,
     build_memory_graphs,
 )
-from .usedef import (
-    StatementInfo,
-    ThreadUseDef,
-    analyze_thread,
-    linearize,
-)
+from .usedef import StatementInfo, linearize
 
 __all__ = [
     "DeadlockReport",
     "Event",
     "assert_deadlock_free",
     "check_deadlock",
-    "LiveRange",
-    "ThreadLifetimes",
-    "thread_lifetimes",
     "AccessKind",
     "MemOperation",
     "MemoryAccessGraph",
     "OperationOrderGraph",
     "build_memory_graphs",
     "StatementInfo",
-    "ThreadUseDef",
-    "analyze_thread",
     "linearize",
 ]

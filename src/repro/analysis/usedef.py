@@ -4,14 +4,14 @@ The paper notes (section 2) that the explicit producer/consumer pragmas are
 a convenience, and that "one can use standard compiler use-def analysis and
 other lifetime analysis methods to extract producers and consumers from a
 given specification".  This module provides the per-thread def/use sets
-for every statement (in a linearized statement order), the substrate for
-lifetime analysis and the operation order graph.  The pragma inference
-itself is :mod:`repro.hic.autopragma`.
+for every statement (in a linearized statement order), the substrate of
+the memory access and operation order graphs.  The pragma inference itself
+is :mod:`repro.hic.autopragma`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..hic import ast
 
@@ -136,43 +136,3 @@ class _Linearizer:
 def linearize(thread: ast.Thread) -> list[StatementInfo]:
     """Linearize a thread body into statements with def/use sets."""
     return _Linearizer().run(thread.body)
-
-
-@dataclass
-class ThreadUseDef:
-    """Aggregated use/def facts for one thread."""
-
-    thread_name: str
-    statements: list[StatementInfo] = field(default_factory=list)
-
-    @property
-    def all_defs(self) -> set[str]:
-        defs: set[str] = set()
-        for info in self.statements:
-            defs |= info.defs
-        return defs
-
-    @property
-    def all_uses(self) -> set[str]:
-        uses: set[str] = set()
-        for info in self.statements:
-            uses |= info.uses
-        return uses
-
-    def first_def_index(self, name: str) -> int | None:
-        for info in self.statements:
-            if name in info.defs:
-                return info.index
-        return None
-
-    def last_use_index(self, name: str) -> int | None:
-        last: int | None = None
-        for info in self.statements:
-            if name in info.uses:
-                last = info.index
-        return last
-
-
-def analyze_thread(thread: ast.Thread) -> ThreadUseDef:
-    """Compute use/def facts for one thread."""
-    return ThreadUseDef(thread.name, linearize(thread))

@@ -632,12 +632,6 @@ def run_matrix(
     task: Callable[[dict], object],
     specs: Iterable[RunSpec],
     config: EngineConfig = EngineConfig(),
-    *,
-    fingerprint: str = "",
-    metrics=None,
 ) -> EngineReport:
     """One-shot convenience wrapper around :class:`CampaignEngine`."""
-    engine = CampaignEngine(
-        task, config, fingerprint=fingerprint, metrics=metrics
-    )
-    return engine.run(specs)
+    return CampaignEngine(task, config).run(specs)

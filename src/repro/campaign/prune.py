@@ -64,8 +64,6 @@ def predict_pruned_matrix(
     *,
     margin: float = DEFAULT_MARGIN,
     exact: Sequence[int] = (),
-    fingerprint: str = "",
-    metrics=None,
 ) -> PruneReport:
     """Score every spec analytically, simulate only the promising ones.
 
@@ -96,7 +94,5 @@ def predict_pruned_matrix(
             for position, spec in enumerate(ordered)
         },
     )
-    report.engine = run_matrix(
-        task, kept_specs, config, fingerprint=fingerprint, metrics=metrics
-    )
+    report.engine = run_matrix(task, kept_specs, config)
     return report

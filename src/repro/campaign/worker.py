@@ -65,7 +65,7 @@ def worker_entry(
     task: Callable[[dict], object],
     payload: dict,
     conn,
-    chaos: Optional[str] = None,
+    chaos: Optional[str],
 ) -> None:
     """Run ``task(payload)`` and report the outcome through ``conn``."""
     message: tuple

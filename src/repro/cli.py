@@ -203,7 +203,14 @@ def add_options(parser: argparse.ArgumentParser, *flags: str) -> None:
 #: parsing so a bad value exits 2 before anything compiles
 _RANGES = (
     ("cycles", lambda value: value > 0, "cycle budget must be positive"),
+    ("simulate", lambda value: value >= 0, "cycle budget must be >= 0"),
+    ("runs", lambda value: value >= 1, "a campaign needs at least one run"),
     ("banks", lambda value: value >= 0, "bank count must be >= 0"),
+    (
+        "deplist_entries",
+        lambda value: value >= 1,
+        "the dependency list needs at least one entry",
+    ),
     (
         "traffic_rate",
         lambda value: 0.0 <= value <= 1.0,
@@ -254,9 +261,22 @@ def run_command(
     except SimulationTimeout as error:
         print(f"error: {error.describe()}", file=sys.stderr)
         return 1
-    except (HicError, ValueError) as error:
+    except HicError as error:
+        print(f"error: {hic_diagnostic(error, args)}", file=sys.stderr)
+        return 1
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+
+
+def hic_diagnostic(error: HicError, args: argparse.Namespace) -> str:
+    """``error`` as ``<file>:<line>:<column>: <message>``, naming the
+    source path the command read (``args.source``), if it read one."""
+    location = error.location
+    source = getattr(args, "source", None)
+    if source is not None:
+        location = location._replace(filename=source)
+    return f"{location}: {error.message}"
 
 
 def read_source(path: str) -> str:

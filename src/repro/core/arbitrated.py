@@ -49,15 +49,13 @@ class ArbitratedController(MemoryController):
         deplist: DependencyList,
         consumer_clients: list[str],
         producer_clients: list[str],
-        port_a_clients: list[str] | None = None,
     ):
         super().__init__(bram)
         self.deplist = deplist
         self._arb_c = RoundRobinArbiter(list(consumer_clients) or ["-"])
         self._arb_d = RoundRobinArbiter(list(producer_clients) or ["-"])
-        self._arb_a = RoundRobinArbiter(
-            list(port_a_clients) if port_a_clients else ["*any*"]
-        )
+        # port A's clients join on their first request
+        self._arb_a = RoundRobinArbiter(["*any*"])
         self._priority = PriorityArbiter()
         #: cycles in which a blocked port-C read was overridden by port D
         self.override_count = 0

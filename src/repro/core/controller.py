@@ -370,15 +370,12 @@ class MemoryController(abc.ABC):
             counts[port] = counts.get(port, 0) + 1
         return counts
 
-    def waits_for(
-        self, port: Optional[str] = None, dep_id: Optional[str] = None
-    ) -> list[int]:
-        """Observed wait cycles, optionally filtered by port or dependency."""
+    def waits_for(self, port: Optional[str] = None) -> list[int]:
+        """Observed wait cycles, optionally of one port only."""
         return [
             s.wait_cycles
             for s in self.latency_samples
-            if (port is None or s.port == port)
-            and (dep_id is None or s.dep_id == dep_id)
+            if port is None or s.port == port
         ]
 
 

@@ -101,11 +101,6 @@ class EventDrivenController(MemoryController):
 
         return results
 
-    def consumer_latency(self, dep_id: str, thread: str) -> int:
-        """The deterministic post-write read latency of a consumer: its
-        1-based rank in the dependency's consumer chain."""
-        return self.schedule.consumer_rank(dep_id, thread) + 1
-
     # -- the grant rule -----------------------------------------------------------------
 
     def hold(self, request: MemRequest) -> Optional[str]:

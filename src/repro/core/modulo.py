@@ -68,21 +68,6 @@ class ModuloSchedule:
     def producer_slots(self) -> list[Slot]:
         return [s for s in self.slots if s.kind is SlotKind.PRODUCER]
 
-    def consumer_slots(self, dep_id: str) -> list[Slot]:
-        return [
-            s
-            for s in self.slots
-            if s.kind is SlotKind.CONSUMER and s.dep_id == dep_id
-        ]
-
-    def consumer_rank(self, dep_id: str, thread: str) -> int:
-        """Position of ``thread`` in the consumer chain of ``dep_id``
-        (0 = first consumer to receive the event)."""
-        for rank, slot in enumerate(self.consumer_slots(dep_id)):
-            if slot.thread == thread:
-                return rank
-        raise KeyError(f"{thread!r} is not a consumer of {dep_id!r}")
-
     @property
     def select_bits(self) -> int:
         """Width of the selection value driving the mux network."""

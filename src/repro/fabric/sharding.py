@@ -29,11 +29,11 @@ class ShardingPolicy(abc.ABC):
 
     name = "abstract"
 
-    def __init__(self, num_banks: int, words_per_bank: int = WORDS_PER_BRAM):
+    def __init__(self, num_banks: int):
         if num_banks <= 0:
             raise ValueError("a fabric needs at least one bank")
         self.num_banks = num_banks
-        self.words_per_bank = words_per_bank
+        self.words_per_bank = WORDS_PER_BRAM
 
     @property
     def capacity(self) -> int:
@@ -110,9 +110,7 @@ POLICIES = {
 }
 
 
-def make_policy(
-    name: str, num_banks: int, words_per_bank: int = WORDS_PER_BRAM
-) -> ShardingPolicy:
+def make_policy(name: str, num_banks: int) -> ShardingPolicy:
     """Instantiate a sharding policy by name (``interleaved`` / ``range``)."""
     try:
         cls = POLICIES[name]
@@ -121,4 +119,4 @@ def make_policy(
             f"unknown sharding policy {name!r} "
             f"(expected one of {sorted(POLICIES)})"
         ) from None
-    return cls(num_banks, words_per_bank)
+    return cls(num_banks)

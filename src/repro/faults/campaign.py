@@ -241,10 +241,6 @@ class CampaignReport:
                 )
         return table
 
-    def kinds_classified(self) -> tuple[str, ...]:
-        """Distinct fault kinds that produced at least one classified run."""
-        return tuple(sorted({k for o in self.outcomes for k in o.fault_kinds}))
-
     def profile_by_organization(self) -> dict[str, dict]:
         """organization -> merged cycle-attribution ledger (the campaign
         bottleneck heatmap).  ``outcomes`` is index-sorted by the engine
@@ -459,14 +455,14 @@ def _compile(source: str, organization: str):
     )
 
 
-def model_read_timeout(source, organizations, *, slack: float = 3.0) -> int:
+def model_read_timeout(source, organizations) -> int:
     """Watchdog read-timeout derived from the analytical model.
 
     The watchdog must distinguish a consumer *legitimately* parked on a
     guarded read from one a fault has hung.  The model's saturated round
     (:func:`repro.model.saturated_round`) bounds the legitimate wait, so
     the worst predicted consumer wait across the campaign's
-    organizations — padded by ``slack`` for fault-induced delay the
+    organizations — padded threefold for fault-induced delay the
     campaign still wants classified as recovered, not tripped — makes a
     principled ``--auto-timeout`` default instead of a hand-tuned cycle
     count.
@@ -477,7 +473,7 @@ def model_read_timeout(source, organizations, *, slack: float = 3.0) -> int:
     for organization in organizations:
         params = extract_parameters(_compile(source, organization))
         worst = max(worst, saturated_round(params).consumer_wait)
-    return max(1, math.ceil(worst * slack))
+    return max(1, math.ceil(worst * 3.0))
 
 
 def run_seed(config: CampaignConfig, org_index: int, index: int) -> int:

@@ -11,7 +11,8 @@ Typical use::
     from repro.core import Organization
 
     design = compile_design(source, organization=Organization.EVENT_DRIVEN)
-    print(design.area_report("bram0").table_row())
+    area = design.area_report("bram0")
+    print(area.luts, area.ffs, area.slices)
     print(design.timing_report("bram0").render())
     verilog_text = design.verilog()
 
@@ -43,7 +44,6 @@ from .fpga.area import (
     estimate_design,
     estimate_fabric_area,
 )
-from .fpga.device import Device, XC2VP20
 from .fpga.timing import (
     FabricTimingReport,
     TimingReport,
@@ -122,8 +122,8 @@ class CompiledDesign:
         """Area of one BRAM's wrapper (a paper-table row)."""
         return estimate_area(self.wrapper_modules[bram])
 
-    def timing_report(self, bram: str, device: Device = XC2VP20) -> TimingReport:
-        return estimate_timing(self.wrapper_modules[bram], device)
+    def timing_report(self, bram: str) -> TimingReport:
+        return estimate_timing(self.wrapper_modules[bram])
 
     def fabric_area_report(self) -> FabricAreaReport:
         """Aggregate area of the fabric: bank wrappers plus the crossbar."""
@@ -131,18 +131,14 @@ class CompiledDesign:
             raise ValueError("design was not compiled with num_banks > 0")
         return estimate_fabric_area(self.wrapper_modules, self.crossbar_module)
 
-    def fabric_timing_report(
-        self, device: Device = XC2VP20
-    ) -> FabricTimingReport:
+    def fabric_timing_report(self) -> FabricTimingReport:
         """Fabric clock estimate (the slowest of banks and crossbar)."""
         if self.fabric is None or self.crossbar_module is None:
             raise ValueError("design was not compiled with num_banks > 0")
-        return estimate_fabric_timing(
-            self.wrapper_modules, self.crossbar_module, device
-        )
+        return estimate_fabric_timing(self.wrapper_modules, self.crossbar_module)
 
-    def utilization(self, device: Device = XC2VP20) -> UtilizationReport:
-        return estimate_design(self.top, device)
+    def utilization(self) -> UtilizationReport:
+        return estimate_design(self.top)
 
     def verilog(self) -> str:
         return emit_verilog(self.top)
@@ -188,7 +184,6 @@ def compile_design(
     source: str,
     name: str = "design",
     organization: Organization = Organization.ARBITRATED,
-    force_single_bram: bool = False,
     deplist_entries: int = DEFAULT_DEPLIST_ENTRIES,
     check_deadlock: bool = True,
     infer_pragmas: bool = False,
@@ -223,8 +218,6 @@ def compile_design(
     else falls back to the guarded-BRAM machinery.  The default
     ``"guarded"`` keeps the paper's organizations for every dependency.
     """
-    if num_banks > 0 and force_single_bram:
-        raise ValueError("force_single_bram is incompatible with a fabric")
     if channel_synthesis not in ("guarded", "fifo"):
         raise ValueError(
             f"unknown channel_synthesis {channel_synthesis!r} "
@@ -252,7 +245,6 @@ def compile_design(
     memory_map = allocate(
         checked,
         access=access_graph,
-        force_single_bram=force_single_bram,
         allow_offchip=allow_offchip,
         fabric_banks=num_banks,
         fabric_policy=shard_policy,
@@ -383,10 +375,6 @@ class Simulation:
         """Run the kernel; ``max_wall_seconds`` is the livelock valve —
         exceeding it raises :class:`~repro.core.errors.SimulationTimeout`."""
         return self.kernel.run(cycles, until, max_wall_seconds=max_wall_seconds)
-
-    def inject(self, interface: str, message: dict[str, int]) -> None:
-        """Queue a message on an ingress interface."""
-        self.rx[interface].push(message)
 
     # -- robustness wiring (lazy imports: repro.faults imports this module) ----------
 

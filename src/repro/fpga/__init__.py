@@ -26,7 +26,6 @@ from .packing import (
     DEFAULT_EFFICIENCY,
     FFS_PER_SLICE,
     LUTS_PER_SLICE,
-    SliceCount,
     pack,
 )
 from .timing import (
@@ -49,7 +48,6 @@ __all__ = [
     "DEFAULT_EFFICIENCY",
     "FFS_PER_SLICE",
     "LUTS_PER_SLICE",
-    "SliceCount",
     "pack",
     "PAPER_TARGET_MHZ",
     "TimingReport",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from ..rtl.netlist import Module
 from .device import Device, XC2VP20
-from .packing import DEFAULT_EFFICIENCY, SliceCount, pack
+from .packing import pack
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,6 @@ class AreaReport:
     ffs: int
     brams: int
     slices: int
-
-    def table_row(self) -> tuple[int, int, int]:
-        """(LUT, FF, Slices) in the paper's table column order."""
-        return (self.luts, self.ffs, self.slices)
 
 
 @dataclass
@@ -41,12 +37,6 @@ class UtilizationReport:
     @property
     def slice_utilization(self) -> float:
         return self.total.slices / self.device.slices
-
-    @property
-    def bram_utilization(self) -> float:
-        if self.device.bram_blocks == 0:
-            return 0.0
-        return self.total.brams / self.device.bram_blocks
 
     @property
     def fits(self) -> bool:
@@ -67,27 +57,20 @@ class UtilizationReport:
         return "\n".join(lines)
 
 
-def estimate_area(
-    module: Module, efficiency: float = DEFAULT_EFFICIENCY
-) -> AreaReport:
+def estimate_area(module: Module) -> AreaReport:
     """Estimate one module's area (its whole hierarchy)."""
     luts, ffs, brams = module.resource_totals()
-    packed: SliceCount = pack(luts, ffs, efficiency)
     return AreaReport(
         module=module.name,
         luts=luts,
         ffs=ffs,
         brams=brams,
-        slices=packed.slices,
+        slices=pack(luts, ffs),
     )
 
 
-def estimate_design(
-    top: Module,
-    device: Device = XC2VP20,
-    efficiency: float = DEFAULT_EFFICIENCY,
-) -> UtilizationReport:
-    """Estimate a top-level design against a device.
+def estimate_design(top: Module) -> UtilizationReport:
+    """Estimate a top-level design against the paper's XC2VP20.
 
     The hierarchy is walked once: the total adds the child modules'
     reports to the top module's own primitives."""
@@ -96,7 +79,7 @@ def estimate_design(
     for instance in top.instances:
         component = instance.component
         if isinstance(component, Module):
-            report = estimate_area(component, efficiency)
+            report = estimate_area(component)
             per_module.append(report)
             luts += report.luts
             ffs += report.ffs
@@ -110,9 +93,9 @@ def estimate_design(
         luts=luts,
         ffs=ffs,
         brams=brams,
-        slices=pack(luts, ffs, efficiency).slices,
+        slices=pack(luts, ffs),
     )
-    return UtilizationReport(device=device, total=total, per_module=per_module)
+    return UtilizationReport(device=XC2VP20, total=total, per_module=per_module)
 
 
 @dataclass
@@ -140,7 +123,6 @@ class FabricAreaReport:
 def estimate_fabric_area(
     bank_modules: dict[str, Module],
     crossbar_module: Module,
-    efficiency: float = DEFAULT_EFFICIENCY,
 ) -> FabricAreaReport:
     """Aggregate fabric area: every bank wrapper plus the crossbar.
 
@@ -150,20 +132,18 @@ def estimate_fabric_area(
     output column.
     """
     banks = [
-        estimate_area(module, efficiency)
-        for __, module in sorted(bank_modules.items())
+        estimate_area(module) for __, module in sorted(bank_modules.items())
     ]
-    crossbar = estimate_area(crossbar_module, efficiency)
+    crossbar = estimate_area(crossbar_module)
     parts = banks + [crossbar]
     luts = sum(r.luts for r in parts)
     ffs = sum(r.ffs for r in parts)
-    packed = pack(luts, ffs, efficiency)
     total = AreaReport(
         module="fabric",
         luts=luts,
         ffs=ffs,
         brams=sum(r.brams for r in parts),
-        slices=packed.slices,
+        slices=pack(luts, ffs),
     )
     return FabricAreaReport(banks=banks, crossbar=crossbar, total=total)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..rtl.netlist import Module
-from .device import Device, XC2VP20
+from .device import XC2VP20
 
 #: The paper's target clock rate for every scenario (§4).
 PAPER_TARGET_MHZ = 125.0
@@ -48,21 +48,18 @@ class TimingReport:
         )
 
 
-def estimate_timing(
-    module: Module,
-    device: Device = XC2VP20,
-    target_mhz: float = PAPER_TARGET_MHZ,
-) -> TimingReport:
-    """Estimate the achievable frequency of a module hierarchy."""
+def estimate_timing(module: Module) -> TimingReport:
+    """Estimate the achievable frequency of a module hierarchy on the
+    paper's XC2VP20 against the paper's target clock."""
     path_name, levels = module.worst_path()
-    period = device.timing.period_ns(levels)
+    period = XC2VP20.timing.period_ns(levels)
     return TimingReport(
         module=module.name,
         critical_path=path_name,
         logic_levels=levels,
         period_ns=period,
         fmax_mhz=1000.0 / period,
-        target_mhz=target_mhz,
+        target_mhz=PAPER_TARGET_MHZ,
     )
 
 
@@ -99,8 +96,6 @@ class FabricTimingReport:
 def estimate_fabric_timing(
     bank_modules: dict[str, Module],
     crossbar_module: Module,
-    device: Device = XC2VP20,
-    target_mhz: float = PAPER_TARGET_MHZ,
 ) -> FabricTimingReport:
     """Timing of a fabric: the clock is set by the slowest stage.
 
@@ -110,8 +105,7 @@ def estimate_fabric_timing(
     count, the fabric period is monotonically non-decreasing in banks.
     """
     banks = [
-        estimate_timing(module, device, target_mhz)
-        for __, module in sorted(bank_modules.items())
+        estimate_timing(module) for __, module in sorted(bank_modules.items())
     ]
-    crossbar = estimate_timing(crossbar_module, device, target_mhz)
+    crossbar = estimate_timing(crossbar_module)
     return FabricTimingReport(banks=banks, crossbar=crossbar)

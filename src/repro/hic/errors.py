@@ -16,7 +16,9 @@ class SourceLocation(NamedTuple):
     Attributes:
         line: 1-based line number.
         column: 1-based column number.
-        filename: Name used in diagnostics (defaults to ``"<hic>"``).
+        filename: ``"<hic>"``: the front end reads text, not files; a
+            command that read a file names it in the diagnostic it prints
+            (:func:`repro.cli.hic_diagnostic`).
     """
 
     line: int = 1

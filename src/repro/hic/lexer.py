@@ -84,20 +84,6 @@ class Token(NamedTuple):
     text: str
     location: SourceLocation
 
-    @property
-    def int_value(self) -> int:
-        """Integer value of an INT token (supports 0x/0b/0o prefixes)."""
-        if self.kind is not TokenKind.INT:
-            raise ValueError(f"not an integer token: {self!r}")
-        return literal_value(self.kind, self.text)
-
-    @property
-    def char_value(self) -> int:
-        """Ordinal value of a CHAR token."""
-        if self.kind is not TokenKind.CHAR:
-            raise ValueError(f"not a char token: {self!r}")
-        return literal_value(self.kind, self.text)
-
     def __str__(self) -> str:
         return describe(self.kind, self.text)
 
@@ -181,10 +167,9 @@ def _error_message(source: str, start: int, text: str) -> str:
     return f"unexpected character {ch!r}"
 
 
-def scan(source: str, filename: str = "<hic>") -> list[TokenRecord]:
+def scan(source: str) -> list[TokenRecord]:
     """Scan ``source`` into one ``(kind, text, line, column)`` record per
-    token, ending with a single EOF record.  ``filename`` only names the
-    location of a lexical error."""
+    token, ending with a single EOF record."""
     records = []
     # The loop runs once per token: reading these from locals rather than
     # globals and attributes takes a sixth off its time.
@@ -216,15 +201,15 @@ def scan(source: str, filename: str = "<hic>") -> list[TokenRecord]:
                 column = start - line_start + 1
                 raise HicSyntaxError(
                     _error_message(source, start, text),
-                    _record(SourceLocation, (line, column, filename)),
+                    _record(SourceLocation, (line, column, "<hic>")),
                 )
         append((kind, text, line, start - line_start + 1))
     return records
 
 
-def tokenize(source: str, filename: str = "<hic>") -> list[Token]:
+def tokenize(source: str) -> list[Token]:
     """Scan ``source`` into its tokens, ending with a single EOF token."""
     return [
-        _record(Token, (kind, text, _record(SourceLocation, (line, column, filename))))
-        for kind, text, line, column in scan(source, filename)
+        _record(Token, (kind, text, _record(SourceLocation, (line, column, "<hic>"))))
+        for kind, text, line, column in scan(source)
     ]

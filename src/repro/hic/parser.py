@@ -82,10 +82,9 @@ def _check_target(target: ast.Expr) -> None:
 class Parser:
     """Parses a token stream into a :class:`repro.hic.ast.Program`."""
 
-    def __init__(self, source: str, filename: str = "<hic>"):
-        self._filename = filename
+    def __init__(self, source: str):
         #: per token, its ``(kind, text, line, column)`` record
-        self._records = scan(source, filename)
+        self._records = scan(source)
         #: per token, its text if it is punctuation or a keyword, else None
         self._texts = [
             text if kind in _CHECKED_KINDS else None
@@ -98,7 +97,7 @@ class Parser:
 
     def _location(self, record: TokenRecord) -> SourceLocation:
         """Where ``record``'s token starts."""
-        return _record(SourceLocation, (record[2], record[3], self._filename))
+        return _record(SourceLocation, (record[2], record[3], "<hic>"))
 
     def _expected(self, what: str) -> HicSyntaxError:
         """``expected <what>, found <the next token>``, located there."""
@@ -561,13 +560,13 @@ _STATEMENT_PARSERS = {
 }
 
 
-def parse(source: str, filename: str = "<hic>") -> ast.Program:
+def parse(source: str) -> ast.Program:
     """Parse hic source text into an AST program."""
-    return Parser(source, filename).parse_program()
+    return Parser(source).parse_program()
 
 
-def parse_with_types(source: str, filename: str = "<hic>") -> tuple[ast.Program, TypeTable]:
+def parse_with_types(source: str) -> tuple[ast.Program, TypeTable]:
     """Parse and also return the type table (built-ins + user declarations)."""
-    parser = Parser(source, filename)
+    parser = Parser(source)
     program = parser.parse_program()
     return program, parser.types

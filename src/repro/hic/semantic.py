@@ -502,16 +502,14 @@ def check_program(program: ast.Program, types: TypeTable) -> CheckedProgram:
     )
 
 
-def analyze(
-    source: str, filename: str = "<hic>", infer_pragmas: bool = False
-) -> CheckedProgram:
+def analyze(source: str, infer_pragmas: bool = False) -> CheckedProgram:
     """Parse and semantically check hic source in one call.
 
     With ``infer_pragmas=True``, producer/consumer pragmas are derived
     from cross-thread use-def analysis before checking (the paper's §2
     alternative to explicit annotation); explicit pragmas take precedence.
     """
-    program, types = parse_with_types(source, filename)
+    program, types = parse_with_types(source)
     if infer_pragmas:
         from .autopragma import apply_inferred_pragmas
 

@@ -130,10 +130,6 @@ class MessageType(HicType):
             raise KeyError(f"message has no field {field_name!r}")
         return MESSAGE_FIELDS[field_name]
 
-    @staticmethod
-    def field_names() -> tuple[str, ...]:
-        return tuple(MESSAGE_FIELDS)
-
 
 #: Singleton instances for the built-ins, shared by parser and checker.
 INT = IntType()

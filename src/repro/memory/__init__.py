@@ -22,7 +22,6 @@ from .allocation import (
 from .bram import (
     ASPECT_RATIOS,
     BRAM_BITS,
-    NATIVE_PORTS,
     BlockRam,
 )
 from .deplist import DependencyEntry, DependencyList
@@ -45,7 +44,6 @@ __all__ = [
     "words_needed",
     "ASPECT_RATIOS",
     "BRAM_BITS",
-    "NATIVE_PORTS",
     "BlockRam",
     "DependencyEntry",
     "DependencyList",

@@ -103,25 +103,8 @@ class MemoryMap:
             raise KeyError(f"no placement for {thread}.{variable}")
         return self.placements[key]
 
-    def is_bram_resident(self, thread: str, variable: str) -> bool:
-        key = (thread, variable)
-        return key in self.placements and self.placements[key].is_bram
-
-    def bram_variables(self, bram: str) -> list[Placement]:
-        return sorted(
-            (p for p in self.placements.values() if p.bram == bram),
-            key=lambda p: p.base_address,
-        )
-
     def bram_count(self) -> int:
         return len(self.bram_names)
-
-    def register_bits(self) -> int:
-        return sum(
-            p.bits
-            for p in self.placements.values()
-            if p.residency is Residency.REGISTER
-        )
 
     def utilization(self, bram: str) -> float:
         capacity = BRAM_BITS * max(1, self.fabric_banks or 1)
@@ -175,7 +158,6 @@ def _allocation_error(message: str, **payload):
 def allocate(
     checked: CheckedProgram,
     access: MemoryAccessGraph | None = None,
-    force_single_bram: bool = False,
     allow_offchip: bool = False,
     fabric_banks: int = 0,
     fabric_policy: str = "interleaved",
@@ -189,9 +171,6 @@ def allocate(
             ``range`` policy (its weighted access counts balance the
             threads across banks).  The single-address packer groups
             variables by owning thread and does not read it.
-        force_single_bram: Place all BRAM-resident data in one BRAM (the
-            paper's evaluation measures a *single* BRAM wrapper; this knob
-            reproduces that setup).  Raises ``ValueError`` if it cannot fit.
         allow_offchip: Spill variables too large for one BRAM to the
             off-chip tier instead of failing.  Synchronized (produced)
             variables may never spill — the paper's wrappers are BRAM port
@@ -376,13 +355,6 @@ def allocate(
                     target = len(bram_fill) - 1
                 place(item, target)
 
-    if force_single_bram and len(bram_fill) > 1:
-        raise _allocation_error(
-            "force_single_bram: does not fit in one BRAM "
-            f"({len(bram_fill)} needed)",
-            words_needed=sum(bram_fill),
-            words_available=WORDS_PER_BRAM,
-        )
     for idx, fill in enumerate(bram_fill):
         name = f"bram{idx}"
         memory_map.bram_names.append(name)

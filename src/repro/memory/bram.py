@@ -27,9 +27,6 @@ ASPECT_RATIOS: tuple[tuple[int, int], ...] = (
     (512, 36),
 )
 
-#: Number of native ports on a BRAM (true dual port).
-NATIVE_PORTS = 2
-
 
 @dataclass
 class BlockRam:

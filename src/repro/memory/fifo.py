@@ -56,7 +56,6 @@ class FifoChannelController(MemoryController):
         self,
         bram: BlockRam,
         dependency: Dependency,
-        depth: int = DEFAULT_FIFO_DEPTH,
     ):
         if dependency.dependency_number != 1:
             raise ValueError(
@@ -64,15 +63,13 @@ class FifoChannelController(MemoryController):
                 f"{dependency.dependency_number} consumers; FIFO channels "
                 "are single-consumer"
             )
-        if depth < 1:
-            raise ValueError("FIFO depth must be positive")
         super().__init__(bram)
         #: telemetry discovery seam (see ``Telemetry._discover_dependencies``)
         self.channel_dependency = dependency
         self.dep_id = dependency.dep_id
         self.producer = dependency.producer_thread
         self.consumer = dependency.consumers[0].thread
-        self.depth = depth
+        self.depth = DEFAULT_FIFO_DEPTH
         #: monotone push/pop counts; occupancy = tail - head, storage at
         #: ``index % depth`` — deterministic ring layout, so the BRAM
         #: snapshot compares bytewise across simulation kernels

@@ -20,7 +20,7 @@ from typing import Optional
 
 from ..core.controller import MemRequest, MemResult, MemoryController
 
-#: Default access latency of the external memory, in fabric cycles.
+#: Access latency of the external memory, in fabric cycles.
 #: ZBT SRAM behind an FPGA pin interface at ~125 MHz: a handful of cycles
 #: for address-out / wave-pipelined data-back.
 DEFAULT_LATENCY = 4
@@ -67,11 +67,9 @@ class OffchipController(MemoryController):
     data, where fairness is a non-issue).
     """
 
-    def __init__(self, memory: OffchipMemory, latency: int = DEFAULT_LATENCY):
+    def __init__(self, memory: OffchipMemory):
         super().__init__(memory)  # type: ignore[arg-type]
-        if latency < 1:
-            raise ValueError("latency must be at least one cycle")
-        self.latency = latency
+        self.latency = DEFAULT_LATENCY
         self._current: Optional[MemRequest] = None
         self._finish_cycle = 0
 

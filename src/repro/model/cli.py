@@ -130,7 +130,7 @@ def predict_main(argv: Optional[list] = None) -> int:
         print(f"error: {error.describe()}", file=sys.stderr)
         return 2
     except HicError as error:
-        print(f"error: {error}", file=sys.stderr)
+        print(f"error: {cli.hic_diagnostic(error, args)}", file=sys.stderr)
         return 1
 
 

@@ -84,14 +84,14 @@ class SweepResult:
 def sweep_grid(
     base: ModelParameters,
     *,
-    organizations: Sequence[Organization] = tuple(Organization),
     banks: Sequence[int] = (1, 2, 4),
     link_latencies: Sequence[int] = (1, 2, 3),
     rates: Sequence[float] = (0.02, 0.9),
 ) -> list:
-    """Enumerate the grid in sorted axis order (deterministic)."""
+    """Enumerate the grid over every organization, in sorted axis order
+    (deterministic)."""
     grid = []
-    for organization in sorted(organizations, key=lambda o: o.value):
+    for organization in sorted(Organization, key=lambda o: o.value):
         for bank_count in sorted(banks):
             for link in sorted(link_latencies):
                 for rate in sorted(rates):
@@ -106,9 +106,7 @@ def sweep_grid(
     return grid
 
 
-def evaluate_grid(
-    configs: Iterable[ModelParameters], *, with_area: bool = True
-) -> list:
+def evaluate_grid(configs: Iterable[ModelParameters]) -> list:
     """Predict every configuration (area memoized per structural key)."""
     points = []
     for index, params in enumerate(configs):
@@ -117,7 +115,7 @@ def evaluate_grid(
                 index=index,
                 params=params,
                 prediction=predict(params),
-                area=area_slices(params) if with_area else 0,
+                area=area_slices(params),
             )
         )
     return points
@@ -194,22 +192,16 @@ def prune(
 def run_sweep(
     base: ModelParameters,
     *,
-    organizations: Sequence[Organization] = tuple(Organization),
     banks: Sequence[int] = (1, 2, 4),
     link_latencies: Sequence[int] = (1, 2, 3),
     rates: Sequence[float] = (0.02, 0.9),
     margin: float = DEFAULT_MARGIN,
-    with_area: bool = True,
 ) -> SweepResult:
     """Evaluate the grid and mark its frontier and prune set."""
     configs = sweep_grid(
-        base,
-        organizations=organizations,
-        banks=banks,
-        link_latencies=link_latencies,
-        rates=rates,
+        base, banks=banks, link_latencies=link_latencies, rates=rates
     )
-    points = evaluate_grid(configs, with_area=with_area)
+    points = evaluate_grid(configs)
     return SweepResult(
         points=points,
         frontier=pareto_frontier(points),

@@ -184,8 +184,6 @@ def simulate_config(
     cycles: int,
     *,
     link_latency: int = 1,
-    batch_size: int = 1,
-    traffic_seed: int = 1,
     kernel: Optional[str] = None,
 ) -> tuple:
     """Run one configuration; return (prediction, observed dict).
@@ -207,14 +205,13 @@ def simulate_config(
         organization=organization,
         num_banks=banks,
         link_latency=link_latency,
-        batch_size=batch_size,
     )
     params = extract_parameters(design, traffic_rate=rate)
     prediction = predict(params)
 
     sim = build_simulation(design, kernel=kernel)
     profiler = sim.attach_profiler()
-    drive_ingress(sim, rate, traffic_seed)
+    drive_ingress(sim, rate)
     probes = [
         ConsumerLatencyProbe(controller, guarded_ports=("C", "B", "G"))
         for controller in sim.controllers.values()
@@ -231,7 +228,7 @@ def simulate_config(
         summary.mean_wait
         for probe in probes
         for summary in probe.summaries()
-        if summary.observed and summary.thread not in producers
+        if summary.thread not in producers
     ]
     rounds = sum(
         sim.executors[name].stats.rounds_completed for name in producers
@@ -286,9 +283,6 @@ def compare(
 def validate(
     source: Optional[str] = None,
     *,
-    organizations=GRID_ORGANIZATIONS,
-    banks_grid=GRID_BANKS,
-    rates=GRID_RATES,
     bound: float = ERROR_BOUND,
     kernel: Optional[str] = None,
 ) -> ValidationReport:
@@ -303,9 +297,9 @@ def validate(
 
         source = forwarding_source(2)
     report = ValidationReport(bound=bound)
-    for organization in organizations:
-        for banks in banks_grid:
-            for rate in rates:
+    for organization in GRID_ORGANIZATIONS:
+        for banks in GRID_BANKS:
+            for rate in GRID_RATES:
                 cycles = (
                     SPARSE_CYCLES if rate < 0.5 else DENSE_CYCLES
                 )

@@ -12,7 +12,6 @@
 from .forwarding import (
     APP_TOTAL_SLICES,
     CORE_FORWARDING_SLICES,
-    OVERHEAD_BAND,
     forwarding_functions,
     forwarding_source,
     multi_pair_source,
@@ -33,7 +32,6 @@ from .traffic import (
 __all__ = [
     "APP_TOTAL_SLICES",
     "CORE_FORWARDING_SLICES",
-    "OVERHEAD_BAND",
     "forwarding_functions",
     "forwarding_source",
     "multi_pair_source",

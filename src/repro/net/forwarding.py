@@ -27,10 +27,6 @@ CORE_FORWARDING_SLICES = 1000
 #: slices".
 APP_TOTAL_SLICES = 5430
 
-#: §4: "the area overhead can vary from 5-20%".
-OVERHEAD_BAND = (0.05, 0.20)
-
-
 def forwarding_source(consumers: int, with_io: bool = True) -> str:
     """The hic text of the forwarding application with ``consumers``
     egress threads consuming the classifier's decision word.

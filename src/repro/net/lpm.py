@@ -51,15 +51,6 @@ class LpmTable:
         self._by_length.setdefault(prefix_len, {})[masked] = route
         return route
 
-    def remove_route(self, prefix: int, prefix_len: int) -> None:
-        masked = prefix & _mask(prefix_len)
-        table = self._by_length.get(prefix_len, {})
-        if masked not in table:
-            raise KeyError(
-                f"no route {format_ip(masked)}/{prefix_len}"
-            )
-        del table[masked]
-
     def lookup(self, dst_addr: int) -> int:
         """The egress port of the longest matching prefix (or the default)."""
         route = self.lookup_route(dst_addr)
@@ -76,25 +67,19 @@ class LpmTable:
     def __len__(self) -> int:
         return sum(len(entries) for entries in self._by_length.values())
 
-    def routes(self) -> list[Route]:
-        return sorted(
-            (route for entries in self._by_length.values()
-             for route in entries.values()),
-            key=lambda r: (-r.prefix_len, r.prefix),
-        )
-
     def as_function(self) -> Callable[[int], int]:
         """The table as a combinational-function stand-in for the hic
         ``lpm_lookup`` intrinsic (plugged into the simulator)."""
         return self.lookup
 
 
-def demo_table(ports: int = 4) -> LpmTable:
-    """A small deterministic table spreading 10.x/16 prefixes over ports."""
+def demo_table() -> LpmTable:
+    """A small deterministic table: 10.i/16 on port i for four ports, and
+    192.168.0/24 on port 4."""
     from .packet import ip
 
     table = LpmTable(default_port=0)
-    for i in range(ports):
-        table.add_route(ip(10, i, 0, 0), 16, i % max(1, ports))
-    table.add_route(ip(192, 168, 0, 0), 24, ports % max(1, ports + 1))
+    for i in range(4):
+        table.add_route(ip(10, i, 0, 0), 16, i)
+    table.add_route(ip(192, 168, 0, 0), 24, 4)
     return table

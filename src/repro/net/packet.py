@@ -71,10 +71,6 @@ class Ipv4Packet:
     def with_checksum(self) -> "Ipv4Packet":
         return replace(self, checksum=self.compute_checksum())
 
-    @property
-    def checksum_ok(self) -> bool:
-        return self.checksum == self.compute_checksum()
-
     # -- forwarding transformations ----------------------------------------------------
 
     @staticmethod
@@ -130,17 +126,3 @@ class Ipv4Packet:
         }
         assert set(values) == set(MESSAGE_FIELDS)
         return values
-
-    @classmethod
-    def from_message(cls, message: dict[str, int]) -> "Ipv4Packet":
-        return cls(
-            src_addr=message.get("src_addr", 0),
-            dst_addr=message.get("dst_addr", 0),
-            length=message.get("length", 64),
-            ttl=message.get("ttl", 64),
-            protocol=message.get("protocol", 17),
-            port_in=message.get("port_in", 0),
-            port_out=message.get("port_out", 0),
-            checksum=message.get("checksum", 0),
-            payload=message.get("payload", 0),
-        )

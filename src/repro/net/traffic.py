@@ -129,10 +129,6 @@ class TrafficGenerator:
         increasing cycle order (spans may have any length)."""
         raise NotImplementedError
 
-    def packets_at(self, cycle: int) -> list[Ipv4Packet]:
-        """The packets arriving at ``cycle``, fields drawn now."""
-        return [self.factory.make() for __ in self.arrivals(cycle, cycle + 1)]
-
     def attach(self, rx_interface) -> "_AttachedHook":
         """A kernel pre-cycle hook that injects this generator's packets.
 

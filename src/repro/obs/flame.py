@@ -88,7 +88,7 @@ def _boxes(stacks: list[tuple[tuple[str, ...], int]]) -> list[tuple]:
     return boxes
 
 
-def render_flame_svg(profiler: CycleProfiler, title: str = "cycle attribution") -> str:
+def render_flame_svg(profiler: CycleProfiler) -> str:
     """A deterministic, dependency-free flamegraph SVG."""
     stacks: list[tuple[tuple[str, ...], int]] = []
     for (thread, state, site, port), count in profiler.ledger.sorted_cells():
@@ -109,7 +109,7 @@ def render_flame_svg(profiler: CycleProfiler, title: str = "cycle attribution") 
         ),
         (
             f'<text x="4" y="{_ROW_HEIGHT - 5}">'
-            f"{_escape(title)} "
+            "cycle attribution "
             f"({sum(count for __, count in stacks)} thread-cycles)</text>"
         ),
     ]

@@ -168,10 +168,6 @@ class Histogram(_Metric):
         state = self._values.get(self._key(labels))
         return state.total if state is not None else 0
 
-    def sum_of(self, **labels) -> float:
-        state = self._values.get(self._key(labels))
-        return state.sum if state is not None else 0.0
-
     def samples(self) -> list[tuple[tuple, _HistogramState]]:
         return sorted(self._values.items())
 
@@ -216,15 +212,9 @@ class MetricsRegistry:
         return self._register(Gauge, name, help, labels)
 
     def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
+        self, name: str, help: str = "", labels: Sequence[str] = ()
     ) -> Histogram:
-        return self._register(
-            Histogram, name, help, labels, buckets=tuple(buckets)
-        )
+        return self._register(Histogram, name, help, labels)
 
     # -- exposition -------------------------------------------------------------------
 

@@ -69,9 +69,6 @@ class DependencySpan:
             cycles.append(self.complete_cycle)
         return max(cycles)
 
-    def read_waits(self) -> list[int]:
-        return [read.wait_cycles for read in self.reads]
-
     def post_write_latencies(self) -> list[int]:
         """Per consumer read: cycles elapsed since the opening write —
         the quantity the paper calls (non-)deterministic."""
@@ -93,9 +90,6 @@ class SpanAssembler:
         #: (guard events fire inside the arbitration cycle, the grant —
         #: which opens the span — is recorded by the base class after)
         self._pending_arm: dict[tuple[str, str], int] = {}
-
-    def active_span(self, bram: str, dep_id: str) -> Optional[DependencySpan]:
-        return self._active.get((bram, dep_id))
 
     def open(self, bram: str, dep_id: str, producer: str, cycle: int) -> DependencySpan:
         key = (bram, dep_id)

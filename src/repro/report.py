@@ -88,14 +88,12 @@ class Comparison:
         )
 
 
-def shape_verdict(
-    paper: Sequence[float], measured: Sequence[float], tolerance: float = 0.5
-) -> str:
+def shape_verdict(paper: Sequence[float], measured: Sequence[float]) -> str:
     """Judge whether a measured series reproduces a paper series' shape.
 
-    Checks monotonicity agreement and per-point relative deviation within
-    ``tolerance``.  Returns one of ``"match"``, ``"shape-match"``,
-    ``"mismatch"``.
+    Returns ``"mismatch"`` when the two series move in different
+    directions between some pair of points, else ``"match"`` when every
+    point is within 10% of the paper's, else ``"shape-match"``.
     """
     if len(paper) != len(measured) or not paper:
         raise ValueError("series must be equal-length and non-empty")
@@ -106,15 +104,9 @@ def shape_verdict(
             for a, b in zip(series, series[1:])
         ]
 
-    same_shape = direction(paper) == direction(measured)
-    within = all(
-        abs(m - p) / p <= tolerance for p, m in zip(paper, measured) if p != 0
+    if direction(paper) != direction(measured):
+        return "mismatch"
+    close = all(
+        abs(m - p) / p <= 0.10 for p, m in zip(paper, measured) if p != 0
     )
-    if same_shape and within:
-        close = all(
-            abs(m - p) / p <= 0.10 for p, m in zip(paper, measured) if p != 0
-        )
-        return "match" if close else "shape-match"
-    if same_shape:
-        return "shape-match"
-    return "mismatch"
+    return "match" if close else "shape-match"

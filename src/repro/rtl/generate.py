@@ -61,8 +61,9 @@ DEFAULT_DEPLIST_ENTRIES = 4
 #: clients; adding consumers up to this limit changes only the muxing.
 BASELINE_MAX_CONSUMERS = 8
 
-#: BRAM word address width (512x36 aspect ratio).
+#: BRAM word address and data widths (512x36 aspect ratio).
 ADDRESS_BITS = 9
+DATA_BITS = 36
 
 #: Counter width of a dependency-list entry (supports dn <= 15).
 COUNTER_BITS = 4
@@ -75,8 +76,6 @@ class WrapperParams:
     consumers: int
     producers: int = 1
     deplist_entries: int = DEFAULT_DEPLIST_ENTRIES
-    address_bits: int = ADDRESS_BITS
-    data_bits: int = 36
 
 
 def generate_arbitrated_wrapper(
@@ -95,23 +94,23 @@ def generate_arbitrated_wrapper(
     )
     m.add_port("clk", PortDirection.INPUT)
     m.add_port("rst", PortDirection.INPUT)
-    m.add_port("porta_addr", PortDirection.INPUT, params.address_bits)
-    m.add_port("porta_wdata", PortDirection.INPUT, params.data_bits)
-    m.add_port("porta_rdata", PortDirection.OUTPUT, params.data_bits)
+    m.add_port("porta_addr", PortDirection.INPUT, ADDRESS_BITS)
+    m.add_port("porta_wdata", PortDirection.INPUT, DATA_BITS)
+    m.add_port("porta_rdata", PortDirection.OUTPUT, DATA_BITS)
     m.add_port("portc_req", PortDirection.INPUT, params.consumers)
     m.add_port("portc_addr", PortDirection.INPUT,
-               params.address_bits * params.consumers)
-    m.add_port("portc_rdata", PortDirection.OUTPUT, params.data_bits)
+               ADDRESS_BITS * params.consumers)
+    m.add_port("portc_rdata", PortDirection.OUTPUT, DATA_BITS)
     m.add_port("portc_grant", PortDirection.OUTPUT, params.consumers)
     m.add_port("portd_req", PortDirection.INPUT, params.producers)
     m.add_port("portd_addr", PortDirection.INPUT,
-               params.address_bits * params.producers)
+               ADDRESS_BITS * params.producers)
     m.add_port("portd_wdata", PortDirection.INPUT,
-               params.data_bits * params.producers)
+               DATA_BITS * params.producers)
     m.add_port("portd_grant", PortDirection.OUTPUT, params.producers)
 
-    m.add_net("p1_addr", params.address_bits)
-    m.add_net("p1_wdata", params.data_bits)
+    m.add_net("p1_addr", ADDRESS_BITS)
+    m.add_net("p1_wdata", DATA_BITS)
     m.add_net("match_line", params.deplist_entries)
     m.add_net("count_nz", params.deplist_entries)
     m.add_net("grant_c", params.consumers)
@@ -125,7 +124,7 @@ def generate_arbitrated_wrapper(
     for i in range(params.deplist_entries):
         m.add_instance(
             f"dep_row{i}",
-            CamRow(key_bits=params.address_bits),
+            CamRow(key_bits=ADDRESS_BITS),
             {"match": "match_line"},
         )
         m.add_instance(
@@ -160,7 +159,7 @@ def generate_arbitrated_wrapper(
     # adds no flip-flops (matching the paper's observation).
     m.add_instance(
         "c_addr_mux",
-        Mux(width=params.address_bits, inputs=params.consumers),
+        Mux(width=ADDRESS_BITS, inputs=params.consumers),
         {"out": "p1_addr"},
     )
     m.add_instance(
@@ -172,7 +171,7 @@ def generate_arbitrated_wrapper(
     m.add_instance(
         "d_mux",
         Mux(
-            width=params.address_bits + params.data_bits,
+            width=ADDRESS_BITS + DATA_BITS,
             inputs=params.producers,
         ),
         {"out": "p1_wdata"},
@@ -182,7 +181,7 @@ def generate_arbitrated_wrapper(
     # class priority -> round-robin grant -> consumer address mux -> BRAM
     # address pins.  The OR tree over the match lines is what deepens when
     # the dependency list grows (the §6 ablation's timing effect).
-    cam_levels = CamRow(params.address_bits).logic_levels()
+    cam_levels = CamRow(ADDRESS_BITS).logic_levels()
     match_tree = _or_tree_levels(params.deplist_entries)
     path = (
         cam_levels
@@ -190,13 +189,13 @@ def generate_arbitrated_wrapper(
         + 1  # counter non-zero gate
         + PriorityEncoder(inputs=3).logic_levels()
         + RoundRobinArbiterMacro(BASELINE_MAX_CONSUMERS).logic_levels()
-        + Mux(params.address_bits, params.consumers).logic_levels()
+        + Mux(ADDRESS_BITS, params.consumers).logic_levels()
     )
     m.note_path("guarded_read", path)
     m.note_path(
         "producer_write",
         cam_levels + match_tree + 1 + PriorityEncoder(inputs=3).logic_levels()
-        + Mux(params.address_bits + params.data_bits,
+        + Mux(ADDRESS_BITS + DATA_BITS,
               params.producers).logic_levels() + 1,
     )
     return m
@@ -231,18 +230,18 @@ def generate_event_driven_wrapper(
     )
     m.add_port("clk", PortDirection.INPUT)
     m.add_port("rst", PortDirection.INPUT)
-    m.add_port("porta_addr", PortDirection.INPUT, params.address_bits)
-    m.add_port("porta_wdata", PortDirection.INPUT, params.data_bits)
-    m.add_port("porta_rdata", PortDirection.OUTPUT, params.data_bits)
+    m.add_port("porta_addr", PortDirection.INPUT, ADDRESS_BITS)
+    m.add_port("porta_wdata", PortDirection.INPUT, DATA_BITS)
+    m.add_port("porta_rdata", PortDirection.OUTPUT, DATA_BITS)
     m.add_port("portb_req", PortDirection.INPUT, slots)
     m.add_port("portb_addr", PortDirection.INPUT,
-               params.address_bits * slots)
-    m.add_port("portb_rdata", PortDirection.OUTPUT, params.data_bits)
+               ADDRESS_BITS * slots)
+    m.add_port("portb_rdata", PortDirection.OUTPUT, DATA_BITS)
     m.add_port("event_out", PortDirection.OUTPUT, max(1, params.consumers))
 
     m.add_net("select", schedule.select_bits)
     m.add_net("slot_onehot", slots)
-    m.add_net("p1_addr", params.address_bits)
+    m.add_net("p1_addr", ADDRESS_BITS)
 
     m.add_instance("bram", BramMacro(), {"addr_a": "porta_addr"})
 
@@ -259,12 +258,12 @@ def generate_event_driven_wrapper(
     # The mux (c) and demux (a) network of Figure 3.
     m.add_instance(
         "b_addr_mux",
-        Mux(width=params.address_bits, inputs=slots),
+        Mux(width=ADDRESS_BITS, inputs=slots),
         {"out": "p1_addr"},
     )
     m.add_instance(
         "b_wdata_mux",
-        Mux(width=params.data_bits, inputs=max(1, params.producers)),
+        Mux(width=DATA_BITS, inputs=max(1, params.producers)),
     )
     m.add_instance(
         "b_rdata_demux",
@@ -292,7 +291,7 @@ def generate_event_driven_wrapper(
         Decoder(outputs=slots).logic_levels()
         + 1  # request/slot gating
         + FsmLogic(states=4, transitions=6).logic_levels()
-        + Mux(params.address_bits, slots).logic_levels()
+        + Mux(ADDRESS_BITS, slots).logic_levels()
         + 1  # event handshake into the chain register
         + clog2(max(1, params.consumers))  # event fanout buffering
     )
@@ -316,7 +315,7 @@ def generate_lock_baseline(
     for i in range(params.deplist_entries):
         m.add_instance(f"count{i}", Counter(width=COUNTER_BITS))
     m.add_instance(
-        "addr_mux", Mux(width=params.address_bits, inputs=clients)
+        "addr_mux", Mux(width=ADDRESS_BITS, inputs=clients)
     )
     m.add_instance("lock_arb", RoundRobinArbiterMacro(clients=clients))
     for i in range(clients):
@@ -325,16 +324,12 @@ def generate_lock_baseline(
         "lock_probe",
         RoundRobinArbiterMacro(clients).logic_levels()
         + 2
-        + Mux(params.address_bits, clients).logic_levels(),
+        + Mux(ADDRESS_BITS, clients).logic_levels(),
     )
     return m
 
 
-def generate_fifo_channel(
-    channel: str,
-    depth: int = 16,
-    data_bits: int = 36,
-) -> Module:
+def generate_fifo_channel(channel: str, depth: int = 16) -> Module:
     """A FIFO-lowered channel (see :mod:`repro.analysis.channels`).
 
     Where the guarded organizations spend a CAM-matched dependency list,
@@ -352,9 +347,9 @@ def generate_fifo_channel(
     m.add_port("clk", PortDirection.INPUT)
     m.add_port("rst", PortDirection.INPUT)
     m.add_port("push", PortDirection.INPUT)
-    m.add_port("push_data", PortDirection.INPUT, data_bits)
+    m.add_port("push_data", PortDirection.INPUT, DATA_BITS)
     m.add_port("pop", PortDirection.INPUT)
-    m.add_port("pop_data", PortDirection.OUTPUT, data_bits)
+    m.add_port("pop_data", PortDirection.OUTPUT, DATA_BITS)
     m.add_port("full", PortDirection.OUTPUT)
     m.add_port("empty", PortDirection.OUTPUT)
 
@@ -413,7 +408,7 @@ def generate_thread_module(
     if len(datapath.memory_banks_used) > 1:
         m.add_instance(
             "bank_rdata_mux",
-            Mux(width=36, inputs=len(datapath.memory_banks_used)),
+            Mux(width=DATA_BITS, inputs=len(datapath.memory_banks_used)),
         )
         m.add_instance(
             "bank_sel_reg",
@@ -444,7 +439,7 @@ def generate_thread_module(
             3 if unit.kind == "call" else 1 for unit in datapath.units
         )
     if len(datapath.memory_banks_used) > 1:
-        depth += Mux(36, len(datapath.memory_banks_used)).logic_levels()
+        depth += Mux(DATA_BITS, len(datapath.memory_banks_used)).logic_levels()
     m.note_path("datapath", depth)
     return m
 
@@ -454,8 +449,6 @@ def generate_crossbar(
     clients: int,
     link_latency: int = 1,
     batch_size: int = 1,
-    address_bits: int = ADDRESS_BITS,
-    data_bits: int = 36,
 ) -> Module:
     """The fabric's crossbar interconnect between thread clients and banks.
 
@@ -471,19 +464,20 @@ def generate_crossbar(
         raise ValueError("crossbar needs at least one bank")
     if clients <= 0:
         raise ValueError("crossbar needs at least one client")
+    bus_bits = ADDRESS_BITS + DATA_BITS  # one routed request
     m = Module(name=f"fabric_crossbar_b{num_banks}")
     m.add_port("clk", PortDirection.INPUT)
     m.add_port("rst", PortDirection.INPUT)
     m.add_port("in_req", PortDirection.INPUT, clients)
-    m.add_port("in_addr", PortDirection.INPUT, address_bits * clients)
-    m.add_port("in_wdata", PortDirection.INPUT, data_bits * clients)
+    m.add_port("in_addr", PortDirection.INPUT, ADDRESS_BITS * clients)
+    m.add_port("in_wdata", PortDirection.INPUT, DATA_BITS * clients)
     m.add_port("out_grant", PortDirection.OUTPUT, clients)
     m.add_port("bank_req", PortDirection.OUTPUT, num_banks)
-    m.add_port("bank_addr", PortDirection.OUTPUT, address_bits * num_banks)
-    m.add_port("bank_wdata", PortDirection.OUTPUT, data_bits * num_banks)
+    m.add_port("bank_addr", PortDirection.OUTPUT, ADDRESS_BITS * num_banks)
+    m.add_port("bank_wdata", PortDirection.OUTPUT, DATA_BITS * num_banks)
 
     m.add_net("bank_onehot", num_banks * clients)
-    m.add_net("routed_bus", (address_bits + data_bits) * num_banks)
+    m.add_net("routed_bus", bus_bits * num_banks)
 
     # Ingress bank-select decode: one decoder per client.
     for c in range(clients):
@@ -502,14 +496,14 @@ def generate_crossbar(
         for lane in range(lanes):
             m.add_instance(
                 f"out_mux{b}_{lane}",
-                Mux(width=address_bits + data_bits, inputs=clients),
+                Mux(width=bus_bits, inputs=clients),
                 {"out": "routed_bus"},
             )
         m.add_instance(f"req_merge{b}", RandomLogic(lut_count=clients))
         for stage in range(max(1, link_latency)):
             m.add_instance(
                 f"link_reg{b}_{stage}",
-                Register(width=address_bits + data_bits),
+                Register(width=bus_bits),
                 {"clk": "clk"},
             )
 
@@ -520,7 +514,7 @@ def generate_crossbar(
         Decoder(outputs=num_banks).logic_levels()
         + _or_tree_levels(clients)
         + RoundRobinArbiterMacro(clients).logic_levels()
-        + Mux(address_bits + data_bits, clients).logic_levels()
+        + Mux(bus_bits, clients).logic_levels()
         + clog2(max(2, num_banks))  # bank column fanout buffering
     )
     m.note_path("crossbar_route", path)

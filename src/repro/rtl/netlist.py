@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 from .primitives import MacroPrimitive
 
@@ -51,10 +51,6 @@ class Instance:
     name: str
     component: Union[MacroPrimitive, "Module"]
     connections: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def is_primitive(self) -> bool:
-        return isinstance(self.component, MacroPrimitive)
 
 
 @dataclass
@@ -129,26 +125,6 @@ class Module:
 
     # -- queries --------------------------------------------------------------------
 
-    def primitive_instances(self) -> Iterator[tuple[str, MacroPrimitive]]:
-        """All primitive instances in this module and its children, with
-        hierarchical names."""
-        for instance in self.instances:
-            if isinstance(instance.component, MacroPrimitive):
-                yield instance.name, instance.component
-            else:
-                for sub_name, prim in instance.component.primitive_instances():
-                    yield f"{instance.name}.{sub_name}", prim
-
-    def child_modules(self) -> list["Module"]:
-        seen: dict[str, Module] = {}
-        for instance in self.instances:
-            if isinstance(instance.component, Module):
-                child = instance.component
-                seen.setdefault(child.name, child)
-                for grandchild in child.child_modules():
-                    seen.setdefault(grandchild.name, grandchild)
-        return list(seen.values())
-
     def resource_totals(self) -> tuple[int, int, int]:
         """``(LUTs, FFs, BRAMs)`` over this module and its children, in
         one pass."""
@@ -165,15 +141,6 @@ class Module:
                 ffs += sub_ffs
                 brams += sub_brams
         return luts, ffs, brams
-
-    def total_luts(self) -> int:
-        return self.resource_totals()[0]
-
-    def total_ffs(self) -> int:
-        return self.resource_totals()[1]
-
-    def total_brams(self) -> int:
-        return self.resource_totals()[2]
 
     def worst_path(self) -> tuple[str, int]:
         """The deepest documented path across the hierarchy."""

@@ -335,11 +335,10 @@ def build_scenario_simulation(
     return design, sim
 
 
-def collect_round_snapshots(
-    sim, rounds: int, max_cycles: int = 200_000
-) -> dict[str, dict[str, int]]:
-    """Run until every thread has completed ``rounds`` rounds; return each
-    thread's environment exactly at its ``rounds``-th completion.
+def collect_round_snapshots(sim, rounds: int) -> dict[str, dict[str, int]]:
+    """Run until every thread has completed ``rounds`` rounds, for at most
+    200,000 cycles; return each thread's environment exactly at its
+    ``rounds``-th completion.
 
     Because every scenario stage folds consumed values into an
     accumulator, two simulations consumed identical value sequences iff
@@ -358,11 +357,11 @@ def collect_round_snapshots(
                 snapshots[name] = dict(executor.last_round_env)
 
     sim.kernel.add_post_cycle_hook(capture)
-    sim.run(max_cycles, until=lambda k: len(snapshots) == len(executors))
+    sim.run(200_000, until=lambda k: len(snapshots) == len(executors))
     if len(snapshots) != len(executors):
         missing = sorted(set(executors) - set(snapshots))
         raise RuntimeError(
             f"threads {missing} did not reach {rounds} rounds within "
-            f"{max_cycles} cycles"
+            "200000 cycles"
         )
     return snapshots

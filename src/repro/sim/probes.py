@@ -19,18 +19,11 @@ from ..core.controller import ControllerStats, MemoryController
 
 @dataclass
 class ConsumerLatencySummary:
-    """Wait statistics of one consumer thread on one dependency.
-
-    ``observed`` distinguishes "this consumer really read" from "this
-    consumer is declared but never issued a guarded read during the run"
-    — the latter renders as ``n/a`` instead of a misleading zero-wait
-    deterministic verdict.
-    """
+    """Wait statistics of one consumer thread on one dependency."""
 
     thread: str
     dep_id: str
     waits: list[int]
-    observed: bool = True
 
     @property
     def deterministic(self) -> bool:
@@ -57,52 +50,18 @@ class ConsumerLatencyProbe:
     controller: MemoryController
     guarded_ports: tuple[str, ...] = ("C", "B")
 
-    def summaries(
-        self, include_declared: bool = False
-    ) -> list[ConsumerLatencySummary]:
-        """Per-consumer wait summaries.
-
-        With ``include_declared=True``, consumers declared in the
-        controller's dependency configuration that never issued a guarded
-        read are also returned, with ``observed=False`` and no waits.
-        """
+    def summaries(self) -> list[ConsumerLatencySummary]:
+        """Per-consumer wait summaries of every consumer that read."""
         grouped: dict[tuple[str, str], list[int]] = {}
         for sample in self.controller.latency_samples:
             if sample.port not in self.guarded_ports or sample.dep_id is None:
                 continue
             key = (sample.client, sample.dep_id)
             grouped.setdefault(key, []).append(sample.wait_cycles)
-        if include_declared:
-            for thread, dep_id in self._declared_consumers():
-                grouped.setdefault((thread, dep_id), [])
         return [
-            ConsumerLatencySummary(
-                thread=thread,
-                dep_id=dep_id,
-                waits=waits,
-                observed=bool(waits),
-            )
+            ConsumerLatencySummary(thread=thread, dep_id=dep_id, waits=waits)
             for (thread, dep_id), waits in sorted(grouped.items())
         ]
-
-    def _declared_consumers(self) -> list[tuple[str, str]]:
-        """(consumer thread, dep_id) pairs from the controller's static
-        dependency configuration (deplist or modulo schedule)."""
-        declared: list[tuple[str, str]] = []
-        deplist = getattr(self.controller, "deplist", None)
-        if deplist is not None:
-            for entry in deplist.entries:
-                declared.extend(
-                    (thread, entry.dep_id)
-                    for thread in entry.consumer_threads
-                )
-            return declared
-        schedule = getattr(self.controller, "schedule", None)
-        if schedule is not None:
-            for slot in schedule.slots:
-                if slot.kind.name == "CONSUMER":
-                    declared.append((slot.thread, slot.dep_id))
-        return declared
 
     def overall_stats(self) -> ControllerStats:
         waits = [
@@ -177,22 +136,10 @@ class PostWriteLatencyProbe:
         return max(s.jitter for s in summaries)
 
 
-def determinism_report(
-    probe: ConsumerLatencyProbe, include_declared: bool = False
-) -> str:
-    """Human-readable summary of consumer-read determinism.
-
-    ``include_declared=True`` also lists declared-but-silent consumers,
-    rendered as ``n/a`` rather than a spurious deterministic verdict.
-    """
+def determinism_report(probe: ConsumerLatencyProbe) -> str:
+    """Human-readable summary of consumer-read determinism."""
     lines = []
-    for summary in probe.summaries(include_declared=include_declared):
-        if not summary.observed:
-            lines.append(
-                f"{summary.thread}/{summary.dep_id}: "
-                "n/a (no samples observed)"
-            )
-            continue
+    for summary in probe.summaries():
         verdict = "deterministic" if summary.deterministic else "variable"
         lines.append(
             f"{summary.thread}/{summary.dep_id}: {verdict}, "

@@ -4,13 +4,7 @@ After scheduling, behavioral synthesis binds operations to functional units
 and variables to registers.  The binding summary produced here is what the
 FPGA area model charges for each thread's datapath: functional units, the
 register file, and the multiplexing needed to steer operands into shared
-units.
-
-Register sharing: variables whose live ranges never overlap (per
-:mod:`repro.analysis.lifetime`) can share one physical register, the
-classic left-edge allocation.  ``bind_thread(..., share_registers=True)``
-applies it; the default keeps one register per variable (simpler RTL, the
-generator's baseline).
+units.  Every register-resident variable gets a register of its own.
 """
 
 from __future__ import annotations
@@ -18,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..analysis.lifetime import thread_lifetimes
 from ..hic.semantic import CheckedProgram, SymbolKind
 from ..memory.allocation import MemoryMap, Residency
 from .fsm import ComputeOp, MemReadOp, MemWriteOp, ThreadFsm
@@ -41,16 +34,10 @@ class FunctionalUnit:
 
 @dataclass
 class RegisterBinding:
-    """One datapath register; ``occupants`` lists the variables sharing it
-    (singleton unless register sharing merged disjoint live ranges)."""
+    """One datapath register, holding one variable or load temporary."""
 
     name: str
     width: int
-    occupants: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.occupants:
-            self.occupants = (self.name,)
 
 
 @dataclass
@@ -66,23 +53,11 @@ class DatapathSummary:
     #: mode); >1 bank means the thread needs a return-data mux
     memory_banks_used: set[str] = field(default_factory=set)
 
-    @property
-    def register_bits(self) -> int:
-        return sum(reg.width for reg in self.registers)
-
-    def unit_count(self, kind: str) -> int:
-        return sum(1 for unit in self.units if unit.kind == kind)
-
-    @property
-    def total_mux_inputs(self) -> int:
-        return sum(unit.mux_inputs for unit in self.units)
-
 
 def bind_thread(
     checked: CheckedProgram,
     memory_map: MemoryMap,
     fsm: ThreadFsm,
-    share_registers: bool = False,
     bank_of: "Callable[[int], str] | None" = None,
 ) -> DatapathSummary:
     """Bind one synthesized thread's datapath.
@@ -91,8 +66,6 @@ def bind_thread(
     share one unit (they are mutually exclusive in time); the unit count of
     a class is therefore the maximum number of that class used in any
     single state, and sharing across states adds multiplexer inputs.
-    With ``share_registers``, variables with disjoint live ranges share
-    physical registers (left-edge allocation over the lifetime analysis).
     ``bank_of`` (fabric mode only) maps a logical word address to the
     fabric bank serving it, so the summary records which banks the thread's
     memory ports fan out to.
@@ -142,80 +115,20 @@ def bind_thread(
 
     # Registers: thread-local register-resident variables plus load temps.
     scope = checked.scopes[fsm.thread]
-    candidates: list[tuple[str, int]] = []
     for name, symbol in sorted(scope.symbols.items()):
         if symbol.kind in (SymbolKind.CONSTANT, SymbolKind.SHARED):
             continue
         placement = memory_map.placements.get((fsm.thread, name))
         if placement is not None and placement.residency is Residency.REGISTER:
-            candidates.append((name, symbol.hic_type.bit_width))
-
-    if share_registers and len(candidates) > 1:
-        summary.registers.extend(
-            _share_registers(checked, fsm.thread, candidates)
-        )
-    else:
-        summary.registers.extend(
-            RegisterBinding(name=name, width=width)
-            for name, width in candidates
-        )
+            summary.registers.append(
+                RegisterBinding(name=name, width=symbol.hic_type.bit_width)
+            )
 
     for temp in sorted(load_temps):
         # Load registers mirror a BRAM word (36 bits max, typically 32).
         summary.registers.append(RegisterBinding(name=temp, width=32))
 
     return summary
-
-
-def _share_registers(
-    checked: CheckedProgram,
-    thread_name: str,
-    candidates: list[tuple[str, int]],
-) -> list[RegisterBinding]:
-    """Left-edge register allocation over disjoint live ranges."""
-    thread = checked.program.thread(thread_name)
-    lifetimes = thread_lifetimes(thread)
-    widths = dict(candidates)
-
-    # Sort by live-range start; greedily drop each variable into the first
-    # register whose current occupants all end before it starts.
-    ordered = sorted(
-        (name for name, __ in candidates),
-        key=lambda n: (
-            lifetimes.ranges[n].start if n in lifetimes.ranges else 0,
-            n,
-        ),
-    )
-    groups: list[list[str]] = []
-    group_end: list[int] = []
-    for name in ordered:
-        live = lifetimes.ranges.get(name)
-        if live is None:
-            # Declared but never touched: zero-length range at 0.
-            start, end = 0, 0
-        else:
-            start, end = live.start, live.end
-        placed = False
-        for i, current_end in enumerate(group_end):
-            if current_end < start:
-                groups[i].append(name)
-                group_end[i] = end
-                placed = True
-                break
-        if not placed:
-            groups.append([name])
-            group_end.append(end)
-
-    bindings = []
-    for i, occupants in enumerate(groups):
-        width = max(widths[name] for name in occupants)
-        label = occupants[0] if len(occupants) == 1 else f"shared{i}"
-        bindings.append(
-            RegisterBinding(
-                name=label, width=width, occupants=tuple(occupants)
-            )
-        )
-    return bindings
 
 
 def bind_program(

@@ -127,16 +127,6 @@ class State:
     transitions: list[Transition] = field(default_factory=list)
 
     @property
-    def blocking(self) -> bool:
-        """Whether this state can stall (guarded memory op or receive)."""
-        for op in self.ops:
-            if isinstance(op, (MemReadOp, MemWriteOp)) and op.guarded:
-                return True
-            if isinstance(op, ReceiveOp):
-                return True
-        return False
-
-    @property
     def memory_ops(self) -> list[MicroOp]:
         return [op for op in self.ops if isinstance(op, (MemReadOp, MemWriteOp))]
 
@@ -161,22 +151,6 @@ class ThreadFsm:
     def state_bits(self) -> int:
         """Flip-flops in the one-hot-free (binary) state register."""
         return max(1, (len(self.states) - 1).bit_length())
-
-    def guarded_reads(self) -> list[MemReadOp]:
-        return [
-            op
-            for st in self.states.values()
-            for op in st.ops
-            if isinstance(op, MemReadOp) and op.guarded
-        ]
-
-    def guarded_writes(self) -> list[MemWriteOp]:
-        return [
-            op
-            for st in self.states.values()
-            for op in st.ops
-            if isinstance(op, MemWriteOp) and op.guarded
-        ]
 
     def reachable_states(self) -> set[str]:
         seen: set[str] = set()

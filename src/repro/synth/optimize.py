@@ -94,20 +94,16 @@ def _op_demand(state: State) -> dict[str, int]:
     return demand
 
 
-def pack_compute_states(
-    fsm: ThreadFsm, resources: dict[str, int] | None = None
-) -> int:
+def pack_compute_states(fsm: ThreadFsm) -> int:
     """Merge linear chains of compute-only states; returns merges done.
 
     Two adjacent states merge when the first's only transition is an
     unconditional edge to the second, the second has no other predecessors,
     both are compute-only, and their combined resource demand fits the
-    per-cycle budget.  Chained dataflow (the second reading what the first
-    wrote) is fine — that is exactly operator chaining within one cycle.
+    per-cycle budget of :data:`DEFAULT_RESOURCES`.  Chained dataflow (the
+    second reading what the first wrote) is fine — that is exactly
+    operator chaining within one cycle.
     """
-    if resources is None:
-        resources = dict(DEFAULT_RESOURCES)
-
     merges = 0
     changed = True
     while changed:
@@ -138,7 +134,7 @@ def pack_compute_states(
             for kind, count in _op_demand(target).items():
                 combined[kind] = combined.get(kind, 0) + count
             if any(
-                count > resources.get(kind, 1)
+                count > DEFAULT_RESOURCES.get(kind, 1)
                 for kind, count in combined.items()
             ):
                 continue
@@ -152,16 +148,14 @@ def pack_compute_states(
     return merges
 
 
-def optimize_fsm(
-    fsm: ThreadFsm, resources: dict[str, int] | None = None
-) -> dict[str, int]:
+def optimize_fsm(fsm: ThreadFsm) -> dict[str, int]:
     """Run all passes to a fixpoint; returns per-pass counters."""
     counters = {"dead": 0, "collapsed": 0, "packed": 0}
     changed = True
     while changed:
         dead = eliminate_dead_states(fsm)
         collapsed = collapse_passthrough_states(fsm)
-        packed = pack_compute_states(fsm, resources)
+        packed = pack_compute_states(fsm)
         counters["dead"] += dead
         counters["collapsed"] += collapsed
         counters["packed"] += packed

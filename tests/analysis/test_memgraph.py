@@ -12,20 +12,6 @@ class TestOperationOrderGraph:
         assert [op.thread for op in writes] == ["t1"]
         assert sorted(op.thread for op in reads) == ["t2", "t3"]
 
-    def test_program_order_within_thread(self, pipeline_checked):
-        __, order = build_memory_graphs(pipeline_checked)
-        ops = order.thread_operations("stage2")
-        first = [op for op in ops if op.statement_index == 0]
-        later = [op for op in ops if op.statement_index == 1]
-        assert first and later
-        assert order.precedes(first[0], later[0])
-
-    def test_no_order_across_threads(self, figure1_checked):
-        __, order = build_memory_graphs(figure1_checked)
-        w = order.writes("x1")[0]
-        r = order.reads("x1")[0]
-        assert not order.precedes(w, r)
-
     def test_access_kinds(self, figure1_checked):
         __, order = build_memory_graphs(figure1_checked)
         kinds = {op.kind for op in order.variable_operations("x1")}
@@ -49,16 +35,6 @@ class TestMemoryAccessGraph:
         access, __ = build_memory_graphs(checked)
         # s: write at depth 0 (1) + read+write at depth 1 (4+4)
         assert access.count("t", "s") == 1 + 4 + 4
-
-    def test_affinity_between_covariables(self, figure1_checked):
-        access, __ = build_memory_graphs(figure1_checked)
-        a = ("t1", "x1")
-        b = ("t1", "xtmp")
-        assert access.affinity_between(a, b) >= 1
-
-    def test_no_affinity_between_unrelated(self, figure1_checked):
-        access, __ = build_memory_graphs(figure1_checked)
-        assert access.affinity_between(("t2", "y2"), ("t3", "z2")) == 0
 
     def test_variables_listing(self, figure1_checked):
         access, __ = build_memory_graphs(figure1_checked)

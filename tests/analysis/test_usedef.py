@@ -1,6 +1,6 @@
 """Unit tests for use-def analysis."""
 
-from repro.analysis import analyze_thread, linearize
+from repro.analysis import linearize
 from repro.hic import parse
 
 
@@ -80,20 +80,3 @@ class TestLinearize:
         thread = thread_of("thread t () { int a, b; a = 1; b = 2; a = b; }")
         infos = linearize(thread)
         assert [info.index for info in infos] == [0, 1, 2]
-
-
-class TestThreadUseDef:
-    def test_all_defs_uses(self):
-        facts = analyze_thread(
-            thread_of("thread t () { int x, y, z; x = y; z = x; }")
-        )
-        assert facts.all_defs == {"x", "z"}
-        assert facts.all_uses == {"y", "x"}
-
-    def test_first_def_last_use(self):
-        facts = analyze_thread(
-            thread_of("thread t () { int x, y; x = 1; y = x; y = x + 1; }")
-        )
-        assert facts.first_def_index("x") == 0
-        assert facts.last_use_index("x") == 2
-        assert facts.first_def_index("nothere") is None

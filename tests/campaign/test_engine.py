@@ -203,21 +203,19 @@ class TestJournalAndResume:
         journal = str(tmp_path / "run.jsonl")
         baseline = run_matrix(square_task, square_specs(6))
 
-        first = run_matrix(
+        first = CampaignEngine(
             square_task,
-            square_specs(6),
             EngineConfig(journal=journal, stop_after=2),
             fingerprint="sq/6",
-        )
+        ).run(square_specs(6))
         assert first.stopped
         assert first.completed == 2
 
-        second = run_matrix(
+        second = CampaignEngine(
             square_task,
-            square_specs(6),
             EngineConfig(workers=2, journal=journal, resume=journal),
             fingerprint="sq/6",
-        )
+        ).run(square_specs(6))
         assert not second.stopped
         assert second.resumed == 2
         assert second.completed == 4
@@ -232,9 +230,8 @@ class TestJournalAndResume:
         journal = str(tmp_path / "run.jsonl")
         baseline = run_matrix(square_task, square_specs(5))
 
-        first = run_matrix(
+        first = CampaignEngine(
             square_task,
-            square_specs(5),
             EngineConfig(
                 workers=2,
                 retries=2,
@@ -244,15 +241,14 @@ class TestJournalAndResume:
                 stop_after=3,
             ),
             fingerprint="sq/5",
-        )
+        ).run(square_specs(5))
         assert first.stopped and first.completed == 3
 
-        second = run_matrix(
+        second = CampaignEngine(
             square_task,
-            square_specs(5),
             EngineConfig(workers=2, journal=journal, resume=journal),
             fingerprint="sq/5",
-        )
+        ).run(square_specs(5))
         assert second.resumed == 3
         assert merged(second) == merged(baseline)
 
@@ -260,34 +256,31 @@ class TestJournalAndResume:
         # The --journal X --resume X idiom must work on the very first
         # run, when the journal does not exist yet.
         journal = str(tmp_path / "run.jsonl")
-        report = run_matrix(
+        report = CampaignEngine(
             square_task,
-            square_specs(3),
             EngineConfig(journal=journal, resume=journal),
             fingerprint="sq/3",
-        )
+        ).run(square_specs(3))
         assert report.resumed == 0
         assert report.completed == 3
         assert os.path.exists(journal)
 
     def test_resumed_runs_do_not_reexecute(self, tmp_path):
         journal = str(tmp_path / "run.jsonl")
-        run_matrix(
+        CampaignEngine(
             square_task,
-            square_specs(3),
             EngineConfig(journal=journal),
             fingerprint="sq/3",
-        )
+        ).run(square_specs(3))
 
         def exploding(payload):
             raise AssertionError("finished run was re-executed")
 
-        resumed = run_matrix(
+        resumed = CampaignEngine(
             exploding,
-            square_specs(3),
             EngineConfig(resume=journal),
             fingerprint="sq/3",
-        )
+        ).run(square_specs(3))
         assert resumed.resumed == 3
         assert all(r.ok for r in resumed.results)
 
@@ -295,13 +288,12 @@ class TestJournalAndResume:
 class TestTelemetry:
     def test_metrics_registry_counters(self):
         registry = MetricsRegistry()
-        report = run_matrix(
+        report = CampaignEngine(
             square_task,
-            square_specs(3),
             EngineConfig(workers=2, retries=1, backoff_base=0.0,
                          chaos=((0, "crash"),)),
             metrics=registry,
-        )
+        ).run(square_specs(3))
         text = registry.render_prometheus()
         assert 'campaign_runs_total{outcome="ok"} 3' in text
         assert "campaign_retries_total 1" in text

@@ -1,7 +1,5 @@
 """Unit tests for the modulo schedule and selection logic."""
 
-import pytest
-
 from repro.core import ModuloSchedule, SelectionLogic, SlotKind
 from repro.hic.pragmas import ConsumerRef, Dependency
 
@@ -35,16 +33,6 @@ class TestScheduleTable:
             "p1",
             "c2",
         ]
-
-    def test_consumer_rank_is_compile_time_order(self):
-        schedule = two_dep_schedule()
-        assert schedule.consumer_rank("d0", "c0") == 0
-        assert schedule.consumer_rank("d0", "c1") == 1
-
-    def test_unknown_consumer_rank(self):
-        schedule = two_dep_schedule()
-        with pytest.raises(KeyError):
-            schedule.consumer_rank("d0", "ghost")
 
     def test_producer_slots(self):
         schedule = two_dep_schedule()

@@ -117,13 +117,6 @@ thread big () {
         text = error.describe()
         assert "table" in text and "600" in text and "512" in text
 
-    def test_force_single_bram_raises_structured(self):
-        checked = analyze(TWO_THREAD_ARRAYS)
-        with pytest.raises(AllocationError) as excinfo:
-            allocate(checked, force_single_bram=True)
-        assert excinfo.value.words_available == WORDS_PER_BRAM
-
-
 class TestThreadPartitioning:
     def test_balances_by_access_weight(self, figure1_checked):
         access, __ = build_memory_graphs(figure1_checked)

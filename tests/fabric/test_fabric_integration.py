@@ -161,10 +161,6 @@ class TestFabricProgress:
 
 
 class TestCompileValidation:
-    def test_force_single_bram_is_incompatible(self, figure1_source):
-        with pytest.raises(ValueError, match="incompatible"):
-            compile_design(figure1_source, num_banks=2, force_single_bram=True)
-
     def test_unknown_dep_home_rejected(self, figure1_source):
         with pytest.raises(ValueError, match="dep_home"):
             compile_design(figure1_source, num_banks=2, dep_home="everywhere")

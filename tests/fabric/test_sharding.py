@@ -8,6 +8,7 @@ from repro.fabric import (
     RangeSharding,
     make_policy,
 )
+from repro.memory.allocation import WORDS_PER_BRAM
 
 
 class TestInterleaved:
@@ -24,7 +25,7 @@ class TestInterleaved:
         ]
 
     def test_round_trip_is_bijective(self):
-        policy = InterleavedSharding(3, words_per_bank=16)
+        policy = InterleavedSharding(3)
         seen = set()
         for logical in range(policy.capacity):
             bank = policy.bank_for(logical)
@@ -36,16 +37,15 @@ class TestInterleaved:
 
 class TestRange:
     def test_banks_own_contiguous_slices(self):
-        policy = RangeSharding(2, words_per_bank=4)
-        assert [policy.bank_for(a) for a in range(8)] == [
-            0, 0, 0, 0, 1, 1, 1, 1,
-        ]
-        assert [policy.local_address(a) for a in range(8)] == [
-            0, 1, 2, 3, 0, 1, 2, 3,
+        policy = RangeSharding(2)
+        edges = [0, WORDS_PER_BRAM - 1, WORDS_PER_BRAM, 2 * WORDS_PER_BRAM - 1]
+        assert [policy.bank_for(a) for a in edges] == [0, 0, 1, 1]
+        assert [policy.local_address(a) for a in edges] == [
+            0, WORDS_PER_BRAM - 1, 0, WORDS_PER_BRAM - 1,
         ]
 
     def test_round_trip_is_bijective(self):
-        policy = RangeSharding(4, words_per_bank=8)
+        policy = RangeSharding(4)
         for logical in range(policy.capacity):
             assert policy.logical_address(
                 policy.bank_for(logical), policy.local_address(logical)
@@ -70,9 +70,9 @@ class TestPolicyRegistry:
             make_policy("interleaved", 0)
 
     def test_out_of_range_address_rejected(self):
-        policy = make_policy("interleaved", 2, words_per_bank=4)
+        policy = make_policy("interleaved", 2)
         with pytest.raises(ValueError, match="outside"):
-            policy.bank_for(8)
+            policy.bank_for(2 * WORDS_PER_BRAM)
         with pytest.raises(ValueError, match="outside"):
             policy.local_address(-1)
 

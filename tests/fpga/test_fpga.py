@@ -56,40 +56,25 @@ class TestDevice:
 
 class TestPacking:
     def test_lut_limited(self):
-        result = pack(luts=100, ffs=20)
-        assert result.lut_limited
-        assert result.slices >= 50
+        assert pack(luts=100, ffs=20) >= 50
 
     def test_ff_limited(self):
-        result = pack(luts=10, ffs=100)
-        assert not result.lut_limited
-        assert result.slices >= 50
+        assert pack(luts=10, ffs=100) >= 50
 
     def test_zero_resources(self):
-        assert pack(0, 0).slices == 0
-
-    def test_perfect_efficiency(self):
-        assert pack(luts=100, ffs=100, efficiency=1.0).slices == 50
-
-    def test_efficiency_inflates(self):
-        loose = pack(luts=100, ffs=0, efficiency=0.5).slices
-        tight = pack(luts=100, ffs=0, efficiency=1.0).slices
-        assert loose == 2 * tight
+        assert pack(0, 0) == 0
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             pack(-1, 0)
-        with pytest.raises(ValueError):
-            pack(1, 1, efficiency=0.0)
 
 
 class TestAreaEstimation:
     def test_wrapper_report_row(self):
         m = generate_arbitrated_wrapper(WrapperParams(consumers=2))
         report = estimate_area(m)
-        luts, ffs, slices = report.table_row()
-        assert ffs == 66
-        assert luts > 0 and slices > 0
+        assert report.ffs == 66
+        assert report.luts > 0 and report.slices > 0
 
     def test_overhead_in_paper_band(self):
         # §4: "the area overhead can vary from 5-20%" of a ~1000-slice core.

@@ -37,10 +37,6 @@ class TestBuiltinWidths:
         with pytest.raises(KeyError):
             MessageType.field_slice("bogus")
 
-    def test_message_field_names_nonempty(self):
-        assert "ttl" in MessageType.field_names()
-
-
 class TestUserTypes:
     def test_bits_type_width(self):
         assert BitsType("addr", 9).bit_width == 9

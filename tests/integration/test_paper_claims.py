@@ -12,7 +12,6 @@ from repro.fpga import estimate_area, estimate_timing, overhead_fraction
 from repro.net import (
     BernoulliTraffic,
     CORE_FORWARDING_SLICES,
-    OVERHEAD_BAND,
     forwarding_functions,
     forwarding_source,
     multi_pair_source,
@@ -92,7 +91,7 @@ class TestOverheadClaim:
     core forwarding function."""
 
     def test_overhead_band(self):
-        low, high = OVERHEAD_BAND
+        low, high = 0.05, 0.20
         for n in SCENARIOS:
             report = wrapper_report(n, Organization.ARBITRATED)[1]
             fraction = overhead_fraction(report, CORE_FORWARDING_SLICES)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import Organization
 from repro.flow import build_simulation, compile_design
+from repro.fpga import estimate_area
 from repro.hic.pragmas import ConsumerRef, Dependency
 from repro.rtl import (
     WrapperParams,
@@ -36,9 +37,9 @@ class TestArbitratedScalability:
         base = generate_arbitrated_wrapper(WrapperParams(consumers=4))
         grown = generate_arbitrated_wrapper(WrapperParams(consumers=5))
         # Fixed base architecture: same flip-flop count...
-        assert base.total_ffs() == grown.total_ffs() == 66
+        assert estimate_area(base).ffs == estimate_area(grown).ffs == 66
         # ...only LUTs (the muxing) change.
-        assert grown.total_luts() > base.total_luts()
+        assert estimate_area(grown).luts > estimate_area(base).luts
 
     def test_existing_thread_fsms_unchanged_when_consumer_added(self):
         # Synthesize the 4- and 5-consumer programs; threads present in
@@ -68,7 +69,7 @@ class TestEventDrivenRegeneration:
             WrapperParams(consumers=5), [fanout_dep(5)]
         )
         # The selection/event state changes: FF count moves.
-        assert grown.total_ffs() > base.total_ffs()
+        assert estimate_area(grown).ffs > estimate_area(base).ffs
 
     def test_slot_schedule_length_changes(self):
         base = generate_event_driven_wrapper(
@@ -89,10 +90,8 @@ class TestEventDrivenRegeneration:
 
         small = ModuloSchedule.build([fanout_dep(4)])
         large = ModuloSchedule.build([fanout_dep(5)])
-        for i in range(4):
-            assert small.consumer_rank("d0", f"c{i}") == large.consumer_rank(
-                "d0", f"c{i}"
-            )
+        ranks = [slot.thread for slot in small.slots]
+        assert [slot.thread for slot in large.slots][: len(small)] == ranks
         assert len(large) == len(small) + 1
 
 

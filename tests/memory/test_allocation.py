@@ -18,7 +18,7 @@ from tests.conftest import make_fanout_source
 class TestResidency:
     def test_produced_variable_is_bram_resident(self, figure1_checked):
         mm = allocate(figure1_checked)
-        assert mm.is_bram_resident("t1", "x1")
+        assert mm.placement("t1", "x1").is_bram
 
     def test_private_scalar_stays_in_registers(self, figure1_checked):
         mm = allocate(figure1_checked)
@@ -33,12 +33,12 @@ class TestResidency:
     def test_array_is_bram_resident(self):
         checked = analyze("thread t () { int a[8], i; i = a[0]; }")
         mm = allocate(checked)
-        assert mm.is_bram_resident("t", "a")
+        assert mm.placement("t", "a").is_bram
 
     def test_message_is_bram_resident(self):
         checked = analyze("thread t () { message m; m.ttl = 1; }")
         mm = allocate(checked)
-        assert mm.is_bram_resident("t", "m")
+        assert mm.placement("t", "m").is_bram
 
 
 class TestWordLayout:
@@ -69,7 +69,10 @@ class TestWordLayout:
     def test_no_address_overlap_within_bram(self, figure1_checked):
         mm = allocate(figure1_checked)
         for bram in mm.bram_names:
-            placements = mm.bram_variables(bram)
+            placements = sorted(
+                (p for p in mm.placements.values() if p.bram == bram),
+                key=lambda p: p.base_address,
+            )
             cursor = 0
             for p in placements:
                 assert p.base_address >= cursor
@@ -95,22 +98,10 @@ class TestPacking:
         with pytest.raises(ValueError, match="more than one BRAM"):
             allocate(checked)
 
-    def test_force_single_bram_success(self, figure1_checked):
-        mm = allocate(figure1_checked, force_single_bram=True)
-        assert mm.bram_count() == 1
-
-    def test_force_single_bram_overflow_raises(self):
-        checked = analyze(
-            "thread t () { int a[400], i; i = a[0]; }\n"
-            "thread u () { int b[400], j; j = b[0]; }"
-        )
-        with pytest.raises(ValueError, match="force_single_bram"):
-            allocate(checked, force_single_bram=True)
-
     def test_affinity_guided_packing_runs(self, figure1_checked):
         access, __ = build_memory_graphs(figure1_checked)
         mm = allocate(figure1_checked, access=access)
-        assert mm.is_bram_resident("t1", "x1")
+        assert mm.placement("t1", "x1").is_bram
 
     def test_fill_never_exceeds_capacity(self):
         checked = analyze(
@@ -126,7 +117,11 @@ class TestPacking:
     def test_register_bits(self, figure1_checked):
         mm = allocate(figure1_checked)
         # xtmp, x2, y1, y2, z1, z2 are registers: 6 * 32 bits
-        assert mm.register_bits() == 6 * 32
+        registers = [
+            p for p in mm.placements.values()
+            if p.residency is Residency.REGISTER
+        ]
+        assert sum(p.bits for p in registers) == 6 * 32
 
     def test_utilization(self, figure1_checked):
         mm = allocate(figure1_checked)
@@ -147,7 +142,7 @@ class TestDependencyGrouping:
     @pytest.mark.parametrize("consumers", [2, 4, 8])
     def test_fanout_scenarios_single_bram(self, consumers):
         checked = analyze(make_fanout_source(consumers))
-        mm = allocate(checked, force_single_bram=True)
+        mm = allocate(checked)
         groups = dependencies_per_bram(mm, checked.dependencies)
         assert len(groups["bram0"]) == 1
         assert groups["bram0"][0].dependency_number == consumers
@@ -185,3 +180,26 @@ class TestAffinityPacking:
         assert (
             mm.placement("tb", "sb").bram == mm.placement("tb", "big_b").bram
         )
+
+
+class TestStorage:
+    """The storage sizes the allocator reads (``Symbol.storage_bits``)."""
+
+    def test_scalar_bits(self):
+        checked = analyze("thread t () { int x; char c; x = c; }")
+        assert checked.symbol("t", "x").storage_bits == 32
+        assert checked.symbol("t", "c").storage_bits == 8
+
+    def test_array_bits(self):
+        checked = analyze("thread t () { int a[16], i; i = a[0]; }")
+        assert checked.symbol("t", "a").storage_bits == 16 * 32
+
+    def test_message_bits(self):
+        checked = analyze("thread t () { message m; m.ttl = 1; }")
+        assert checked.symbol("t", "m").storage_bits == 160
+
+    def test_shared_import_not_double_counted(self, figure1_checked):
+        # t2 and t3 import x1; only its producer t1 stores it.
+        placements = allocate(figure1_checked).placements
+        x1_entries = [key for key in placements if key[1] == "x1"]
+        assert x1_entries == [("t1", "x1")]

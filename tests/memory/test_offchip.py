@@ -50,7 +50,8 @@ class TestOffchipMemory:
 
 class TestOffchipController:
     def test_access_takes_latency_cycles(self):
-        controller = OffchipController(OffchipMemory("x0"), latency=4)
+        controller = OffchipController(OffchipMemory("x0"))
+        assert controller.latency == DEFAULT_LATENCY == 4
         granted_at = None
         for cycle in range(10):
             controller.submit(MemRequest("t", "A", 5, True, data=9))
@@ -61,7 +62,7 @@ class TestOffchipController:
         assert granted_at == 3  # cycles 0..3 = 4 cycles of occupancy
 
     def test_single_port_serializes_clients(self):
-        controller = OffchipController(OffchipMemory("x0"), latency=2)
+        controller = OffchipController(OffchipMemory("x0"))
         grants = []
         pending = {"a": MemRequest("a", "A", 0, True, data=1),
                    "b": MemRequest("b", "A", 1, True, data=2)}
@@ -75,11 +76,7 @@ class TestOffchipController:
                     del pending[client]
             if not pending:
                 break
-        assert grants == [(1, "a"), (3, "b")]
-
-    def test_invalid_latency(self):
-        with pytest.raises(ValueError):
-            OffchipController(OffchipMemory("x0"), latency=0)
+        assert grants == [(3, "a"), (7, "b")]
 
 
 class TestSpillAllocation:

@@ -200,13 +200,13 @@ def test_summary_json_is_byte_deterministic():
 # -- sweep / pareto / prune -----------------------------------------------
 
 
-def sweep_figure1(**kwargs):
-    return run_sweep(figure1_params(Organization.ARBITRATED), **kwargs)
+def sweep_figure1():
+    return run_sweep(figure1_params(Organization.ARBITRATED))
 
 
 def test_sweep_enumerates_deterministically():
-    first = sweep_figure1(with_area=False)
-    second = sweep_figure1(with_area=False)
+    first = sweep_figure1()
+    second = sweep_figure1()
     assert [p.row() for p in first.points] == [
         p.row() for p in second.points
     ]
@@ -215,18 +215,18 @@ def test_sweep_enumerates_deterministically():
 
 
 def test_frontier_is_subset_of_prune_set():
-    result = sweep_figure1(with_area=False)
+    result = sweep_figure1()
     assert set(result.frontier) <= set(result.pruned)
     assert result.pruned == sorted(result.pruned)
 
 
 def test_prune_margin_zero_equals_frontier():
-    points = sweep_figure1(with_area=False).points
+    points = sweep_figure1().points
     assert prune(points, margin=0.0) == pareto_frontier(points)
 
 
 def test_prune_set_grows_with_margin():
-    points = sweep_figure1(with_area=False).points
+    points = sweep_figure1().points
     tight = set(prune(points, margin=0.05))
     loose = set(prune(points, margin=DEFAULT_MARGIN))
     assert tight <= loose

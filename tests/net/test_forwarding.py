@@ -95,7 +95,7 @@ class TestForwardingExecution:
         table = demo_table()
         sim = build_simulation(design, functions=forwarding_functions(table))
         dst = ip(10, 2, 0, 5)
-        sim.inject("eth_in", {"dst_addr": dst, "ttl": 64, "length": 64})
+        sim.rx["eth_in"].push({"dst_addr": dst, "ttl": 64, "length": 64})
         sim.run(200)
         expected_port = table.lookup(dst)
         assert sim.executors["egress0"].env["d0"] == expected_port
@@ -103,7 +103,7 @@ class TestForwardingExecution:
     def test_expired_packet_not_forwarded(self):
         design = compile_design(forwarding_source(2))
         sim = build_simulation(design, functions=forwarding_functions())
-        sim.inject("eth_in", {"dst_addr": 1, "ttl": 1, "length": 64})
+        sim.rx["eth_in"].push({"dst_addr": 1, "ttl": 1, "length": 64})
         sim.run(200)
         assert sim.tx["eth_out"].count == 0
 
@@ -120,4 +120,5 @@ class TestChecksumOnEgress:
         sim.run(1500)
         assert sim.tx["eth_out"].count > 0
         for __, message in sim.tx["eth_out"].messages:
-            assert Ipv4Packet.from_message(message).checksum_ok
+            packet = Ipv4Packet(**message)
+            assert packet.checksum == packet.compute_checksum()

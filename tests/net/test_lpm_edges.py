@@ -73,24 +73,6 @@ class TestOverlappingPrefixes:
             assert table.lookup(ip(10, 1, 2, 9)) == 2
             assert table.lookup(ip(10, 2, 0, 9)) == 1
 
-    def test_removing_the_longest_falls_back_to_the_next(self):
-        table = LpmTable(default_port=0)
-        table.add_route(ip(10, 0, 0, 0), 8, 1)
-        table.add_route(ip(10, 1, 0, 0), 16, 2)
-        dst = ip(10, 1, 0, 5)
-        assert table.lookup(dst) == 2
-        table.remove_route(ip(10, 1, 0, 0), 16)
-        assert table.lookup(dst) == 1
-        table.remove_route(ip(10, 0, 0, 0), 8)
-        assert table.lookup(dst) == 0
-
-    def test_routes_listed_longest_first(self):
-        table = LpmTable()
-        table.add_route(ip(10, 0, 0, 0), 8, 1)
-        table.add_route(ip(10, 0, 0, 42), 32, 3)
-        table.add_route(ip(10, 1, 0, 0), 16, 2)
-        assert [r.prefix_len for r in table.routes()] == [32, 16, 8]
-
     def test_same_prefix_same_length_is_replaced(self):
         table = LpmTable()
         table.add_route(ip(10, 0, 0, 0), 16, 1)
@@ -107,7 +89,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             table.add_route(0, -1, 1)
 
-    def test_remove_missing_route_raises(self):
-        table = LpmTable()
-        with pytest.raises(KeyError):
-            table.remove_route(ip(10, 0, 0, 0), 8)

@@ -48,8 +48,8 @@ class TestHistogram:
         for value in (0, 1, 2, 5, 20):
             h.observe(value)
         assert h.count() == 5
-        assert h.sum_of() == 28
         state = h.samples()[0][1]
+        assert state.sum == 28
         # le semantics: 0,1 -> le=1; 2 -> le=4; 5 -> le=16; 20 -> +Inf
         assert state.counts == [2, 1, 1, 1]
 
@@ -153,7 +153,7 @@ class TestRegistry:
 
     def test_render_histogram_exposition(self):
         reg = MetricsRegistry()
-        h = reg.histogram("wait", "waits", labels=("p",), buckets=(1.0, 8.0))
+        h = reg.histogram("wait", "waits", labels=("p",))
         h.observe_many([0, 5, 100], p="C")
         text = reg.render_prometheus()
         assert 'wait_bucket{p="C",le="1"} 1' in text
@@ -177,13 +177,13 @@ class TestRegistry:
     def test_to_dict_shapes(self):
         reg = MetricsRegistry()
         reg.counter("c_total", "h", labels=("l",)).inc(l="x")
-        reg.histogram("h_cycles", buckets=(1.0,)).observe(0)
+        reg.histogram("h_cycles").observe(0)
         out = reg.to_dict()
         assert out["c_total"]["type"] == "counter"
         assert out["c_total"]["values"] == [
             {"labels": {"l": "x"}, "value": 1}
         ]
-        assert out["h_cycles"]["buckets"] == [1.0]
+        assert out["h_cycles"]["buckets"] == list(DEFAULT_BUCKETS)
         assert out["h_cycles"]["values"][0]["count"] == 1
 
     def test_default_buckets_cover_watchdog_window(self):

@@ -84,14 +84,14 @@ def test_guard_counter_stays_in_bounds(dn, operations):
     st.integers(min_value=0, max_value=4000),
 )
 def test_packing_bounds(luts, ffs):
-    result = pack(luts, ffs)
+    slices = pack(luts, ffs)
     if luts == 0 and ffs == 0:
-        assert result.slices == 0
+        assert slices == 0
         return
     # Never below the perfect-packing bound, never absurdly above it.
     perfect = max((luts + 1) // 2, (ffs + 1) // 2)
-    assert result.slices >= perfect
-    assert result.slices <= perfect * 2 + 1
+    assert slices >= perfect
+    assert slices <= perfect * 2 + 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -101,9 +101,9 @@ def test_packing_bounds(luts, ffs):
     st.integers(min_value=1, max_value=500),
 )
 def test_packing_monotone_in_resources(luts, ffs, extra):
-    base = pack(luts, ffs).slices
-    assert pack(luts + extra, ffs).slices >= base
-    assert pack(luts, ffs + extra).slices >= base
+    base = pack(luts, ffs)
+    assert pack(luts + extra, ffs) >= base
+    assert pack(luts, ffs + extra) >= base
 
 
 # -- LPM ------------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fpga import estimate_area
 from repro.hic import analyze
 from repro.hic.pragmas import ConsumerRef, Dependency
 from repro.memory import allocate
@@ -30,18 +31,20 @@ class TestArbitratedGenerator:
         # The paper: "the baseline architecture ... requires 66 flip-flops".
         for consumers in (2, 4, 8):
             m = generate_arbitrated_wrapper(WrapperParams(consumers=consumers))
-            assert m.total_ffs() == 66
+            assert estimate_area(m).ffs == 66
 
     def test_luts_grow_with_consumers(self):
         luts = [
-            generate_arbitrated_wrapper(WrapperParams(consumers=n)).total_luts()
+            estimate_area(
+                generate_arbitrated_wrapper(WrapperParams(consumers=n))
+            ).luts
             for n in (2, 4, 8)
         ]
         assert luts[0] < luts[1] < luts[2]
 
     def test_single_bram(self):
         m = generate_arbitrated_wrapper(WrapperParams(consumers=2))
-        assert m.total_brams() == 1
+        assert estimate_area(m).brams == 1
 
     def test_guarded_read_path_grows(self):
         paths = [
@@ -57,22 +60,24 @@ class TestArbitratedGenerator:
         large = generate_arbitrated_wrapper(
             WrapperParams(consumers=2, deplist_entries=16)
         )
-        assert large.total_ffs() > small.total_ffs()
+        assert estimate_area(large).ffs > estimate_area(small).ffs
 
     def test_multi_producer_adds_arbiter(self):
         single = generate_arbitrated_wrapper(WrapperParams(consumers=2))
         multi = generate_arbitrated_wrapper(
             WrapperParams(consumers=2, producers=3)
         )
-        assert multi.total_ffs() > single.total_ffs()
+        assert estimate_area(multi).ffs > estimate_area(single).ffs
 
 
 class TestEventDrivenGenerator:
     def test_ffs_scale_with_consumers(self):
         ffs = [
-            generate_event_driven_wrapper(
-                WrapperParams(consumers=n), [fanout_dep(n)]
-            ).total_ffs()
+            estimate_area(
+                generate_event_driven_wrapper(
+                    WrapperParams(consumers=n), [fanout_dep(n)]
+                )
+            ).ffs
             for n in (2, 4, 8)
         ]
         assert ffs[0] < ffs[1] < ffs[2]
@@ -83,8 +88,8 @@ class TestEventDrivenGenerator:
             ed = generate_event_driven_wrapper(
                 WrapperParams(consumers=n), [fanout_dep(n)]
             )
-            assert ed.total_luts() < arb.total_luts()
-            assert ed.total_ffs() < arb.total_ffs()
+            assert estimate_area(ed).luts < estimate_area(arb).luts
+            assert estimate_area(ed).ffs < estimate_area(arb).ffs
 
     def test_shorter_critical_path_than_arbitrated(self):
         for n in (2, 4, 8):
@@ -96,20 +101,20 @@ class TestEventDrivenGenerator:
 
     def test_empty_dependency_list(self):
         m = generate_event_driven_wrapper(WrapperParams(consumers=0), [])
-        assert m.total_brams() == 1
+        assert estimate_area(m).brams == 1
 
 
 class TestLockBaselineGenerator:
     def test_generates(self):
         m = generate_lock_baseline(WrapperParams(consumers=2))
-        assert m.total_brams() == 1
-        assert m.total_ffs() > 0
+        assert estimate_area(m).brams == 1
+        assert estimate_area(m).ffs > 0
 
     def test_per_client_fsm_cost(self):
         small = generate_lock_baseline(WrapperParams(consumers=2))
         large = generate_lock_baseline(WrapperParams(consumers=8))
-        assert large.total_luts() > small.total_luts()
-        assert large.total_ffs() > small.total_ffs()
+        assert estimate_area(large).luts > estimate_area(small).luts
+        assert estimate_area(large).ffs > estimate_area(small).ffs
 
 
 class TestThreadGenerator:
@@ -119,7 +124,7 @@ class TestThreadGenerator:
         bindings = bind_program(figure1_checked, mm, fsms)
         for name in ("t1", "t2", "t3"):
             module = generate_thread_module(fsms[name], bindings[name])
-            assert module.total_ffs() > 0
+            assert estimate_area(module).ffs > 0
             assert module.name == f"thread_{name}"
 
     def test_registers_contribute_ffs(self):
@@ -128,7 +133,7 @@ class TestThreadGenerator:
         fsms = synthesize_program(checked, mm)
         bindings = bind_program(checked, mm, fsms)
         module = generate_thread_module(fsms["t"], bindings["t"])
-        assert module.total_ffs() >= 96  # three 32-bit registers
+        assert estimate_area(module).ffs >= 96  # three 32-bit registers
 
 
 class TestDesignGenerator:
@@ -142,6 +147,6 @@ class TestDesignGenerator:
             for n in ("t1", "t2", "t3")
         ]
         top = generate_design("figure1", [wrapper], threads)
-        assert top.total_brams() == 1
-        assert top.total_ffs() > wrapper.total_ffs()
-        assert len(top.child_modules()) == 4
+        assert estimate_area(top).brams == 1
+        assert estimate_area(top).ffs > estimate_area(wrapper).ffs
+        assert len(top.instances) == 4

@@ -189,7 +189,7 @@ class TestInterfaces:
         )
         design = compile_design(source)
         sim = build_simulation(design)
-        sim.inject("eth", {"ttl": 10, "payload": 99})
+        sim.rx["eth"].push({"ttl": 10, "payload": 99})
         sim.run(30)
         assert sim.tx["eth"].count == 1
         __, message = sim.tx["eth"].messages[0]

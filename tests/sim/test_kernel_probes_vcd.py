@@ -107,35 +107,6 @@ class TestProbes:
         assert stats.mean_wait == 0.0
         assert stats.deterministic
 
-    def test_summary_observed_flag(self):
-        sim = self.make_run(Organization.ARBITRATED)
-        probe = ConsumerLatencyProbe(sim.controllers["bram0"])
-        assert all(s.observed for s in probe.summaries())
-
-    def test_include_declared_lists_silent_consumers(self, figure1_source):
-        # No traffic -> consumers are declared in the deplist but never
-        # complete a guarded read.
-        design = compile_design(figure1_source)
-        sim = build_simulation(design)
-        probe = ConsumerLatencyProbe(sim.controllers["bram0"])
-        declared = probe.summaries(include_declared=True)
-        silent = [s for s in declared if not s.observed]
-        assert silent and all(s.waits == [] for s in silent)
-        text = determinism_report(probe, include_declared=True)
-        assert "n/a (no samples observed)" in text
-
-    def test_include_declared_event_driven_schedule(self):
-        design = compile_design(
-            make_fanout_source(3), organization=Organization.EVENT_DRIVEN
-        )
-        sim = build_simulation(design)
-        probe = ConsumerLatencyProbe(
-            sim.controllers["bram0"], guarded_ports=("C", "B")
-        )
-        declared = probe.summaries(include_declared=True)
-        assert {s.thread for s in declared} >= {"c0", "c1", "c2"}
-
-
 class TestVcd:
     def test_header_and_changes(self):
         vcd = VcdWriter(timescale="8 ns")

@@ -24,11 +24,21 @@ def synth(source, thread=None):
     return synthesize_thread(checked, mm, thread)
 
 
+def guarded(fsm, kind):
+    """The guarded memory ops of class ``kind`` in every state of ``fsm``."""
+    return [
+        op
+        for state in fsm.states.values()
+        for op in state.ops
+        if isinstance(op, kind) and op.guarded
+    ]
+
+
 class TestFigure1:
     def test_producer_write_is_guarded(self, figure1_checked):
         mm = allocate(figure1_checked)
         fsm = synthesize_thread(figure1_checked, mm, "t1")
-        writes = fsm.guarded_writes()
+        writes = guarded(fsm, MemWriteOp)
         assert len(writes) == 1
         assert writes[0].port == "D"
         assert writes[0].dep_id == "mt1"
@@ -36,7 +46,7 @@ class TestFigure1:
     def test_consumer_read_is_guarded(self, figure1_checked):
         mm = allocate(figure1_checked)
         fsm = synthesize_thread(figure1_checked, mm, "t2")
-        reads = fsm.guarded_reads()
+        reads = guarded(fsm, MemReadOp)
         assert len(reads) == 1
         assert reads[0].port == "C"
         assert reads[0].dep_id == "mt1"
@@ -132,7 +142,7 @@ class TestMemoryDiscipline:
         checked = analyze(source)
         mm = allocate(checked)
         fsm = synthesize_thread(checked, mm, "b")
-        assert len(fsm.guarded_reads()) == 1
+        assert len(guarded(fsm, MemReadOp)) == 1
 
 
 class TestControlFlow:
@@ -194,17 +204,6 @@ class TestControlFlow:
         assert any(isinstance(op, ReceiveOp) for op in ops)
         assert any(isinstance(op, TransmitOp) for op in ops)
 
-    def test_receive_state_blocks(self):
-        source = (
-            "#interface{eth, gige}\n"
-            "thread t () { message m; receive(m, eth); }"
-        )
-        fsm = synth(source)
-        rx_states = [s for s in fsm.states.values()
-                     if any(isinstance(op, ReceiveOp) for op in s.ops)]
-        assert rx_states[0].blocking
-
-
 class TestScaling:
     @pytest.mark.parametrize("consumers", [2, 4, 8])
     def test_fanout_scenarios_synthesize(self, consumers):
@@ -213,7 +212,7 @@ class TestScaling:
         fsms = synthesize_program(checked, mm)
         assert len(fsms) == consumers + 1
         guarded_reads = sum(
-            len(fsm.guarded_reads()) for fsm in fsms.values()
+            len(guarded(fsm, MemReadOp)) for fsm in fsms.values()
         )
         assert guarded_reads == consumers
 

@@ -94,8 +94,7 @@ class TestComputePacking:
             "a = b + 1; c = d + 2; e = f2 + 3; }"
         )
         fsm = synth(source)
-        pack_compute_states(fsm, {"alu": 2, "mul": 1, "cmp": 2,
-                                  "mem": 1, "call": 1})
+        pack_compute_states(fsm)
         compute_states = [s for s in fsm.states.values() if s.ops]
         # 3 adds at 2 ALUs per cycle -> at least 2 states remain.
         assert len(compute_states) >= 2
@@ -159,8 +158,7 @@ class TestOptimizeFsm:
         base_rounds = sim.executors["t"].stats.rounds_completed
 
         optimized = compile_design(source)
-        optimize_fsm(optimized.fsms["t"], {"alu": 4, "mul": 1, "cmp": 2,
-                                           "mem": 1, "call": 1})
+        optimize_fsm(optimized.fsms["t"])
         sim2 = build_simulation(optimized)
         sim2.run(200)
         assert sim2.executors["t"].stats.rounds_completed > base_rounds

@@ -105,11 +105,11 @@ thread sink () {
         assert var == "stage0_out"
 
 
-def make_channel(depth=4):
+def make_channel():
     checked = analyze(STREAM_SOURCE)
     dep = checked.dependencies[0]
     return FifoChannelController(
-        BlockRam(fifo_channel_name(dep.dep_id)), dep, depth=depth
+        BlockRam(fifo_channel_name(dep.dep_id)), dep
     ), dep
 
 
@@ -173,13 +173,13 @@ thread b () {
         assert results[dep.consumers[0].thread].data == 42
 
     def test_backpressure_at_depth(self):
-        channel, dep = make_channel(depth=2)
-        for cycle in range(3):
+        channel, dep = make_channel()
+        for cycle in range(DEFAULT_FIFO_DEPTH + 1):
             channel.submit(push_request(dep, cycle))
             channel.arbitrate(cycle)
-        assert channel.occupancy == 2
+        assert channel.occupancy == DEFAULT_FIFO_DEPTH
         assert channel.full
-        assert channel.pushed_values == [0, 1]
+        assert channel.pushed_values == list(range(DEFAULT_FIFO_DEPTH))
         # The blocked push classifies as a guard stall (backpressure).
         blocked = channel.blocked[0].request
         assert channel.classify_wait(blocked)[0] == "guard-stall"
@@ -214,16 +214,16 @@ thread b () {
         assert not channel.empty  # a zero datum was synthesized
 
     def test_force_unblock_backpressured_push(self):
-        channel, dep = make_channel(depth=1)
-        channel.submit(push_request(dep, 5))
-        channel.arbitrate(0)
-        channel.submit(push_request(dep, 6))
-        channel.arbitrate(1)
-        assert channel.force_unblock(channel.blocked[0].request, 2)
+        channel, dep = make_channel()
+        for cycle in range(DEFAULT_FIFO_DEPTH + 1):
+            channel.submit(push_request(dep, cycle))
+            channel.arbitrate(cycle)
+        blocked = channel.blocked[0].request
+        assert channel.force_unblock(blocked, DEFAULT_FIFO_DEPTH + 1)
         assert not channel.full  # the oldest datum was dropped
 
     def test_default_depth(self):
-        channel, __ = make_channel(depth=DEFAULT_FIFO_DEPTH)
+        channel, __ = make_channel()
         assert channel.depth == DEFAULT_FIFO_DEPTH
 
 

@@ -135,7 +135,7 @@ class TestCli:
         path.write_text("thread t () { int x; f(x).a = 3; }")
         assert main([str(path), *extra]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: <hic>:1:27: assignment target must be a variable, "
+            f"error: {path}:1:27: assignment target must be a variable, "
             "field, or element"
         ]
 
@@ -463,11 +463,15 @@ class TestSharedErrors:
             (["profile", "{fig1}", "--cycles", "-5"], "cycles"),
             (["faults", "--runs", "1", "--cycles", "-1"], "cycles"),
             (["scenarios", "--cycles", "0"], "cycles"),
+            (["{fig1}", "--deplist-entries", "0"], "deplist_entries"),
+            (["{fig1}", "--simulate", "-5"], "simulate"),
+            (["faults", "--runs", "-1"], "runs"),
         ],
         ids=[
             "bare-wall", "bare-rate-high", "bare-rate-negative",
             "bare-banks", "profile-wall", "profile-rate", "profile-banks",
             "profile-cycles", "faults-cycles", "scenarios-cycles",
+            "bare-deplist", "bare-simulate", "faults-runs",
         ],
     )
     def test_out_of_range_is_structured_parameter_error(

@@ -57,10 +57,6 @@ class TestShapeVerdict:
     def test_mismatch_on_direction(self):
         assert shape_verdict([158, 130, 125], [120, 130, 140]) == "mismatch"
 
-    def test_tolerance_parameter(self):
-        verdict = shape_verdict([100, 90], [160, 140], tolerance=0.3)
-        assert verdict == "shape-match"
-
     def test_invalid_series(self):
         with pytest.raises(ValueError):
             shape_verdict([1, 2], [1])
