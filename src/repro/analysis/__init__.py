@@ -6,7 +6,7 @@ This package implements the front-end analyses the compile flow reads:
   thread's linearized statement order, read by the analyses below (the
   pragma inference itself is :mod:`repro.hic.autopragma`);
 * :mod:`~repro.analysis.memgraph` — the memory access graph that drives
-  memory allocation, and the operation order graph (built on first read);
+  memory allocation;
 * :mod:`~repro.analysis.channels` — the channel classifier that proves a
   dependency a FIFO stream (``channel_synthesis="fifo"``);
 * :mod:`~repro.analysis.deadlock` — static deadlock detection over the
@@ -19,13 +19,7 @@ from .deadlock import (
     assert_deadlock_free,
     check_deadlock,
 )
-from .memgraph import (
-    AccessKind,
-    MemOperation,
-    MemoryAccessGraph,
-    OperationOrderGraph,
-    build_memory_graphs,
-)
+from .memgraph import MemoryAccessGraph, build_memory_graphs
 from .usedef import StatementInfo, linearize
 
 __all__ = [
@@ -33,10 +27,7 @@ __all__ = [
     "Event",
     "assert_deadlock_free",
     "check_deadlock",
-    "AccessKind",
-    "MemOperation",
     "MemoryAccessGraph",
-    "OperationOrderGraph",
     "build_memory_graphs",
     "StatementInfo",
     "linearize",

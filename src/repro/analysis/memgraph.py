@@ -1,78 +1,22 @@
-"""Memory access graph and operation order graph.
+"""Memory access graph.
 
 Section 2 of the paper: the mapping of the logical shared memory onto the
 physically distributed on-/off-chip memories "is done based on a memory
 access graph and an operation order graph that is generated by the front-end
-compiler".  Both are built here:
-
-* the **memory access graph** holds per-variable weighted access counts
-  and storage sizes.  :mod:`repro.memory.allocation` reads it to place
-  variables;
-* the **operation order graph** records, per thread, the partial order of
-  its memory operations (reads/writes with their statement indices).  No
-  compile stage reads it, so its operations are built on first read.
+compiler".  The **memory access graph** is built here: per-variable
+weighted access counts and storage sizes, which
+:mod:`repro.memory.allocation` reads to place variables.  No allocation
+decision reads an operation order, so none is built; each thread's
+program order is an edge set of the happens-before graph of
+:mod:`repro.analysis.deadlock`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Iterator
 
 from ..hic.semantic import CheckedProgram, SymbolKind
-from .usedef import StatementInfo, linearize
-
-
-class AccessKind(enum.Enum):
-    READ = "read"
-    WRITE = "write"
-
-
-@dataclass(frozen=True)
-class MemOperation:
-    """One memory operation in a thread's partial order."""
-
-    thread: str
-    statement_index: int
-    variable: str
-    kind: AccessKind
-    loop_depth: int = 0
-
-
-class OperationOrderGraph:
-    """Per-thread partial order of memory operations.
-
-    Program order within a thread totally orders its operations at equal
-    loop depth; operations in different threads are unordered until the
-    synchronization controllers impose the produce-before-consume edges.
-    ``build`` makes the operation list when :attr:`operations` is first
-    read.
-    """
-
-    def __init__(self, build: Callable[[], list[MemOperation]]):
-        self._build = build
-
-    @cached_property
-    def operations(self) -> list[MemOperation]:
-        return self._build()
-
-    def variable_operations(self, variable: str) -> list[MemOperation]:
-        return [op for op in self.operations if op.variable == variable]
-
-    def writes(self, variable: str) -> list[MemOperation]:
-        return [
-            op
-            for op in self.variable_operations(variable)
-            if op.kind is AccessKind.WRITE
-        ]
-
-    def reads(self, variable: str) -> list[MemOperation]:
-        return [
-            op
-            for op in self.variable_operations(variable)
-            if op.kind is AccessKind.READ
-        ]
+from .usedef import linearize
 
 
 @dataclass
@@ -122,11 +66,8 @@ def partition_threads_across_banks(
     return assignment
 
 
-def build_memory_graphs(
-    checked: CheckedProgram,
-) -> tuple[MemoryAccessGraph, OperationOrderGraph]:
-    """Build both graphs from a checked program (the order graph's
-    operations on first read)."""
+def build_memory_graphs(checked: CheckedProgram) -> MemoryAccessGraph:
+    """Build the memory access graph of a checked program."""
     access = MemoryAccessGraph()
 
     # Record sizes for every storage-owning symbol.
@@ -143,38 +84,17 @@ def build_memory_graphs(
         for ref in dep.consumers:
             shared_owner[(ref.thread, dep.producer_var)] = owner
 
-    for __, info, key, __ in _accesses(checked, shared_owner):
-        _bump(access, key, info.loop_depth)
-
-    # The order graph re-derives the accesses when read rather than keep
-    # every thread's statement facts alive through the rest of a compile.
-    order = OperationOrderGraph(
-        lambda: [
-            MemOperation(thread_name, info.index, key[1], kind, info.loop_depth)
-            for thread_name, info, key, kind in _accesses(checked, shared_owner)
-        ]
-    )
-    return access, order
-
-
-def _accesses(
-    checked: CheckedProgram,
-    shared_owner: dict[tuple[str, str], tuple[str, str]],
-) -> Iterator[tuple[str, StatementInfo, tuple[str, str], AccessKind]]:
-    """Every access to storage: ``(thread, statement, storage key, kind)``
-    in thread and statement order, each statement's writes before its
-    reads, each by name."""
+    # Every access to storage, in thread and statement order, each
+    # statement's writes before its reads, each by name.
     for thread in checked.program.threads:
         scope = checked.scopes[thread.name]
         for info in linearize(thread):
-            for names, kind in (
-                (info.defs, AccessKind.WRITE),
-                (info.uses, AccessKind.READ),
-            ):
+            for names in (info.defs, info.uses):
                 for name in sorted(names):
                     key = _resolve(thread.name, name, scope, shared_owner)
                     if key is not None:
-                        yield thread.name, info, key, kind
+                        _bump(access, key, info.loop_depth)
+    return access
 
 
 def _resolve(

@@ -5,7 +5,7 @@ a convenience, and that "one can use standard compiler use-def analysis and
 other lifetime analysis methods to extract producers and consumers from a
 given specification".  This module provides the per-thread def/use sets
 for every statement (in a linearized statement order), the substrate of
-the memory access and operation order graphs.  The pragma inference itself
+the memory access graph.  The pragma inference itself
 is :mod:`repro.hic.autopragma`.
 """
 

@@ -12,8 +12,7 @@ controllers for on-chip BRAMs.
 * :mod:`~repro.core.advisor` — the §4 design-time organization selector
   and :func:`~repro.core.advisor.build_controller`, the one place an
   organization becomes a controller;
-* supporting pieces: round-robin/priority arbiters and the modulo
-  scheduler.
+* supporting pieces: the round-robin arbiter and the modulo scheduler.
 
 Each organization states its grant rule once, as
 :meth:`~repro.core.controller.MemoryController.hold`; the profiler's
@@ -30,7 +29,7 @@ from .advisor import (
     build_controller,
     recommend,
 )
-from .arbiter import PriorityArbiter, RoundRobinArbiter
+from .arbiter import RoundRobinArbiter
 from .arbitrated import ArbitratedController
 from .controller import (
     BlockedRequest,
@@ -61,7 +60,6 @@ __all__ = [
     "Recommendation",
     "build_controller",
     "recommend",
-    "PriorityArbiter",
     "RoundRobinArbiter",
     "ArbitratedController",
     "AllocationError",

@@ -1,16 +1,17 @@
-"""Arbiters for the arbitrated memory organization.
+"""The round-robin arbiter of the arbitrated memory organization.
 
 Section 3.1: access to the wrapper's guarded ports is arbitrated because
 "there can be more than one thread as a client on these ports"; the paper's
 experiments use "a simple round robin arbitration scheme".  Between port
 classes, priority is fixed: "the write port (port D) gets highest priority,
 the read port (port C) gets second priority, and the remaining standard
-port has lowest priority".
+port has lowest priority" — the wrapper grants that order with plain
+branches (:meth:`repro.core.arbitrated.ArbitratedController._arbitrate_cycle`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -26,7 +27,6 @@ class RoundRobinArbiter:
 
     clients: list[str]
     _pointer: int = 0
-    grant_history: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.clients:
@@ -45,7 +45,6 @@ class RoundRobinArbiter:
             client = self.clients[idx]
             if client in requesting:
                 self._pointer = (idx + 1) % n
-                self.grant_history.append(client)
                 return client
         return None
 
@@ -53,17 +52,3 @@ class RoundRobinArbiter:
     def width(self) -> int:
         """Number of request lines (sizing input for the area model)."""
         return len(self.clients)
-
-
-@dataclass
-class PriorityArbiter:
-    """Fixed-priority selection among port classes (D > C > B)."""
-
-    priority_order: tuple[str, ...] = ("D", "C", "B")
-
-    def select(self, requesting_ports: set[str]) -> str | None:
-        """The highest-priority port class with a pending request."""
-        for port in self.priority_order:
-            if port in requesting_ports:
-                return port
-        return None

@@ -35,7 +35,7 @@ from typing import Optional
 
 from ..memory.bram import BlockRam
 from ..memory.deplist import DependencyList
-from .arbiter import PriorityArbiter, RoundRobinArbiter
+from .arbiter import RoundRobinArbiter
 from .controller import MemRequest, MemResult, MemoryController
 from .errors import UnknownPortError
 
@@ -56,7 +56,6 @@ class ArbitratedController(MemoryController):
         self._arb_d = RoundRobinArbiter(list(producer_clients) or ["-"])
         # port A's clients join on their first request
         self._arb_a = RoundRobinArbiter(["*any*"])
-        self._priority = PriorityArbiter()
         #: cycles in which a blocked port-C read was overridden by port D
         self.override_count = 0
 
@@ -118,16 +117,7 @@ class ArbitratedController(MemoryController):
         # requests on port C or D".
         b_allowed = port_b if not port_c and not port_d else []
 
-        port_classes: set[str] = set()
         if d_allowed:
-            port_classes.add("D")
-        if c_allowed:
-            port_classes.add("C")
-        if b_allowed:
-            port_classes.add("B")
-        selected = self._priority.select(port_classes)
-
-        if selected == "D":
             winner = self._arb_d.grant({r.client for r in d_allowed})
             request = next(r for r in d_allowed if r.client == winner)
             results[request.client] = self._perform(request)
@@ -152,7 +142,7 @@ class ArbitratedController(MemoryController):
                 self.override_count += 1
                 if self.observer is not None:
                     self.observer.on_override(self.bram.name, cycle)
-        elif selected == "C":
+        elif c_allowed:
             winner = self._arb_c.grant({r.client for r in c_allowed})
             request = next(r for r in c_allowed if r.client == winner)
             results[request.client] = self._perform(request)
@@ -181,7 +171,7 @@ class ArbitratedController(MemoryController):
                         cycle,
                         entry.outstanding,
                     )
-        elif selected == "B":
+        elif b_allowed:
             chosen = min(b_allowed, key=lambda r: r.client)
             results[chosen.client] = self._perform(chosen)
 

@@ -241,7 +241,7 @@ def compile_design(
     # The §2 mapping input: the fabric's ``range`` policy places each
     # thread's variables by the access graph's weighted counts; the
     # single-address packer groups by owning thread and does not read it.
-    access_graph, __ = build_memory_graphs(checked)
+    access_graph = build_memory_graphs(checked)
     memory_map = allocate(
         checked,
         access=access_graph,

@@ -13,7 +13,9 @@ Three modes, mirroring the subsystem's three consumers:
   enforced metric error exceeds the bound.
 
 Out-of-range inputs die with the structured
-:class:`~repro.core.errors.ParameterError` (exit 2), not a traceback.
+:class:`~repro.core.errors.ParameterError` (exit 2), not a traceback:
+like every command, ``predict`` runs through :func:`repro.cli.run_command`,
+which checks the shared options' ranges before anything compiles.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from typing import Optional
 
 from .. import cli
 from ..core.advisor import Organization
-from ..core.errors import ControllerError
-from ..hic.errors import HicError
 from .parameters import extract_parameters
 from .pareto import DEFAULT_MARGIN, run_sweep
 from .predict import predict
@@ -109,29 +109,20 @@ def _predict_parser() -> argparse.ArgumentParser:
 
 
 def predict_main(argv: Optional[list] = None) -> int:
-    args = _predict_parser().parse_args(argv)
-    try:
-        cli.check_outputs(args)
-        if args.validate:
-            return _run_validate(args)
-        if args.source is None:
-            print(
-                "error: a hic source file is required unless --validate "
-                "is given",
-                file=sys.stderr,
-            )
-            return 2
-        return _run_predict(args)
-    except cli.UsageError as stop:
-        return stop.code
-    except ControllerError as error:
-        # Structured parameter/controller failure: name the field, keep
-        # the exit code distinct from compile errors.
-        print(f"error: {error.describe()}", file=sys.stderr)
+    return cli.run_command(_predict, _predict_parser().parse_args(argv))
+
+
+def _predict(args) -> int:
+    if args.validate:
+        return _run_validate(args)
+    if args.source is None:
+        print(
+            "error: a hic source file is required unless --validate "
+            "is given",
+            file=sys.stderr,
+        )
         return 2
-    except HicError as error:
-        print(f"error: {cli.hic_diagnostic(error, args)}", file=sys.stderr)
-        return 1
+    return _run_predict(args)
 
 
 def _compile(args):
@@ -144,7 +135,7 @@ def _compile(args):
         name=cli.design_name(args.source),
         organization=Organization(args.organization),
         deplist_entries=args.deplist_entries,
-        num_banks=max(args.banks, 0),
+        num_banks=args.banks,
     )
 
 

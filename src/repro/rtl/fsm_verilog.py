@@ -15,7 +15,7 @@ wrapper:
   the simulator);
 * hic's combinational functions are emitted as Verilog ``function``
   definitions computing the same Knuth-hash mixing as the simulator's
-  :func:`repro.sim.executor.default_intrinsic`, so the RTL and the Python
+  :func:`repro.sim.expr.default_intrinsic`, so the RTL and the Python
   simulation are behaviorally aligned even for unbound intrinsics.
 """
 

@@ -15,15 +15,12 @@ from .cache import (
     generation_count,
 )
 from .codegen import UnsupportedDesign, generate_source
-from .exprgen import ExprCompiler, UnsupportedExpression
 from .kernel import CompiledKernel
 
 __all__ = [
     "CompiledKernel",
     "CompiledProgram",
-    "ExprCompiler",
     "UnsupportedDesign",
-    "UnsupportedExpression",
     "cache_size",
     "clear_cache",
     "compile_program",

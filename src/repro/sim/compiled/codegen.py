@@ -32,10 +32,13 @@ faster than the interpreter because the executors are compiled — while
 the arbitrated wrapper, the hot path of every benchmark, is fully
 inlined (flat request tuples, list-indexed guard counters).
 
-Designs using constructs with no compiled equivalent (unevaluable
-expressions, non-BRAM message placements, out-of-range static
-addresses) raise :class:`UnsupportedDesign`; the kernel then runs on
-its base class, the wheel, which is always correct.
+Expressions compile through :class:`repro.sim.expr.ExprCompiler`, the
+same fragments the interpreter evaluates, so an expression that cannot
+be evaluated raises when its state runs, as it does in the interpreter.
+Designs using constructs with no compiled equivalent (non-BRAM message
+placements, out-of-range static addresses) raise
+:class:`UnsupportedDesign`; the kernel then runs on its base class, the
+wheel, which is always correct.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from ...synth.fsm import (
     ReceiveOp,
     TransmitOp,
 )
-from .exprgen import ExprCompiler, UnsupportedExpression
+from ..expr import HELPERS, ExprCompiler
 
 #: Cycles a generated span runs between arrival pre-draws (which bounds
 #: the arrivals it holds drawn ahead), without and with a wall-clock
@@ -69,33 +72,18 @@ from time import monotonic as _monotonic
 
 from repro.core.controller import LatencySample, MemRequest
 from repro.core.errors import GuardViolationError, SimulationTimeout
-from repro.sim.executor import default_intrinsic as _default_intrinsic
+from repro.sim.expr import default_intrinsic as _default_intrinsic
+from repro.sim.expr import %s
 
 _E = {}
 _new = tuple.__new__
-
-
-def _div(l, r):
-    sl = l - 4294967296 if l >= 2147483648 else l
-    sr = r - 4294967296 if r >= 2147483648 else r
-    if sr == 0:
-        return 4294967295
-    return int(sl / sr) & 4294967295
-
-
-def _mod(l, r):
-    sl = l - 4294967296 if l >= 2147483648 else l
-    sr = r - 4294967296 if r >= 2147483648 else r
-    if sr == 0:
-        return 0
-    return (sl - int(sl / sr) * sr) & 4294967295
 
 
 def _oob(name, address, depth):
     raise IndexError(
         f"address {address} out of range for {name} (depth {depth})"
     )
-'''
+''' % ", ".join(HELPERS)
 
 
 class UnsupportedDesign(Exception):
@@ -289,9 +277,6 @@ class _Codegen:
         b.append(f"b_cliA_c{j} = arbA_c{j}.clients")
         b.append(f"b_cliC_c{j} = arbC_c{j}.clients")
         b.append(f"b_cliD_c{j} = arbD_c{j}.clients")
-        b.append(f"b_histA_c{j} = arbA_c{j}.grant_history")
-        b.append(f"b_histC_c{j} = arbC_c{j}.grant_history")
-        b.append(f"b_histD_c{j} = arbD_c{j}.grant_history")
         b.append(f"CSC_c{j} = frozenset({cli_c!r})")
         b.append(f"CSD_c{j} = frozenset({cli_d!r})")
         b.append(f"b_issue_c{j} = ctl_c{j}._issue_cycle")
@@ -395,10 +380,7 @@ class _Codegen:
         e.append(f"cliA_c{j} = b_cliA_c{j}")
         e.append(f"cliC_c{j} = b_cliC_c{j}")
         e.append(f"cliD_c{j} = b_cliD_c{j}")
-        e.append(f"histA_c{j} = b_histA_c{j}")
         e.append(f"setA_c{j} = set(cliA_c{j})")
-        e.append(f"histC_c{j} = b_histC_c{j}")
-        e.append(f"histD_c{j} = b_histD_c{j}")
 
         self.body_ctl.extend(self._inline_cycle_lines(j, name))
 
@@ -421,7 +403,7 @@ class _Codegen:
 
     def _rr_lines(self, j: int, port: str, nclients) -> list[str]:
         """Round-robin grant over ``_reqs``: scan from the saved pointer,
-        advance past the winner (mod the client count), record history."""
+        advance past the winner (mod the client count)."""
         ptr = f"ptr{port}_c{j}"
         cli = f"cli{port}_c{j}"
         n_src = f"len({cli})" if nclients is None else str(nclients)
@@ -438,7 +420,6 @@ class _Codegen:
             "    _i += 1",
             "    if _i == _n:",
             "        _i = 0",
-            f"hist{port}_c{j}.append(_w)",
         ]
 
     def _inline_cycle_lines(self, j: int, name: str) -> list[str]:
@@ -1052,11 +1033,6 @@ class _Codegen:
 def generate_source(design) -> str:
     """Generate the specialized tick module for ``design``.
 
-    Raises :class:`UnsupportedDesign` (an
-    :class:`~.exprgen.UnsupportedExpression` is re-raised as one) when
-    the design cannot be compiled.
+    Raises :class:`UnsupportedDesign` when the design cannot be compiled.
     """
-    try:
-        return _Codegen(design).generate()
-    except UnsupportedExpression as exc:
-        raise UnsupportedDesign(str(exc)) from exc
+    return _Codegen(design).generate()

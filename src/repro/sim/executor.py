@@ -14,22 +14,27 @@ Nothing in a state changes after synthesis, so an executor decodes each
 state once, the first time it runs it, into a plan (:class:`StatePlan`):
 the state's micro-ops tagged by kind, every expression (a computed value,
 an address offset, a write's data, a transition guard) as a closure over
-the register file built by :func:`decode_expr`, the memory op whose grant
-phase 2 checks, the transitions as ``(guard, target, closes_round)`` and
-the state's :class:`HoldClass`.  A cycle runs the plan; no expression
-tree is walked after a state's first visit.  Plans hold the register
-file, the function table and the controllers, never the executor, so a
-finished run is freed by reference counting.
+the register file, the memory op whose grant phase 2 checks, the
+transitions as ``(guard, target, closes_round)`` and the state's
+:class:`HoldClass`.  A cycle runs the plan; no expression tree is walked
+after a state's first visit.  Plans hold the register file, the function
+table and the controllers, never the executor, so a finished run is
+freed by reference counting.
 
-Expression evaluation is exact two's-complement 32-bit arithmetic, with
-hic's combinational functions (``f``, ``g``, ``h``, the forwarding lookup,
-…) resolved through a caller-supplied function table.
+Expression evaluation is exact two's-complement 32-bit arithmetic,
+stated once, by :class:`repro.sim.expr.ExprCompiler`: each expression's
+fragment is compiled into ``lambda: <fragment>`` and evaluated in the
+executor's namespace, which holds the register file, the helpers the
+fragments call and hic's combinational functions (``f``, ``g``, ``h``,
+the forwarding lookup, …) from a caller-supplied function table.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
+from types import CodeType
 from typing import Callable, Optional
 
 from ..core.controller import MemRequest, MemResult, MemoryController
@@ -45,11 +50,13 @@ from ..synth.fsm import (
     ThreadFsm,
     TransmitOp,
 )
-
-MASK32 = (1 << 32) - 1
-#: the sign bit: ``(a ^ _SIGN) < (b ^ _SIGN)`` orders 32-bit words by
-#: their signed values
-_SIGN = 1 << 31
+from .expr import (
+    HELPERS,
+    ExprCompiler,
+    default_intrinsic,
+    to_signed,
+    to_unsigned,
+)
 
 
 @dataclass
@@ -144,33 +151,6 @@ def _classify_state(state) -> HoldClass:
     return HoldClass(kind="terminal")
 
 
-def to_signed(value: int) -> int:
-    value &= MASK32
-    return value - (1 << 32) if value & (1 << 31) else value
-
-
-def to_unsigned(value: int) -> int:
-    return value & MASK32
-
-
-def default_intrinsic(name: str) -> Callable[..., int]:
-    """A deterministic stand-in for an unknown combinational function.
-
-    Mixes the arguments with a Knuth multiplicative hash salted by the
-    function name, so distinct functions produce distinct (but repeatable)
-    results — adequate for exercising dataflow without the real logic.
-    """
-    salt = sum(ord(c) for c in name)
-
-    def fn(*args: int) -> int:
-        acc = salt & MASK32
-        for arg in args:
-            acc = (acc * 2654435761 + (arg & MASK32) + 1) & MASK32
-        return acc
-
-    return fn
-
-
 class RxInterface:
     """Ingress side of a network interface: a FIFO the traffic generator
     fills and receive states drain.
@@ -240,171 +220,22 @@ class ExecutorStats:
 # -- the decoder -------------------------------------------------------------------
 
 
-def decode_expr(
-    expr: ast.Expr, env: dict[str, int], functions: dict[str, Callable[..., int]]
-) -> Callable[[], int]:
-    """A closure that evaluates a rewritten (register-only) expression to
-    32 bits against the register file ``env``.
-
-    * a register read masks to 32 bits (a read grant leaves the raw, up
-      to 36-bit BRAM word in its destination);
-    * ``+``, ``-``, ``*`` and ``<<`` wrap modulo 2**32, comparisons are
-      signed;
-    * ``/`` and ``%`` truncate through float division, as ``int(sl /
-      sr)``; a zero divisor gives ``0xFFFFFFFF`` and 0;
-    * ``&&`` and ``||`` short-circuit;
-    * a call evaluates its arguments, then looks its function up in
-      ``functions``, memoizing :func:`default_intrinsic` on a miss.
-
-    Decoding never raises: an expression that cannot be evaluated (an
-    unrewritten field access, an unknown operator) decodes to a closure
-    that raises its ``TypeError`` or ``ValueError`` when it runs, after
-    evaluating the operands that come first.
-    """
-    if isinstance(expr, ast.IntLiteral):
-        value = expr.value & MASK32
-        return lambda: value
-    if isinstance(expr, ast.CharLiteral):
-        value = expr.value & 0xFF
-        return lambda: value
-    if isinstance(expr, ast.BoolLiteral):
-        value = int(expr.value)
-        return lambda: value
-    if isinstance(expr, ast.Name):
-        ident = expr.ident
-        get = env.get
-        return lambda: get(ident, 0) & MASK32
-    if isinstance(expr, ast.Unary):
-        return _decode_unary(
-            expr.op, decode_expr(expr.operand, env, functions)
-        )
-    if isinstance(expr, ast.Binary):
-        return _decode_binary(
-            expr.op,
-            decode_expr(expr.left, env, functions),
-            decode_expr(expr.right, env, functions),
-        )
-    if isinstance(expr, ast.Conditional):
-        cond = decode_expr(expr.cond, env, functions)
-        then_value = decode_expr(expr.then_value, env, functions)
-        else_value = decode_expr(expr.else_value, env, functions)
-        return lambda: then_value() if cond() else else_value()
-    if isinstance(expr, ast.Call):
-        return _decode_call(
-            expr.callee,
-            [decode_expr(arg, env, functions) for arg in expr.args],
-            functions,
-        )
-    message = f"cannot evaluate {type(expr).__name__} at simulation time"
-
-    def unevaluable():
-        raise TypeError(message)
-
-    return unevaluable
-
-
-def _decode_unary(op: str, operand: Callable[[], int]) -> Callable[[], int]:
-    if op == "-":
-        return lambda: (-operand()) & MASK32
-    if op == "!":
-        return lambda: 0 if operand() else 1
-    if op == "~":
-        return lambda: (~operand()) & MASK32
-
-    def unknown():
-        operand()
-        raise ValueError(f"unknown unary operator {op!r}")
-
-    return unknown
-
-
-def _decode_binary(
-    op: str, left: Callable[[], int], right: Callable[[], int]
-) -> Callable[[], int]:
-    # Operands are words in [0, 2**32): a ring operation on them agrees
-    # with the signed one modulo 2**32 and a comparison orders them by
-    # biasing the sign bit, so only / and % convert to signed values.
-    if op == "&&":
-        return lambda: 1 if left() and right() else 0
-    if op == "||":
-        return lambda: 1 if left() or right() else 0
-    if op == "+":
-        return lambda: (left() + right()) & MASK32
-    if op == "-":
-        return lambda: (left() - right()) & MASK32
-    if op == "*":
-        return lambda: (left() * right()) & MASK32
-    if op == "/":
-
-        def divide():
-            sl = to_signed(left())
-            sr = to_signed(right())
-            if sr == 0:
-                return MASK32  # hardware divide-by-zero convention
-            return int(sl / sr) & MASK32
-
-        return divide
-    if op == "%":
-
-        def modulo():
-            sl = to_signed(left())
-            sr = to_signed(right())
-            if sr == 0:
-                return 0
-            return (sl - int(sl / sr) * sr) & MASK32
-
-        return modulo
-    if op == "<<":
-        return lambda: (left() << (right() & 31)) & MASK32
-    if op == ">>":
-        return lambda: left() >> (right() & 31)
-    if op == "&":
-        return lambda: left() & right()
-    if op == "|":
-        return lambda: left() | right()
-    if op == "^":
-        return lambda: left() ^ right()
-    if op == "==":
-        return lambda: 1 if left() == right() else 0
-    if op == "!=":
-        return lambda: 1 if left() != right() else 0
-    if op == "<":
-        return lambda: 1 if (left() ^ _SIGN) < (right() ^ _SIGN) else 0
-    if op == "<=":
-        return lambda: 1 if (left() ^ _SIGN) <= (right() ^ _SIGN) else 0
-    if op == ">":
-        return lambda: 1 if (left() ^ _SIGN) > (right() ^ _SIGN) else 0
-    if op == ">=":
-        return lambda: 1 if (left() ^ _SIGN) >= (right() ^ _SIGN) else 0
-
-    def unknown():
-        left()
-        right()
-        raise ValueError(f"unknown binary operator {op!r}")
-
-    return unknown
-
-
-def _decode_call(
-    callee: str,
-    args: list[Callable[[], int]],
-    functions: dict[str, Callable[..., int]],
-) -> Callable[[], int]:
-    def call():
-        values = [arg() for arg in args]
-        fn = functions.get(callee)
-        if fn is None:
-            fn = functions[callee] = default_intrinsic(callee)
-        return fn(*values) & MASK32
-
-    return call
+@cache
+def _lambda_code(fragment: str) -> CodeType:
+    """``lambda: <fragment>`` compiled, once per distinct fragment text
+    in a process: a design rebuilt by a sweep or a campaign, or a thread
+    replicated across a design, evaluates its code object again."""
+    return compile(f"lambda: {fragment}", "<hic expression>", "eval")
 
 
 def _decode_access(
     op, controller: MemoryController, client: str, port: str,
-    env: dict[str, int], functions: dict[str, Callable[..., int]],
+    offset: Optional[Callable[[], int]], data: Optional[Callable[[], int]],
 ) -> Callable[[], None]:
-    """A closure that submits ``op``'s request to ``controller``.
+    """A closure that submits ``op``'s request to ``controller``, with
+    the address offset and write data that the closures ``offset`` and
+    ``data`` evaluate (``offset`` is ``None`` for a static address,
+    ``data`` for a read).
 
     A stalled thread re-asserts the same request lines every cycle, so
     the closure keeps the last request it built and submits it again
@@ -414,12 +245,6 @@ def _decode_access(
     write = isinstance(op, MemWriteOp)
     base = op.base_address
     dep_id = op.dep_id
-    offset = (
-        None
-        if op.offset_expr is None
-        else decode_expr(op.offset_expr, env, functions)
-    )
-    data = decode_expr(op.value_expr, env, functions) if write else None
     last = None
 
     def submit():
@@ -502,6 +327,10 @@ class ThreadExecutor:
         self.env: dict[str, int] = {}
         for name, value in checked.constants.items():
             self.env[name] = to_unsigned(value)
+        self._compiler = ExprCompiler("env", "f")
+        #: the globals every decoded expression runs in: the register
+        #: file, the helpers and the function aliases bound so far
+        self._namespace = dict(HELPERS, env=self.env)
         self.state_name = fsm.initial
         self.stats = ExecutorStats()
         #: state name -> :class:`StatePlan`, decoded on first visit
@@ -514,31 +343,42 @@ class ThreadExecutor:
 
     # -- decoding ---------------------------------------------------------------------
 
+    def _closure(self, expr: ast.Expr) -> Callable[[], int]:
+        """``expr`` evaluated to 32 bits against the register file."""
+        fragment = self._compiler.compile(expr)
+        namespace = self._namespace
+        for callee, alias in self._compiler.calls.items():
+            if alias not in namespace:
+                fn = self._functions.get(callee)
+                if fn is None:
+                    fn = self._functions[callee] = default_intrinsic(callee)
+                namespace[alias] = fn
+        return eval(_lambda_code(fragment), namespace)
+
     def _decode(self, name: str) -> StatePlan:
         """Decode state ``name`` into its :class:`StatePlan` (once)."""
         state = self.fsm.states[name]
-        env = self.env
-        functions = self._functions
         client = self.fsm.thread
         ops = []
         mem_bram = None
         for op in state.ops:
             if isinstance(op, ComputeOp):
-                ops.append(
-                    (_COMPUTE, op.dest, decode_expr(op.expr, env, functions))
-                )
+                ops.append((_COMPUTE, op.dest, self._closure(op.expr)))
             elif isinstance(op, (MemReadOp, MemWriteOp)):
                 if mem_bram is None:
                     mem_bram = op.bram
                 port = op.port
                 if op.dep_id is not None:
                     port = self._port_override.get(port, port)
+                write = isinstance(op, MemWriteOp)
                 submit = _decode_access(
-                    op, self._controllers[op.bram], client, port, env,
-                    functions,
+                    op, self._controllers[op.bram], client, port,
+                    None
+                    if op.offset_expr is None
+                    else self._closure(op.offset_expr),
+                    self._closure(op.value_expr) if write else None,
                 )
-                kind = _WRITE if isinstance(op, MemWriteOp) else _READ
-                ops.append((kind, op, submit))
+                ops.append((_WRITE if write else _READ, op, submit))
             elif isinstance(op, ReceiveOp):
                 ops.append((_RECEIVE, op, None))
             elif isinstance(op, TransmitOp):
@@ -549,7 +389,7 @@ class ThreadExecutor:
             (
                 None
                 if transition.guard is None
-                else decode_expr(transition.guard, env, functions),
+                else self._closure(transition.guard),
                 transition.target,
                 transition.target == self.fsm.initial,
             )

@@ -1,8 +1,8 @@
-"""Unit tests for the round-robin and priority arbiters."""
+"""Unit tests for the round-robin arbiter."""
 
 import pytest
 
-from repro.core import PriorityArbiter, RoundRobinArbiter
+from repro.core import RoundRobinArbiter
 
 
 class TestRoundRobin:
@@ -45,26 +45,6 @@ class TestRoundRobin:
         with pytest.raises(ValueError):
             RoundRobinArbiter(["a", "a"])
 
-    def test_history_recorded(self):
-        arb = RoundRobinArbiter(["a", "b"])
-        arb.grant({"a"})
-        arb.grant({"b"})
-        assert arb.grant_history == ["a", "b"]
-
     def test_width(self):
         assert RoundRobinArbiter(["a", "b", "c"]).width == 3
 
-
-class TestPriority:
-    def test_d_beats_c_beats_b(self):
-        arb = PriorityArbiter()
-        assert arb.select({"B", "C", "D"}) == "D"
-        assert arb.select({"B", "C"}) == "C"
-        assert arb.select({"B"}) == "B"
-
-    def test_empty(self):
-        assert PriorityArbiter().select(set()) is None
-
-    def test_custom_order(self):
-        arb = PriorityArbiter(priority_order=("X", "Y"))
-        assert arb.select({"Y", "X"}) == "X"

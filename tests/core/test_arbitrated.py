@@ -106,6 +106,45 @@ class TestPriorities:
         assert "c0" not in results
         assert controller.override_count == 1
 
+    def test_d_preempts_an_allowed_c(self):
+        # Two guarded words: d0 holds data for c0 (C allowed) while d1
+        # is drained (D allowed).  D takes the port; C goes next cycle.
+        second = DependencyEntry("d1", 1, 1, "prod", ("c0",))
+        controller, __ = make_controller(consumers=1, extra_entries=[second])
+        controller.submit(write_req(5))
+        controller.arbitrate(0)
+        controller.submit(read_req("c0"))
+        controller.submit(
+            MemRequest("prod", "D", 1, True, data=6, dep_id="d1")
+        )
+        results = controller.arbitrate(1)
+        assert results["prod"].granted
+        assert "c0" not in results
+        assert controller.override_count == 1
+        controller.submit(read_req("c0"))
+        assert controller.arbitrate(2)["c0"].data == 5
+
+    def test_d_then_c_then_b(self):
+        # One request on each of D, C and B, D and C both allowed: port 1
+        # grants them one a cycle, D first, then C, then B.
+        second = DependencyEntry("d1", 1, 1, "prod", ("c0",))
+        controller, __ = make_controller(consumers=1, extra_entries=[second])
+        controller.submit(write_req(5))
+        controller.arbitrate(0)
+        waiting = [
+            MemRequest("other", "B", 5, False),
+            read_req("c0"),
+            MemRequest("prod", "D", 1, True, data=6, dep_id="d1"),
+        ]
+        granted = []
+        for cycle in range(1, 5):
+            for request in waiting:
+                controller.submit(request)
+            results = controller.arbitrate(cycle)
+            granted.append(sorted(results))
+            waiting = [r for r in waiting if r.client not in results]
+        assert granted == [["prod"], ["c0"], ["other"], []]
+
     def test_port_b_starved_by_c_requests(self):
         controller, __ = make_controller(consumers=1)
         controller.submit(read_req("c0"))  # blocked C request

@@ -48,7 +48,7 @@ class TestFabricPacking:
 
     def test_range_uses_access_graph_affinity(self):
         checked = analyze(TWO_THREAD_ARRAYS)
-        access, __ = build_memory_graphs(checked)
+        access = build_memory_graphs(checked)
         memory_map = allocate(
             checked, access=access, fabric_banks=2, fabric_policy="range"
         )
@@ -119,7 +119,7 @@ thread big () {
 
 class TestThreadPartitioning:
     def test_balances_by_access_weight(self, figure1_checked):
-        access, __ = build_memory_graphs(figure1_checked)
+        access = build_memory_graphs(figure1_checked)
         assignment = partition_threads_across_banks(access, 2)
         assert set(assignment.values()) <= {0, 1}
         # Every thread with storage appears.
@@ -127,11 +127,11 @@ class TestThreadPartitioning:
         assert threads <= set(assignment)
 
     def test_single_bank_collapses(self, figure1_checked):
-        access, __ = build_memory_graphs(figure1_checked)
+        access = build_memory_graphs(figure1_checked)
         assignment = partition_threads_across_banks(access, 1)
         assert set(assignment.values()) == {0}
 
     def test_invalid_bank_count(self, figure1_checked):
-        access, __ = build_memory_graphs(figure1_checked)
+        access = build_memory_graphs(figure1_checked)
         with pytest.raises(ValueError):
             partition_threads_across_banks(access, 0)

@@ -99,7 +99,7 @@ class TestPacking:
             allocate(checked)
 
     def test_affinity_guided_packing_runs(self, figure1_checked):
-        access, __ = build_memory_graphs(figure1_checked)
+        access = build_memory_graphs(figure1_checked)
         mm = allocate(figure1_checked, access=access)
         assert mm.placement("t1", "x1").is_bram
 
@@ -155,7 +155,7 @@ class TestAffinityPacking:
         from repro.net import multi_pair_source
 
         checked = analyze(multi_pair_source(3, 2))
-        access, __ = build_memory_graphs(checked)
+        access = build_memory_graphs(checked)
         without = allocate(checked)
         with_affinity = allocate(checked, access=access)
         assert with_affinity.bram_count() == without.bram_count() == 1
@@ -171,7 +171,7 @@ class TestAffinityPacking:
         from repro.analysis import build_memory_graphs
 
         checked = analyze(source)
-        access, __ = build_memory_graphs(checked)
+        access = build_memory_graphs(checked)
         mm = allocate(checked, access=access)
         assert mm.bram_count() == 2
         assert (

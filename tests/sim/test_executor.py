@@ -8,6 +8,7 @@ import pytest
 from repro.core import Organization
 from repro.flow import SIMULATION_KERNELS, build_simulation, compile_design
 from repro.hic import ast
+from repro.sim import executor as executor_module
 from repro.sim import (
     RxInterface,
     ThreadExecutor,
@@ -235,8 +236,8 @@ class TestDecodedStates:
     ):
         """The error comes when the expression runs: not when the
         simulation is built, not behind a short-circuit that skips it,
-        and after the state's earlier ops (the compiled kernel's code
-        generator refuses the design, so it runs the wheel)."""
+        and after the state's earlier ops (the compiled kernel runs its
+        generated code for the design)."""
         skipped = ast.Binary("&&", ast.IntLiteral(0), expr)
         design = compile_design("thread t () { int x, y, z; }")
         design.fsms["t"] = ThreadFsm(
@@ -257,6 +258,8 @@ class TestDecodedStates:
             },
         )
         sim = build_simulation(design, kernel=kernel)
+        if kernel == "compiled":
+            assert sim.kernel.bind_error is None
         sim.run(2)
         env = sim.executors["t"].env
         assert env["x"] == 0
@@ -309,3 +312,16 @@ class TestDecodedStates:
         }
         assert len(visited) > 3
         assert decoded == Counter(dict.fromkeys(visited, 1))
+
+    def test_a_second_build_of_a_design_compiles_no_new_code(
+        self, figure1_source
+    ):
+        """Decoding compiles each distinct expression text once per
+        process: rebuilding a design reuses every code object."""
+        design = compile_design(figure1_source)
+        build_simulation(design, kernel="reference").run(2000)
+        before = executor_module._lambda_code.cache_info()
+        build_simulation(design, kernel="reference").run(2000)
+        after = executor_module._lambda_code.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits

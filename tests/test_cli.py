@@ -257,6 +257,31 @@ class TestCliPredict:
         assert "parameter-error" in err
         assert "banks" in err
 
+    def test_negative_banks_fail_the_shared_range_check(
+        self, figure1_file, capsys
+    ):
+        """The shared range check runs first, as for every command."""
+        assert main(["predict", figure1_file, "--banks", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: parameter-error: bank count must be >= 0 "
+            "(parameter=banks, value=-1)\n"
+        )
+
+    def test_a_design_that_does_not_fit_is_a_design_error(
+        self, tmp_path, capsys
+    ):
+        """An allocation failure exits 1 with its message, as the bare
+        compile command reports it."""
+        path = tmp_path / "big.hic"
+        path.write_text("thread t () { int a[4000], x; x = a[1]; }")
+        assert main(["predict", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: variable t.a needs 4000 words, more than one bank "
+            "holds (512)\n"
+        )
+
     def test_rejects_out_of_range_rate(self, figure1_file, capsys):
         assert main(["predict", figure1_file, "--rate", "1.5"]) == 2
         err = capsys.readouterr().err
@@ -466,12 +491,14 @@ class TestSharedErrors:
             (["{fig1}", "--deplist-entries", "0"], "deplist_entries"),
             (["{fig1}", "--simulate", "-5"], "simulate"),
             (["faults", "--runs", "-1"], "runs"),
+            (["predict", "{fig1}", "--deplist-entries", "0"], "deplist_entries"),
         ],
         ids=[
             "bare-wall", "bare-rate-high", "bare-rate-negative",
             "bare-banks", "profile-wall", "profile-rate", "profile-banks",
             "profile-cycles", "faults-cycles", "scenarios-cycles",
             "bare-deplist", "bare-simulate", "faults-runs",
+            "predict-deplist",
         ],
     )
     def test_out_of_range_is_structured_parameter_error(

@@ -11,9 +11,8 @@ explicit pragmas, no FSM optimization and the structural Verilog only.
 
 For each it holds the sha256 of ``verilog()``, of every
 ``thread_verilog(t)``, of the ``repr`` of every wrapper's area and
-timing report, of ``utilization().render()``, of
-``repr(checked.dependencies)`` and of the operation order graph's
-operation list.
+timing report, of ``utilization().render()`` and of
+``repr(checked.dependencies)``.
 
 To regenerate after an *intentional* change to compile output::
 
@@ -27,7 +26,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import build_memory_graphs
 from repro.flow import compile_design
 from repro.net import forwarding_source
 from repro.scenarios.catalog import pipeline_source
@@ -57,7 +55,6 @@ def _sha(text: str) -> str:
 def record(source: str, options: dict) -> dict:
     """The hashes pinned for one compile."""
     design = compile_design(source, **options)
-    __, order = build_memory_graphs(design.checked)
     return {
         "verilog": _sha(design.verilog()),
         "thread_verilog": {
@@ -73,7 +70,6 @@ def record(source: str, options: dict) -> dict:
         },
         "utilization": _sha(design.utilization().render()),
         "dependencies": _sha(repr(design.checked.dependencies)),
-        "order_graph": _sha(repr(order.operations)),
     }
 
 
